@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance, reassign, ridges, squeeze
-from .errors import ConfigError, TwoToneError
+from .errors import ConfigError, ModelValidationError, TwoToneError
 from .gabor import TFGrid, stft_field
 from .model import GaussianWindow, TwoHarmonicModel, constructive_time, destructive_time
 from .phasefield import amplitude_weighted_phase, locate_zeros
@@ -155,18 +155,36 @@ def build_config(args, extra: list[str]) -> ExperimentConfig:
     merged.update(parse_overrides(extra))
     if getattr(args, "out", None):
         merged["output.dir"] = args.out
-    model = TwoHarmonicModel(xi0=merged["model.xi0"], delta=merged["model.delta"],
-                             a=merged["model.a"])
-    window = GaussianWindow(sigma=merged["model.sigma"])
-    grid = TFGrid(t_min=merged["grid.t_min"], t_max=merged["grid.t_max"],
-                  n_t=merged["grid.n_t"], eta_min=merged["grid.eta_min"],
-                  eta_max=merged["grid.eta_max"], n_eta=merged["grid.n_eta"])
-    thetas = tuple(float(x) for x in str(merged["reassign.arc_thetas"]).split(",") if x)
+    try:
+        model = TwoHarmonicModel(xi0=merged["model.xi0"], delta=merged["model.delta"],
+                                 a=merged["model.a"])
+        window = GaussianWindow(sigma=merged["model.sigma"])
+        grid = TFGrid(t_min=merged["grid.t_min"], t_max=merged["grid.t_max"],
+                      n_t=merged["grid.n_t"], eta_min=merged["grid.eta_min"],
+                      eta_max=merged["grid.eta_max"], n_eta=merged["grid.n_eta"])
+    except ModelValidationError as exc:
+        raise ConfigError(str(exc)) from exc
+    alpha, weighting = merged["squeeze.alpha"], merged["squeeze.weighting"]
+    radius, mode = merged.get("squeeze.r"), merged["squeeze.reassignment_mode"]
+    if weighting not in squeeze.WEIGHTINGS:
+        raise ConfigError(f"squeeze.weighting must be one of {squeeze.WEIGHTINGS}, got {weighting!r}")
+    if mode not in squeeze.REASSIGN_MODES:
+        raise ConfigError(
+            f"squeeze.reassignment_mode must be one of {squeeze.REASSIGN_MODES}, got {mode!r}")
+    if not 0.0 < alpha < math.inf:
+        raise ConfigError(f"squeeze.alpha must be positive and finite, got {alpha!r}")
+    if weighting == "indicator" and radius is not None:
+        floor = squeeze.indicator_radius_floor(model, window)
+        if not radius > floor:
+            raise ConfigError(f"squeeze.r = {radius!r} must exceed the band floor {floor:.6f}")
+    try:
+        thetas = tuple(float(x) for x in str(merged["reassign.arc_thetas"]).split(",") if x)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 'reassign.arc_thetas': {exc}") from exc
     return ExperimentConfig(
-        model=model, window=window, grid=grid,
-        alpha=merged["squeeze.alpha"], weighting=merged["squeeze.weighting"],
-        radius=merged.get("squeeze.r"), reassignment_mode=merged["squeeze.reassignment_mode"],
-        arc_thetas=thetas, outdir=Path(merged["output.dir"]), raw=merged,
+        model=model, window=window, grid=grid, alpha=alpha, weighting=weighting,
+        radius=radius, reassignment_mode=mode, arc_thetas=thetas,
+        outdir=Path(merged["output.dir"]), raw=merged,
     )
 
 
@@ -306,11 +324,12 @@ def cmd_squeeze(config: ExperimentConfig) -> int:
     standoff = 2e-3 * model.delta
     for label, t in (("constructive", constructive_time(model, 0)),
                      ("destructive", destructive_time(model, 0))):
-        xis = [x for x in grid.eta_values()
-               if abs(x - model.xi0) > standoff and abs(x - model.xi1) > standoff]
+        xis = np.array([x for x in grid.eta_values()
+                        if abs(x - model.xi0) > standoff and abs(x - model.xi1) > standoff])
+        quads = (np.abs(squeeze.squeeze_cross_section(model, window, sq_config, t, xis))
+                 if xis.size else xis)
         rows = []
-        for xi in xis:
-            quad = abs(squeeze.squeeze_transform(model, window, sq_config, t, float(xi)))
+        for xi, quad in zip(xis, quads):
             if sq_config.weighting == "indicator":
                 asym = squeeze.asym_indicator(model, window, sq_config.alpha,
                                               sq_config.R, t, float(xi))

@@ -31,6 +31,7 @@ from .reassign import eta_s_values
 WEIGHTINGS = ("stft", "indicator")
 REASSIGN_MODES = ("sync", "phase")
 _LOG_CUTOFF = 60.0  # e^{-60} ~ 9e-27: negligible next to every stated tolerance
+_UNDERFLOW_EXPONENT = 746.0  # exp(-x) is exactly 0.0 in double precision for x >= 746
 
 
 @dataclass(frozen=True)
@@ -131,37 +132,48 @@ def _simpson_weights(n_nodes: int, step: float) -> np.ndarray:
     return w * step / 3.0
 
 
-def _sync_active_hull(model, window, config, xis, lo, hi) -> tuple[float, float] | None:
-    """Analytic superset of the active eta range for the sync rule.
+def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
+                    alpha: float) -> np.ndarray:
+    """sum_k weights_k exp(-|hat_k - xi|^2 / alpha) for each xi in xis.
 
-    |M(q) - xi| <= r brackets |q| through triangle bounds (independently of
-    the phase of q, hence of t); the exponential profile of |q| then converts
-    the bracket to an eta interval. Guards against active features narrower
-    than the base sampling step.
+    exp(-x) underflows to exactly 0.0 once x passes 746, so only nodes with
+    |Re hat_k - xi| <= sqrt(746 alpha) can add a nonzero term. The nodes are
+    sorted once by Re hat, and each xi sums over its own contiguous
+    searchsorted window: every nonzero term of the dense sum over all nodes
+    is kept, in another order. The factor exp(-(Im hat_k)^2 / alpha) is folded
+    into the weights, and nodes whose folded weight is 0 (zero weight, or
+    |Im hat_k|^2 past the underflow point) sort past every window. Memory is
+    O(nodes + xis).
     """
-    if model.a == 0.0:
-        return None
-    r = math.sqrt(_LOG_CUTOFF * config.alpha)
-    xi_lo, xi_hi = float(np.min(xis)), float(np.max(xis))
-    d0_max = max(abs(xi_lo - model.xi0), abs(xi_hi - model.xi0))
-    d0_min = max(xi_lo - model.xi0, model.xi0 - xi_hi, 0.0)
-    d1_max = max(abs(xi_lo - model.xi1), abs(xi_hi - model.xi1))
-    d1_min = max(xi_lo - model.xi1, model.xi1 - xi_hi, 0.0)
-    scale = 2.0 * window.C * model.delta
-    log_a = math.log(model.a)
-    if d1_min > r:
-        q_hi = (d0_max + r) / (d1_min - r)
-        eta_hi = min(hi, model.xibar + (math.log(q_hi) - log_a) / scale)
-    else:
-        eta_hi = hi
-    q_lo = (d0_min - r) / (d1_max + r)
-    if q_lo > 0:
-        eta_lo = max(lo, model.xibar + (math.log(q_lo) - log_a) / scale)
-    else:
-        eta_lo = lo
-    if eta_lo >= eta_hi:
-        return None
-    return eta_lo, eta_hi
+    fold = np.exp(-hat.imag ** 2 / alpha)
+    key = np.where((fold > 0.0) & (weights != 0.0), hat.real, np.inf)
+    order = np.argsort(key, kind="stable")
+    re = key[order]
+    # each node-sized temporary is dropped as soon as it is used, so this
+    # set-up peaks below the evaluation of hat itself
+    del key
+    fold = fold[order]
+    folded = np.empty((2, len(order)))
+    np.take(weights.real, order, out=folded[0])
+    np.take(weights.imag, order, out=folded[1])
+    del order
+    folded *= fold
+    del fold
+    reach = math.sqrt(_UNDERFLOW_EXPONENT * alpha)
+    starts = np.searchsorted(re, xis - reach, side="left")
+    stops = np.searchsorted(re, xis + reach, side="right")
+    buf = np.empty(int(np.max(stops - starts, initial=0)))
+    out = np.zeros(len(xis), dtype=complex)
+    for i, (xi, a, b) in enumerate(zip(xis.tolist(), starts.tolist(), stops.tolist())):
+        if a < b:
+            moll = buf[:b - a]
+            np.subtract(re[a:b], xi, out=moll)
+            np.multiply(moll, moll, out=moll)
+            moll /= -alpha
+            np.exp(moll, out=moll)
+            s_re, s_im = folded[:, a:b] @ moll
+            out[i] = complex(s_re, s_im)
+    return out
 
 
 def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
@@ -169,10 +181,22 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     """S_G(t, xi) for an array of xi at fixed t.
 
     Composite Simpson on the truncation window with deterministic refinement of
-    the active region (where the mollifier is above e^-60): resolution doubles
-    until the whole vector changes by <= quadrature.rtol relative (floored by a
-    tiny absolute term), or max_doublings is hit. Sentinel reassignment values
-    contribute zero mass.
+    the active region (base nodes whose reassignment value lies within
+    e^-60 mollifier reach of the xi hull): resolution doubles until the whole
+    vector changes by <= quadrature.rtol relative (floored by a tiny absolute
+    term). Sentinel reassignment values contribute zero mass.
+
+    Each pass sums, for every xi, only over the nodes with
+    |Re eta_hat - xi| <= sqrt(746 alpha). Past that reach exp(-|eta_hat - xi|^2
+    / alpha) underflows to exactly 0.0, so the windowed sum keeps every term
+    the sum over all nodes would add; only the order of summation differs.
+    A smaller reach (such as the e^-60 activity cutoff) would drop the
+    exponentially small off-support tails.
+
+    Raises SolverFailureError when max_doublings doublings of the active
+    region do not reach the tolerance. With max_doublings = 0 there is no
+    second resolution to compare against, so convergence is never shown and
+    the call always raises.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     lo, hi = _integration_window(model, window, config)
@@ -187,33 +211,19 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     d2 = _dist2_to_hull(base_hat, base_sent, xi_lo, xi_hi)
     active_pt = d2 <= _LOG_CUTOFF * alpha
 
-    def integrate(eta, hat, sent, gvals):
-        w = _simpson_weights(len(eta), eta[1] - eta[0])
-        out = np.empty(len(xis), dtype=complex)
-        for i, xi in enumerate(xis):
-            moll = np.exp(-np.abs(hat - xi) ** 2 / alpha)
-            moll[sent] = 0.0
-            out[i] = np.dot(w, gvals * moll)
-        return out / math.sqrt(math.pi * alpha)
+    def integrate(hat, sent, weights):
+        weights[sent] = 0.0
+        return _mollified_sums(hat, weights, xis, alpha) / math.sqrt(math.pi * alpha)
 
-    total_base = integrate(base_eta, base_hat, base_sent, base_g)
+    step = base_eta[1] - base_eta[0]
+    total_base = integrate(base_hat, base_sent, base_g * _simpson_weights(n0 + 1, step))
 
-    # active interval: union of the sampled hits and (sync mode) the analytic hull
+    # active interval: the sampled hits padded by two base cells
     idx = np.nonzero(active_pt)[0]
-    bounds = None
     if idx.size:
-        i0 = max(int(idx[0]) - 2, 0)
-        i1 = min(int(idx[-1]) + 2, n0)
-        bounds = (float(base_eta[i0]), float(base_eta[i1]))
-    if config.reassignment_mode == "sync":
-        hull = _sync_active_hull(model, window, config, xis, lo, hi)
-        if hull is not None:
-            pad = (hi - lo) / n0 * 2
-            hull = (max(lo, hull[0] - pad), min(hi, hull[1] + pad))
-            bounds = hull if bounds is None else (
-                min(bounds[0], hull[0]), max(bounds[1], hull[1])
-            )
-    if bounds is None:
+        bounds = (float(base_eta[max(int(idx[0]) - 2, 0)]),
+                  float(base_eta[min(int(idx[-1]) + 2, n0)]))
+    else:
         bounds = (lo, hi)
 
     # snap the refinement window to whole base cell pairs so pieces tile exactly
@@ -225,18 +235,23 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
         i1 = min(n0, i0 + 2)
         i0 = i1 - 2
     a_lo, a_hi = float(base_eta[i0]), float(base_eta[i1])
-    base_win = integrate(base_eta[i0:i1 + 1], base_hat[i0:i1 + 1],
-                         base_sent[i0:i1 + 1], base_g[i0:i1 + 1])
+    base_win = integrate(base_hat[i0:i1 + 1], base_sent[i0:i1 + 1],
+                         base_g[i0:i1 + 1] * _simpson_weights(i1 - i0 + 1, step))
 
     def window_integral(n):
+        # the weights overwrite the weighting values and eta is dropped, so
+        # the summation holds only hat, sent and weights
         eta = np.linspace(a_lo, a_hi, n + 1)
         hat, sent = _eta_hat(model, window, config, t, eta)
-        gvals = _weight_values(model, window, config, t, eta)
-        return integrate(eta, hat, sent, gvals)
+        weights = _weight_values(model, window, config, t, eta)
+        weights *= _simpson_weights(n + 1, eta[1] - eta[0])
+        del eta
+        return integrate(hat, sent, weights)
 
     scale_floor = 1e-13 / math.sqrt(alpha)
     n_win = max(n0, i1 - i0)
     total = total_base - base_win + window_integral(n_win)
+    change = scale = math.nan
     for _ in range(spec.max_doublings):
         n_win *= 2
         new_total = total_base - base_win + window_integral(n_win)
@@ -244,8 +259,13 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
         scale = max(float(np.max(np.abs(new_total))), scale_floor)
         total = new_total
         if change <= spec.rtol * scale:
-            break
-    return total
+            return total
+    raise SolverFailureError(
+        f"squeeze quadrature at t = {t} did not converge in {spec.max_doublings} "
+        f"doublings ({n_win} intervals): last change {change:.3e} > "
+        f"rtol * scale = {spec.rtol * scale:.3e}",
+        residuals=(change, spec.rtol * scale),
+    )
 
 
 def squeeze_transform(model: TwoHarmonicModel, window: GaussianWindow,
@@ -600,7 +620,8 @@ def critical_gap_sst(a: float, window: GaussianWindow) -> tuple[float, float, fl
     amplitudes short-circuit to the closed form delta = sqrt(2 ln 3 / 3)/(pi
     sigma), r = 1/3, xi_c = delta/2. Otherwise a damped Newton iteration
     drives the erf-form double-root conditions (first and second derivative
-    both zero at an interior critical point) from the balanced seed.
+    both zero at an interior critical point) from the balanced seed, or, for
+    0 < |ln a| < 0.1, from the cusp expansion around a = 1.
     """
     if not a > 0:
         raise ModelValidationError("a must be positive")
@@ -615,7 +636,18 @@ def critical_gap_sst(a: float, window: GaussianWindow) -> tuple[float, float, fl
             return None
         return np.array(res)
 
-    vec = np.array([delta_balanced, 0.5 * delta_balanced])
+    log_a = math.log(a)
+    if abs(log_a) < 0.1:
+        # a = 1 is a cusp of the double-root curve: the root leaves the
+        # balanced point as delta - delta_bal ~ 0.379 |ln a|^(2/3) / (pi sigma)
+        # and xi_c - delta/2 ~ -0.272 sgn(ln a) |ln a|^(1/3) / (pi sigma), which
+        # puts the balanced seed outside Newton's basin for small |ln a|
+        root3 = abs(log_a) ** (1.0 / 3.0)
+        ps = math.pi * sigma
+        delta_seed = delta_balanced + 0.379 * root3 ** 2 / ps
+        vec = np.array([delta_seed, 0.5 * delta_seed - math.copysign(0.272 * root3, log_a) / ps])
+    else:
+        vec = np.array([delta_balanced, 0.5 * delta_balanced])
     f = residual(vec)
     if f is None:
         raise SolverFailureError("seed outside the valid region", residuals=None)

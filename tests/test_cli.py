@@ -1,8 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from twotone import (
+    GaussianWindow,
+    SqueezeConfig,
+    TwoHarmonicModel,
+    constructive_time,
+    destructive_time,
+    squeeze_transform,
+)
 from twotone.cli import main, parse_config_file, parse_overrides
 from twotone.errors import ConfigError
 from twotone.presets import PRESETS
@@ -74,6 +83,25 @@ class TestCommands:
         assert code == 2
         assert "model.bogus" in err
 
+    @pytest.mark.parametrize("overrides", [
+        ["--squeeze.weighting=foo"],
+        ["--squeeze.reassignment_mode=foo"],
+        ["--model.delta=-1"],
+        ["--model.sigma=0"],
+        ["--squeeze.alpha=0"],
+        ["--squeeze.alpha=nan"],
+        ["--grid.n_t=0"],
+        ["--grid.eta_max=0.1"],
+        ["--squeeze.weighting=indicator", "--squeeze.r=0.5"],
+        ["--reassign.arc_thetas=0.5,x"],
+    ])
+    def test_invalid_value_exits_2(self, tmp_path, capsys, overrides):
+        code, _, err = run(["squeeze", "--preset", "gap-small-balanced", "--out", str(tmp_path)]
+                           + overrides, capsys)
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         code, _, err = run(["stft", "--preset", "nope", "--out", str(tmp_path)], capsys)
         assert code == 2
@@ -125,6 +153,20 @@ class TestCommands:
             assert (out / name).exists()
         header = (out / "cross_section_constructive.csv").read_text().splitlines()[0]
         assert header == "xi,abs_quadrature,abs_density_limit,abs_erf_form"
+        # one vector call per cross section agrees with per-xi scalar calls
+        # to the quadrature tolerance
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.0)
+        window = GaussianWindow(sigma=math.sqrt(2.0))
+        config = SqueezeConfig(alpha=1e-4)
+        for label, t in (("constructive", constructive_time(model, 0)),
+                         ("destructive", destructive_time(model, 0))):
+            rows = [[float(x) for x in line.split(",")] for line in
+                    (out / f"cross_section_{label}.csv").read_text().splitlines()[1:]]
+            column = np.array([row[1] for row in rows])
+            scalar = np.array([abs(squeeze_transform(model, window, config, t, row[0]))
+                               for row in rows])
+            assert len(rows) == 33
+            assert np.max(np.abs(column - scalar)) <= 1e-8 * np.max(scalar)
 
     def test_squeeze_indicator_default_radius(self, tmp_path, capsys):
         out = tmp_path / "squeeze_ind"

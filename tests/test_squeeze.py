@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from twotone import (
+    GaussianWindow,
+    QuadratureSpec,
     SqueezeConfig,
     TwoHarmonicModel,
     asym_indicator,
@@ -25,9 +27,10 @@ from twotone.errors import (
     OutOfBranchError,
     PreconditionError,
     SingularityError,
+    SolverFailureError,
 )
 from twotone.reassign import eta_s_values
-from twotone.squeeze import classify_time, squeeze_single_component
+from twotone.squeeze import _mollified_sums, classify_time, squeeze_single_component
 
 ALPHA = 1e-4
 
@@ -100,6 +103,60 @@ class TestTransform:
         config = SqueezeConfig(alpha=ALPHA, weighting="stft", reassignment_mode="phase")
         val = squeeze_transform(model_a13, window, config, 0.3, 1.1)
         assert np.isfinite(val)
+
+    @pytest.mark.parametrize("max_doublings", [0, 1])
+    def test_starved_refinement_raises(self, window, model_a13, max_doublings):
+        spec = QuadratureSpec(n_nodes=64, rtol=1e-15, max_doublings=max_doublings)
+        config = SqueezeConfig(alpha=ALPHA, weighting="stft", quadrature=spec)
+        with pytest.raises(SolverFailureError) as err:
+            squeeze_cross_section(model_a13, window, config, 0.4, np.linspace(1.0, 1.3, 7))
+        change, target = err.value.residuals
+        assert max_doublings == 0 or change > target
+
+
+def _dense_mollified_sums(hat, sent, w, gvals, xis, alpha):
+    """The mollified sum as one dense pass over every node per xi: the
+    reference the windowed kernel must reproduce."""
+    out = np.empty(len(xis), dtype=complex)
+    for i, xi in enumerate(xis):
+        moll = np.exp(-np.abs(hat - xi) ** 2 / alpha)
+        moll[sent] = 0.0
+        out[i] = np.dot(w, gvals * moll)
+    return out
+
+
+class TestMollifiedSums:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("alpha", [1e-5, 1e-4, 1e-3])
+    def test_matches_dense_loop(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        n = 1201
+        hat = rng.uniform(1.0, 1.3, n) + 1j * rng.normal(0.0, 10 * math.sqrt(alpha), n)
+        real = rng.random(n) < 0.3  # real-valued nodes, as in phase mode
+        hat[real] = hat.real[real]
+        sent = rng.random(n) < 0.05  # sentinels sit inside the xi range
+        w = rng.uniform(0.0, 1e-3, n)
+        gvals = rng.normal(size=n) + 1j * rng.normal(size=n)
+        lo, hi = hat.real[~sent].min(), hat.real[~sent].max()
+        reach = math.sqrt(alpha)
+        # on-support xi, xi whose sums sit around 1e-100 and 1e-200 (the tail
+        # terms come from exponents 230 and 460), and xi past the underflow
+        # reach where every term is exactly 0.0
+        xis = np.concatenate([
+            np.linspace(lo - reach, hi + reach, 41),
+            [lo - 15.2 * reach, hi + 15.2 * reach, lo - 21.5 * reach, hi + 21.5 * reach],
+            [lo - 28 * reach, hi + 30 * reach],
+        ])
+        ref = _dense_mollified_sums(hat, sent, w, gvals, xis, alpha)
+        weights = w * gvals
+        weights[sent] = 0.0
+        got = _mollified_sums(hat, weights, xis, alpha)
+        assert np.array_equal(ref == 0, got == 0)
+        assert np.count_nonzero(ref == 0) == 2
+        tail = np.abs(ref[41:45])
+        assert np.all((tail > 1e-250) & (tail < 1e-80))
+        big = np.abs(ref) > 1e-280
+        assert np.all(np.abs(got[big] - ref[big]) <= 1e-12 * np.abs(ref[big]))
 
 
 class TestPushforward:
@@ -322,6 +379,19 @@ class TestCriticalGap:
         d2, _, y2 = critical_gap_sst(1.0 / 1.3, window)
         assert d2 == pytest.approx(d1, rel=1e-9)
         assert y2 == pytest.approx(d1 - y1, rel=1e-6)
+
+    @pytest.mark.parametrize("sigma", [1.0, math.sqrt(2.0)])
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5])
+    def test_near_balanced_cusp(self, sigma, offset):
+        # at a = 1 the double root is a cusp: delta - delta_bal grows like
+        # |ln a|^(2/3), which the balanced seed alone cannot follow
+        window = GaussianWindow(sigma=sigma)
+        a = 1.0 + offset
+        d_bal, _, _ = critical_gap_sst(1.0, window)
+        d, _, _ = critical_gap_sst(a, window)
+        d_inv, _, _ = critical_gap_sst(1.0 / a, window)
+        assert 0.0 <= d - d_bal <= abs(math.log(a)) ** (2.0 / 3.0) / (math.pi * sigma)
+        assert d_inv == pytest.approx(d, rel=1e-9)
 
     def test_unbalanced_matches_curve_flip(self, window):
         # independent check: maxima count of the closed-form cross section
