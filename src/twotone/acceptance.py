@@ -24,7 +24,6 @@ from .model import (
     destructive_time,
     freeze_ahm,
 )
-from .oracle import plateau_aware_max_count
 from .phasefield import locate_zeros, winding_number
 from .squeeze import SqueezeConfig, squeeze_cross_section
 
@@ -46,41 +45,6 @@ class CriterionResult:
 def _result(index, name, passed, detail, start) -> CriterionResult:
     return CriterionResult(index=index, name=name, passed=bool(passed),
                            detail=detail, seconds=time.perf_counter() - start)
-
-
-def _count_curve_maxima(values: np.ndarray, floor_frac: float = 1e-3) -> int:
-    """Maxima count with sub-floor samples flattened: tail samples whose
-    magnitude is below floor_frac * max carry only quadrature noise and would
-    otherwise register spurious strict maxima."""
-    v = np.asarray(values, dtype=float)
-    floor = floor_frac * float(v.max(initial=0.0))
-    return plateau_aware_max_count(np.maximum(v, floor))
-
-
-def _stft_flip_bisection(a: float, lo: float, hi: float, iters: int = 14) -> float:
-    """Empirical 1 <-> 2 flip of the constructive-slice maxima count."""
-    def count(delta):
-        model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
-        return ridges.count_frequency_maxima(model, WINDOW, 0.0, n_samples=4096)
-
-    c_lo, c_hi = count(lo), count(hi)
-    if not (c_lo == 1 and c_hi == 2):
-        raise AssertionError(f"flip bracket invalid: counts {c_lo}, {c_hi}")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if count(mid) >= 2:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _sst_cross_section_count(delta: float, alpha: float, n_xi: int = 641) -> int:
-    model = TwoHarmonicModel(xi0=1.0, delta=delta, a=1.0)
-    config = SqueezeConfig(alpha=alpha, weighting="stft")
-    xis = np.linspace(model.xi0 - 0.08, model.xi1 + 0.08, n_xi)
-    vals = np.abs(squeeze_cross_section(model, WINDOW, config, 0.0, xis))
-    return _count_curve_maxima(vals)
 
 
 def criterion_1() -> CriterionResult:
@@ -105,7 +69,13 @@ def criterion_2() -> CriterionResult:
     passed = True
     for a in (0.5, 2.0):
         delta_crit, s = ridges.critical_gap_stft(a, WINDOW)
-        flip = _stft_flip_bisection(a, 0.9 * delta_crit, 1.1 * delta_crit)
+        count = lambda delta: ridges.constructive_maxima(a, WINDOW, "stft", delta)
+        lo, hi = 0.9 * delta_crit, 1.1 * delta_crit
+        c_lo, c_hi = count(lo), count(hi)
+        if not (c_lo == 1 and c_hi == 2):
+            raise AssertionError(f"flip bracket invalid: counts {c_lo}, {c_hi}")
+        lo, hi = ridges.flip_bracket(count, lo, hi, 14)
+        flip = 0.5 * (lo + hi)
         rel = abs(delta_crit - flip) / delta_crit
         ok = rel <= 0.02 and delta_crit > base
         passed = passed and ok
@@ -264,17 +234,12 @@ def criterion_8() -> CriterionResult:
     for delta in (0.15, 0.25):
         model = TwoHarmonicModel(xi0=1.0, delta=delta, a=1.0)
         ind_cfg = SqueezeConfig(alpha=alpha, weighting="indicator", R=50.0)
-        xis = np.linspace(model.xi0 - 0.08, model.xi1 + 0.08, 641)
-        ind_vals = np.abs(squeeze_cross_section(model, WINDOW, ind_cfg, 0.0, xis))
-        counts[("ind", delta)] = _count_curve_maxima(ind_vals)
-        counts[("stft", delta)] = _sst_cross_section_count(delta, alpha)
-    lo, hi = 0.15, 0.25
-    for _ in range(9):
-        mid = 0.5 * (lo + hi)
-        if _sst_cross_section_count(mid, alpha) >= 2:
-            hi = mid
-        else:
-            lo = mid
+        counts[("ind", delta)] = ridges.count_squeeze_maxima(model, WINDOW, ind_cfg)
+        counts[("stft", delta)] = ridges.constructive_maxima(1.0, WINDOW, "sst", delta)
+    # the stft-weighted counts at 0.15 and 0.25 are the bracket's endpoint
+    # check; constructive_maxima squeezes at the same alpha = 1e-4
+    count = lambda delta: ridges.constructive_maxima(1.0, WINDOW, "sst", delta)
+    lo, hi = ridges.flip_bracket(count, 0.15, 0.25, 9)
     flip = 0.5 * (lo + hi)
     rel = abs(flip - delta_ref) / delta_ref
     structure_ok = (counts[("ind", 0.15)] == 2 and counts[("ind", 0.25)] == 2

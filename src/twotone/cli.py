@@ -288,7 +288,6 @@ def cmd_reassign(config: ExperimentConfig) -> int:
     model, window, grid = config.model, config.window, config.grid
     sync = reassign.reassign_field(model, window, grid, mode="SYNC")
     values = np.where(np.isneginf(sync.values.real), np.nan + 0j, sync.values)
-    write_grid_csv(config.outdir / "eta_p.csv", grid, values.real, "eta_p")
     write_grid_csv(config.outdir / "eta_s_re.csv", grid, values.real, "eta_s_re")
     write_grid_csv(config.outdir / "eta_s_im.csv", grid, values.imag, "eta_s_im")
     arc_rows = []
@@ -309,8 +308,7 @@ def cmd_reassign(config: ExperimentConfig) -> int:
     write_table_csv(config.outdir / "attraction_audit.csv",
                     ["t", "eta", "premise", "bound", "actual", "holds"], audit_rows)
     write_metadata(config.outdir, "reassign", config,
-                   ["eta_p.csv", "eta_s_re.csv", "eta_s_im.csv", "arc_circles.csv",
-                    "attraction_audit.csv"])
+                   ["eta_s_re.csv", "eta_s_im.csv", "arc_circles.csv", "attraction_audit.csv"])
     return 0
 
 
@@ -350,39 +348,24 @@ def cmd_squeeze(config: ExperimentConfig) -> int:
 
 def _critical_empirical_bracket(a: float, window: GaussianWindow, method: str,
                                 delta_crit: float) -> list | None:
+    lo, hi = (0.9, 1.1) if method == "stft" else (0.7, 1.35)
+    lo, hi = lo * delta_crit, hi * delta_crit
+
+    def count(delta):
+        return ridges.constructive_maxima(a, window, method, delta)
+
     try:
-        if method == "stft":
-            lo, hi = 0.9 * delta_crit, 1.1 * delta_crit
-
-            def count(delta):
-                model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
-                return ridges.count_frequency_maxima(model, window, 0.0, n_samples=4096)
-        else:
-            lo, hi = 0.7 * delta_crit, 1.35 * delta_crit
-
-            def count(delta):
-                model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
-                cfg = SqueezeConfig(alpha=1e-4, weighting="stft")
-                xis = np.linspace(model.xi0 - 0.08, model.xi1 + 0.08, 641)
-                vals = np.abs(squeeze.squeeze_cross_section(model, window, cfg, 0.0, xis))
-                floor = 1e-3 * vals.max()
-                from .oracle import plateau_aware_max_count
-                return plateau_aware_max_count(np.maximum(vals, floor))
-
         if not (count(lo) == 1 and count(hi) >= 2):
             return None
-        for _ in range(10):
-            mid = 0.5 * (lo + hi)
-            if count(mid) >= 2:
-                hi = mid
-            else:
-                lo = mid
-        return [lo, hi]
+        return list(ridges.flip_bracket(count, lo, hi, 10))
     except TwoToneError:
         return None
 
 
 def cmd_critical(args) -> int:
+    for name, value in (("a", args.a), ("sigma", args.sigma)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"--{name} must be positive and finite, got {value!r}")
     window = GaussianWindow(sigma=args.sigma)
     if args.method == "stft":
         delta_crit, aux = ridges.critical_gap_stft(args.a, window)

@@ -95,15 +95,19 @@ class QuadratureSpec:
             raise ModelValidationError("invalid quadrature spec")
 
 
+def _v_terms(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
+    """(rot0, rot1, g0, g1) with V = rot0 (g0 + a rot1 g1): rot0 = e^{2 pi i xi0 t},
+    rot1 = e^{2 pi i delta t}, g_j = e^{-C (eta - xi_j)^2}."""
+    C = window.C
+    return (np.exp(2j * math.pi * model.xi0 * t), np.exp(2j * math.pi * model.delta * t),
+            np.exp(-C * (eta - model.xi0) ** 2), np.exp(-C * (eta - model.xi1) ** 2))
+
+
 def stft_closed_form(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
     """Exact V(t, eta) for the two-harmonic model. Broadcasts over t and eta."""
-    t_arr = np.asarray(t, dtype=float)
-    eta_arr = np.asarray(eta, dtype=float)
-    C = window.C
-    bracket = np.exp(-C * (eta_arr - model.xi0) ** 2) + model.a * np.exp(
-        2j * math.pi * model.delta * t_arr
-    ) * np.exp(-C * (eta_arr - model.xi1) ** 2)
-    out = np.exp(2j * math.pi * model.xi0 * t_arr) * bracket
+    rot0, rot1, g0, g1 = _v_terms(model, window, np.asarray(t, dtype=float),
+                                  np.asarray(eta, dtype=float))
+    out = rot0 * (g0 + model.a * rot1 * g1)
     if np.isscalar(t) and np.isscalar(eta):
         return complex(out)
     return out
@@ -152,15 +156,15 @@ def stft_numeric(
         signal.validate_separation(x[:: max(1, n // 64)])
     win = window.dh(x - t) if deriv_window else window.h(x - t)
     integrand = fx * win * np.exp(-2j * math.pi * eta * (x - t))
-    return complex(_simpson(integrand, x[1] - x[0]))
+    return complex(integrand @ _simpson_weights(n + 1, x[1] - x[0]))
 
 
-def _simpson(values: np.ndarray, step: float):
-    """Composite Simpson over an odd-length uniformly spaced sample."""
-    if len(values) % 2 != 1:
-        raise ValueError("Simpson needs an odd number of nodes")
-    acc = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
-    return acc * step / 3.0
+def _simpson_weights(n_nodes: int, step: float) -> np.ndarray:
+    """Composite-Simpson weights for an odd number of uniformly spaced nodes."""
+    w = np.full(n_nodes, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * step / 3.0
 
 
 def spectrogram_decomposition(model: TwoHarmonicModel, window: GaussianWindow, t, eta):

@@ -26,7 +26,8 @@ SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class TwoHarmonicModel:
-    """Parameters (xi0, delta, a) of f(t) = e^{2 pi i xi0 t} + a e^{2 pi i xi1 t}.
+    """Parameters (xi0, delta, a) of f(t) = e^{2 pi i xi0 t} + a e^{2 pi i xi1 t}:
+    xi0 finite, 0 < delta < inf, 0 <= a < inf.
 
     a = 0 degenerates to a single harmonic and is accepted; operations whose
     formulas need a > 0 (e.g. the destructive-slice zero) raise instead.
@@ -37,10 +38,12 @@ class TwoHarmonicModel:
     a: float
 
     def __post_init__(self):
-        if not (self.delta > 0):
-            raise ModelValidationError(f"delta must be positive, got {self.delta}")
-        if not (self.a >= 0):
-            raise ModelValidationError(f"a must be nonnegative, got {self.a}")
+        if not math.isfinite(self.xi0):
+            raise ModelValidationError(f"xi0 must be finite, got {self.xi0}")
+        if not (0 < self.delta < math.inf):
+            raise ModelValidationError(f"delta must be positive and finite, got {self.delta}")
+        if not (0 <= self.a < math.inf):
+            raise ModelValidationError(f"a must be nonnegative and finite, got {self.a}")
 
     @property
     def xi1(self) -> float:
@@ -62,8 +65,8 @@ class GaussianWindow:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ModelValidationError(f"sigma must be positive, got {self.sigma}")
+        if not (0 < self.sigma < math.inf):
+            raise ModelValidationError(f"sigma must be positive and finite, got {self.sigma}")
 
     @property
     def C(self) -> float:
@@ -77,11 +80,6 @@ class GaussianWindow:
         """Derivative window Dh(x) = h'(x)."""
         x = np.asarray(x, dtype=float)
         return -2.0 * x / self.sigma ** 2 * self.h(x)
-
-    def fourier(self, omega):
-        """hat h(omega) = e^{-pi^2 sigma^2 omega^2} (unit peak)."""
-        omega = np.asarray(omega, dtype=float)
-        return np.exp(-self.C * omega ** 2)
 
 
 @dataclass(frozen=True)

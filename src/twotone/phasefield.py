@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourThroughZeroError, PhaseUndefinedError, PreconditionError, SolverFailureError
-from .gabor import ComplexField, TFGrid, stft_closed_form
+from .gabor import ComplexField, TFGrid, _v_terms, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_time
 
 logger = logging.getLogger(__name__)
@@ -42,15 +42,11 @@ def phase(model: TwoHarmonicModel, window: GaussianWindow, t: float, eta: float)
 
 def _dv(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
     """V and its exact partials (dV/dt, dV/deta)."""
-    C = window.C
-    xi0, xi1, a, d = model.xi0, model.xi1, model.a, model.delta
-    rot0 = np.exp(2j * math.pi * xi0 * t)
-    rot1 = np.exp(2j * math.pi * d * t)
-    g0 = np.exp(-C * (eta - xi0) ** 2)
-    g1 = np.exp(-C * (eta - xi1) ** 2)
+    xi0, xi1, a = model.xi0, model.xi1, model.a
+    rot0, rot1, g0, g1 = _v_terms(model, window, t, eta)
     v = rot0 * (g0 + a * rot1 * g1)
     dv_dt = rot0 * (2j * math.pi) * (xi0 * g0 + a * xi1 * rot1 * g1)
-    dv_de = rot0 * (-2 * C) * ((eta - xi0) * g0 + a * rot1 * (eta - xi1) * g1)
+    dv_de = rot0 * (-2 * window.C) * ((eta - xi0) * g0 + a * rot1 * (eta - xi1) * g1)
     return v, dv_dt, dv_de
 
 
@@ -146,7 +142,8 @@ def locate_zeros(model: TwoHarmonicModel, window: GaussianWindow, region: TFGrid
     out = []
     for t_ref, e_ref, resid in found:
         w = winding_number(model, window, (t_ref, e_ref), rho, n_samples=winding_samples)
-        out.append(ZeroPoint(t0=t_ref, eta0=e_ref, winding=w, refinement_residual=resid))
+        out.append(ZeroPoint(t0=float(t_ref), eta0=float(e_ref), winding=w,
+                             refinement_residual=float(resid)))
     return out
 
 

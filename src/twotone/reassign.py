@@ -80,14 +80,6 @@ def mobius_of(model: TwoHarmonicModel) -> MobiusMap:
     return MobiusMap(xi0=model.xi0, xi1=model.xi1)
 
 
-def q_factor(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
-    """q(t, eta) = a e^{2 pi i delta t} e^{2 C delta (eta - xibar)}."""
-    t = np.asarray(t, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    expo = 2.0 * window.C * model.delta * (eta - model.xibar)
-    return model.a * np.exp(2j * math.pi * model.delta * t) * np.exp(expo)
-
-
 def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.ndarray:
     """Vectorized eta_s over broadcastable (t, eta); SENTINEL where V = 0.
 

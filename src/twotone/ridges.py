@@ -1,7 +1,8 @@
-"""Spectrogram ridge machinery: frequency-axis maxima counting with refinement,
-the amplitude-dependent critical gap, bifurcation times and the elliptical
-ridge loops ("bubbles") of the balanced model, destructive-slice extrema, and
-grid-based ridge extraction.
+"""Spectrogram ridge machinery: frequency-axis maxima counting with refinement
+(of |V| and of squeezed cross sections) and bisection of the 1 <-> 2 count
+flip, the amplitude-dependent critical gap, bifurcation times and the
+elliptical ridge loops ("bubbles") of the balanced model, destructive-slice
+extrema, and grid-based ridge extraction.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .errors import (
     PreconditionError,
     SolverFailureError,
 )
-from .gabor import ComplexField, stft_closed_form
+from .gabor import ComplexField, _simpson_weights, spectrogram_decomposition, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_time
+from .squeeze import SqueezeConfig, squeeze_cross_section
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -43,7 +45,6 @@ class RidgeReport:
     points: np.ndarray                       # (n, 2) columns (t, eta)
     maxima_count_per_t: tuple                # ((t, count), ...)
     bifurcation_times: tuple                 # detected count-change midpoints
-    ellipses: tuple = ()                     # optional EllipseParams
 
 
 def default_band(model: TwoHarmonicModel, window: GaussianWindow) -> tuple[float, float]:
@@ -148,6 +149,43 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
     )
 
 
+def count_squeeze_maxima(model: TwoHarmonicModel, window: GaussianWindow,
+                         config: SqueezeConfig) -> int:
+    """Interior local maxima of xi -> |S(0, xi)| at 641 xi on [xi0 - 0.08, xi1 + 0.08].
+
+    Samples below 1e-3 of the largest are raised to that floor first: in the
+    tails they carry only quadrature noise, which would register spurious
+    maxima.
+    """
+    xis = np.linspace(model.xi0 - 0.08, model.xi1 + 0.08, 641)
+    vals = np.abs(squeeze_cross_section(model, window, config, 0.0, xis))
+    return len(_candidate_peaks(np.maximum(vals, 1e-3 * vals.max())))
+
+
+def constructive_maxima(a: float, window: GaussianWindow, method: str, delta: float) -> int:
+    """Maxima count on the constructive slice t = 0 of the model (xi0 = 1, delta, a):
+    of |V| at 4096 samples for method 'stft', of the STFT-weighted squeeze at
+    alpha = 1e-4 for 'sst'."""
+    model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
+    if method == "stft":
+        return count_frequency_maxima(model, window, 0.0, n_samples=4096)
+    return count_squeeze_maxima(model, window, SqueezeConfig(alpha=1e-4, weighting="stft"))
+
+
+def flip_bracket(count, lo: float, hi: float, iters: int) -> tuple[float, float]:
+    """Halve [lo, hi] iters times around the gap where count(delta) >= 2 starts.
+
+    Assumes count(lo) < 2 <= count(hi); checking that is left to the caller.
+    """
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if count(mid) >= 2:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def critical_gap_stft(a: float, window: GaussianWindow) -> tuple[float, float]:
     """Smallest gap at which the constructive-time slice resolves two maxima.
 
@@ -240,23 +278,16 @@ def ellipse_residual(model: TwoHarmonicModel, window: GaussianWindow, k: int,
     if n_arc < 256:
         raise ModelValidationError("n_arc must be >= 256")
     ell = bubble_ellipse(model, window, k)
-    C = window.C
-    d = model.delta
-    a = model.a
     ra, rb = ell.semi_axis_eta, ell.semi_axis_t
     n = n_arc + (n_arc % 2)
     u = np.linspace(0.0, 2 * math.pi, n + 1)
-    x = ra * np.cos(u)                       # eta - xibar
+    eta = ell.center_eta + ra * np.cos(u)
     t = ell.center_t + rb * np.sin(u)
-    a1 = np.exp(-2 * C * (x + d / 2) ** 2)
-    a2 = a ** 2 * np.exp(-2 * C * (x - d / 2) ** 2)
-    a3 = 2 * a * np.cos(2 * math.pi * d * t) * np.exp(-2 * C * x ** 2 - C * d ** 2 / 2)
-    df_dx = -4 * C * ((x + d / 2) * a1 + (x - d / 2) * a2 + x * a3)
+    g0, g1, cross = spectrogram_decomposition(model, window, t, eta)
+    df_deta = -4 * window.C * ((eta - model.xi0) * g0 + (eta - model.xi1) * g1
+                               + (eta - model.xibar) * cross)
     jac = np.sqrt((ra * np.sin(u)) ** 2 + (rb * np.cos(u)) ** 2)
-    integrand = np.abs(df_dx) * jac
-    step = u[1] - u[0]
-    acc = integrand[0] + integrand[-1] + 4 * integrand[1:-1:2].sum() + 2 * integrand[2:-2:2].sum()
-    return float(acc * step / 3.0)
+    return float((np.abs(df_deta) * jac) @ _simpson_weights(n + 1, u[1] - u[0]))
 
 
 def destructive_extrema(model: TwoHarmonicModel, window: GaussianWindow, k: int
@@ -345,5 +376,4 @@ def extract_ridges(field: ComplexField) -> RidgeReport:
         points=np.asarray(points, dtype=float).reshape(-1, 2),
         maxima_count_per_t=tuple(counts),
         bifurcation_times=tuple(bifurcations),
-        ellipses=(),
     )

@@ -24,7 +24,7 @@ from .errors import (
     SingularityError,
     SolverFailureError,
 )
-from .gabor import ComplexField, QuadratureSpec, TFGrid, stft_closed_form
+from .gabor import ComplexField, QuadratureSpec, TFGrid, _simpson_weights, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel
 from .reassign import eta_s_values
 
@@ -123,13 +123,6 @@ def _dist2_to_hull(etahat: np.ndarray, sentinel: np.ndarray,
     d2 = dx ** 2 + etahat.imag ** 2
     d2[sentinel] = np.inf
     return d2
-
-
-def _simpson_weights(n_nodes: int, step: float) -> np.ndarray:
-    w = np.full(n_nodes, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * step / 3.0
 
 
 def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
@@ -297,12 +290,9 @@ def classify_time(model: TwoHarmonicModel, t: float, tol: float = 1e-9) -> str:
     )
 
 
-def _check_standoff(model: TwoHarmonicModel, xi: float) -> None:
+def _near_singularity(model: TwoHarmonicModel, xi: float) -> bool:
     standoff = 1e-3 * model.delta
-    if abs(xi - model.xi0) < standoff or abs(xi - model.xi1) < standoff:
-        raise SingularityError(
-            f"xi = {xi} is within {standoff:.3e} of a component frequency"
-        )
+    return abs(xi - model.xi0) < standoff or abs(xi - model.xi1) < standoff
 
 
 def _on_support(model: TwoHarmonicModel, kind: str, xi: float) -> bool:
@@ -356,7 +346,10 @@ def pushforward_density(model: TwoHarmonicModel, window: GaussianWindow,
     kind = classify_time(model, t)
     if kind == "intermediate":
         raise PreconditionError("density closed forms exist at t_k^+ / t_k^- only")
-    _check_standoff(model, xi)
+    if _near_singularity(model, xi):
+        raise SingularityError(
+            f"xi = {xi} is within {1e-3 * model.delta:.3e} of a component frequency"
+        )
     if not _on_support(model, kind, xi):
         return 0.0 + 0.0j
     if weighting == "indicator":
@@ -372,11 +365,6 @@ class AsymptoticValue:
     value: complex
     off_support: bool = False
     near_singularity: bool = False
-
-
-def _near_singularity(model: TwoHarmonicModel, xi: float) -> bool:
-    standoff = 1e-3 * model.delta
-    return abs(xi - model.xi0) < standoff or abs(xi - model.xi1) < standoff
 
 
 def asym_indicator(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,
@@ -525,53 +513,26 @@ def erf_closed_form(model: TwoHarmonicModel, window: GaussianWindow, alpha: floa
     """Piecewise erf approximation of |S_V| at t_k^+/- (all four branches),
     with the alpha^{-1/2} and 1/(2 pi sigma) normalization of the derivation.
 
-    Default C = delta/(4 sqrt alpha). Branch selection follows the segment
-    label; log arguments outside their branch raise with the offending gamma.
+    Integrates both Gaussian components of V over the preimage intervals of
+    preimage_intervals (default C = delta/(4 sqrt alpha)); log arguments
+    outside their branch raise with the offending endpoint, c_left or c_right.
     """
     if model.a <= 0:
         raise DegenerateAmplitudeError("closed form requires a > 0")
-    kind = classify_time(model, t)
-    if kind == "intermediate":
+    if classify_time(model, t) == "intermediate":
         raise PreconditionError("closed forms stated at t_k^+ / t_k^- only")
     sa = math.sqrt(alpha)
     if C is None:
         C = model.delta / (4.0 * sa)
-    if not (0.0 < C <= model.delta / (4.0 * sa) * (1 + 1e-12)):
-        raise PreconditionError(f"C = {C} outside (0, delta/(4 sqrt alpha)]")
-    cs = C * sa
-    d = xi - model.xi1
-    a = model.a
     ps = math.pi * window.sigma
-    two_cd = 2.0 * window.C * model.delta
-    sign = -1.0 if kind == "constructive" else 1.0
-
-    def gamma(offset: float, name: str) -> float:
-        arg = sign * (1.0 + model.delta / (d + offset)) / a
-        return model.xibar + _log_or_raise(arg, name) / two_cd
-
-    label = _segment_label(model, cs, xi)
-    seg = int(label[1])
     norm = 1.0 / (2.0 * math.pi * window.sigma * sa)
 
     def pair(g: float) -> float:
-        return math.erf(ps * (g - model.xi0)) + a * math.erf(ps * (g - model.xi1))
+        # erf(+-inf) = +-1, so a half-infinite interval ends at pair = +-(1 + a)
+        return math.erf(ps * (g - model.xi0)) + model.a * math.erf(ps * (g - model.xi1))
 
-    if kind == "constructive":
-        if seg in (1, 7):
-            return 0.0
-        if seg == 2:
-            return norm * abs(1.0 + a + pair(gamma(cs, "gamma_1")))
-        if seg == 6:
-            return norm * abs(1.0 + a - pair(gamma(-cs, "gamma_2")))
-        return norm * abs(pair(gamma(cs, "gamma_1")) - pair(gamma(-cs, "gamma_2")))
-
-    if seg in (3, 4, 5):
-        return 0.0
-    if seg == 2:
-        return norm * abs(1.0 + a + pair(gamma(-cs, "gamma_2")))
-    if seg == 6:
-        return norm * abs(1.0 + a - pair(gamma(cs, "gamma_1")))
-    return norm * abs(pair(gamma(cs, "gamma_1")) - pair(gamma(-cs, "gamma_2")))
+    intervals = preimage_intervals(model, window, alpha, C, t, xi).intervals
+    return norm * abs(sum(pair(r) - pair(l) for l, r in intervals))
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +656,6 @@ def critical_gap_sst(a: float, window: GaussianWindow) -> tuple[float, float, fl
     s1 = y - 0.75 * delta_c
     r = -a * s1 / (delta_c + s1)
     return delta_c, r, y
-
-
-def critical_gap_ratio_balanced() -> float:
-    """Exact ratio of the balanced critical gaps (squeeze over plain STFT)."""
-    return math.sqrt(math.log(3.0) / 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -40,3 +40,8 @@ def test_criterion(index):
     print(f"criterion {result.index:>2} {status} ({result.seconds:.2f} s) "
           f"{result.name}: {result.detail}")
     assert result.passed, f"criterion {result.index} failed: {result.detail}"
+
+
+def test_criterion_5_detail_prints_plain_floats():
+    # zero coordinates are Python floats, so no numpy repr leaks into the text
+    assert "np." not in acceptance.criterion_5().detail

@@ -94,6 +94,10 @@ class TestCommands:
         ["--grid.eta_max=0.1"],
         ["--squeeze.weighting=indicator", "--squeeze.r=0.5"],
         ["--reassign.arc_thetas=0.5,x"],
+        ["--model.sigma=inf"],
+        ["--model.delta=inf"],
+        ["--model.xi0=nan"],
+        ["--model.a=inf"],
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, overrides):
         code, _, err = run(["squeeze", "--preset", "gap-small-balanced", "--out", str(tmp_path)]
@@ -209,6 +213,34 @@ class TestCritical:
         doc = json.loads(out)
         assert doc["delta_critical"] == pytest.approx(0.192627, abs=2e-5)
         assert doc["auxiliary_root"]["r"] == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_sst_empirical_bracket_brackets_the_pitchfork(self, capsys):
+        sigma = math.sqrt(2.0)
+        code, out, _ = run(["critical", "--a", "1", "--sigma", repr(sigma),
+                            "--method", "sst"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        lo, hi = doc["empirical_bracket"]
+        assert lo < hi
+        # ten halvings of [0.7, 1.35] * delta_c; the slack covers the rounding
+        # of 1.35 delta_c - 0.7 delta_c
+        assert hi - lo <= 0.65 * doc["delta_critical"] / 2 ** 10 * (1 + 1e-9)
+        # the small-kernel count flip follows the pushforward-density pitchfork
+        pitchfork = math.sqrt(2.0 / 3.0) / (math.pi * sigma)
+        assert abs(0.5 * (lo + hi) - pitchfork) <= 0.01 * pitchfork
+
+    @pytest.mark.parametrize("args", [
+        ["--a", "0", "--sigma", "1.0"],
+        ["--a", "nan", "--sigma", "1.0"],
+        ["--a", "1", "--sigma", "-1"],
+        ["--a", "1", "--sigma", "inf"],
+    ])
+    @pytest.mark.parametrize("method", ["stft", "sst"])
+    def test_invalid_parameter_exits_2(self, capsys, args, method):
+        code, out, err = run(["critical", *args, "--method", method], capsys)
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert out == ""
 
 
 def test_validate_fast_passes(capsys):

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twotone
 from twotone import SqueezeConfig, TwoHarmonicModel, evaluate_two_harmonic, stft_closed_form
 from twotone.errors import InconclusiveCountError
 from twotone.oracle import (
@@ -113,3 +116,33 @@ def test_oracle_report_carries_resolution_metadata(window):
                         step=report.resolution["step"],
                         half_width_sigmas=report.resolution["half_width_sigmas"])
     assert rerun == report.value
+
+
+def _twotone_imports(path: Path) -> set:
+    """Names imported from the twotone package by one source file, as
+    submodule names ("from .errors import X" and "import twotone.errors" both
+    give "errors"; "from . import oracle" gives "oracle")."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("twotone.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "twotone" and not module.startswith("twotone."):
+                    continue
+                module = module[len("twotone."):]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_oracle_stays_independent_of_the_kernels():
+    package = Path(twotone.__file__).parent
+    assert _twotone_imports(package / "oracle.py") <= {"errors", "model"}
+    importers = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name != "oracle.py" and "oracle" in _twotone_imports(path)]
+    assert importers == []
