@@ -75,33 +75,43 @@ def _candidate_peaks(values: np.ndarray) -> list[tuple[int, int]]:
     """Interior local maxima as (left, right) plateau index bounds.
 
     Equal-valued runs count once; machine-flat quartic tops near the critical
-    gap would otherwise split into spurious strict maxima.
+    gap would otherwise split into spurious strict maxima. A maximal run is a
+    peak when it has a neighbour on each side and both are strictly lower; a
+    NaN sample is a run of its own and compares false, so it neither peaks nor
+    lets a neighbour peak.
     """
     v = values
-    n = len(v)
-    peaks = []
-    i = 1
-    while i < n - 1:
-        if v[i] > v[i - 1]:
-            j = i
-            while j + 1 < n and v[j + 1] == v[i]:
-                j += 1
-            if j < n - 1 and v[j + 1] < v[i]:
-                peaks.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return peaks
+    if len(v) < 3:
+        return []
+    starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
+    ends = np.append(starts[1:] - 1, len(v) - 1)
+    run = v[starts]
+    mid = run[1:-1]
+    k = np.flatnonzero((run[:-2] < mid) & (run[2:] < mid)) + 1
+    return list(zip(starts[k].tolist(), ends[k].tolist()))
 
 
 def _refined_maxima(f, grid: np.ndarray, values: np.ndarray,
                     xtol: float = 1e-10, merge_tol: float = 1e-8) -> list[float]:
-    out = []
-    for left, right in _candidate_peaks(values):
-        lo = grid[max(left - 1, 0)]
-        hi = grid[min(right + 1, len(grid) - 1)]
-        out.append(golden_max(f, lo, hi, xtol=xtol))
-    out.sort()
+    """Maxima of f at the candidate peaks of values on the increasing grid,
+    merged where they lie within merge_tol of each other.
+
+    A golden result never leaves its bracket [grid[left - 1], grid[right + 1]],
+    and brackets follow each other along the grid, touching at most at their
+    ends, so the results come out in order. A candidate whose bracket lies at
+    least merge_tol from both neighbouring brackets cannot merge; it stays at
+    its bracket midpoint. Only the others are golden-refined, which gives the
+    count that refining every candidate gives.
+    """
+    peaks = np.array(_candidate_peaks(values), dtype=int).reshape(-1, 2)
+    lo, hi = grid[peaks[:, 0] - 1], grid[peaks[:, 1] + 1]
+    close = lo[1:] - hi[:-1] < merge_tol
+    near = np.zeros(len(peaks), dtype=bool)
+    near[1:] |= close
+    near[:-1] |= close
+    out = (0.5 * (lo + hi)).tolist()
+    for k in np.flatnonzero(near):
+        out[k] = golden_max(f, lo[k], hi[k], xtol=xtol)
     merged: list[float] = []
     for x in out:
         if merged and abs(x - merged[-1]) < merge_tol:
@@ -117,8 +127,10 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
     """Strict interior local maxima of eta -> |V(t, eta)| on the band.
 
     Counts at n and 2n samples must agree (guards grid aliasing near
-    bifurcations); candidates are golden-refined to 1e-10 and merged below
-    1e-8 before counting. The band must cover the default ridge band.
+    bifurcations). Maxima within 1e-8 of each other count once: only the
+    candidates whose brackets lie within 1e-8 of a neighbouring bracket can
+    merge, so only those are golden-refined (to 1e-10) before counting. The
+    band must cover the default ridge band.
     """
     lo_req, hi_req = default_band(model, window)
     if band is None:

@@ -433,7 +433,14 @@ def _segment_label(model: TwoHarmonicModel, cs: float, xi: float) -> str:
     return f"I{int(np.searchsorted(np.asarray(bounds), xi, side='right')) + 1}"
 
 
-def _log_or_raise(arg: float, gamma: str) -> float:
+def _log_or_raise(sign: float, delta: float, den: float, gamma: str) -> float:
+    """log(sign (1 + delta / den)) for the endpoint gamma. den = d +- C sqrt(alpha)
+    is 0 when xi sits on a segment boundary, where the endpoint is infinite;
+    that raises like a non-positive argument."""
+    if den == 0:
+        raise OutOfBranchError(f"zero divisor in {gamma}: xi on a segment boundary",
+                               gamma=gamma)
+    arg = sign * (1.0 + delta / den)
     if arg <= 0:
         raise OutOfBranchError(f"log argument {arg:.6e} <= 0 in {gamma}", gamma=gamma)
     return math.log(arg)
@@ -464,15 +471,15 @@ def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: f
         if seg in (1, 7):
             return PreimageIntervals(kind, label, (), eta_avg)
         if seg == 2:
-            c_r = _log_or_raise(-1.0 - model.delta / (d + cs), "c_right") / two_cd
+            c_r = _log_or_raise(-1.0, model.delta, d + cs, "c_right") / two_cd
             return PreimageIntervals(kind, label, ((-math.inf, eta_avg + c_r),),
                                      eta_avg, c_right=c_r)
         if seg == 6:
-            c_l = _log_or_raise(-1.0 - model.delta / (d - cs), "c_left") / two_cd
+            c_l = _log_or_raise(-1.0, model.delta, d - cs, "c_left") / two_cd
             return PreimageIntervals(kind, label, ((eta_avg + c_l, math.inf),),
                                      eta_avg, c_left=c_l)
-        c_l = _log_or_raise(-1.0 - model.delta / (d - cs), "c_left") / two_cd
-        c_r = _log_or_raise(-1.0 - model.delta / (d + cs), "c_right") / two_cd
+        c_l = _log_or_raise(-1.0, model.delta, d - cs, "c_left") / two_cd
+        c_r = _log_or_raise(-1.0, model.delta, d + cs, "c_right") / two_cd
         return PreimageIntervals(kind, label, ((eta_avg + c_l, eta_avg + c_r),),
                                  eta_avg, c_left=c_l, c_right=c_r)
 
@@ -480,15 +487,15 @@ def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: f
         if seg in (3, 4, 5):
             return PreimageIntervals(kind, label, (), eta_avg)
         if seg == 2:
-            c_r = _log_or_raise(1.0 + model.delta / (d - cs), "c_right") / two_cd
+            c_r = _log_or_raise(1.0, model.delta, d - cs, "c_right") / two_cd
             return PreimageIntervals(kind, label, ((-math.inf, eta_avg + c_r),),
                                      eta_avg, c_right=c_r)
         if seg == 6:
-            c_l = _log_or_raise(1.0 + model.delta / (d + cs), "c_left") / two_cd
+            c_l = _log_or_raise(1.0, model.delta, d + cs, "c_left") / two_cd
             return PreimageIntervals(kind, label, ((eta_avg + c_l, math.inf),),
                                      eta_avg, c_left=c_l)
-        c_l = _log_or_raise(1.0 + model.delta / (d + cs), "c_left") / two_cd
-        c_r = _log_or_raise(1.0 + model.delta / (d - cs), "c_right") / two_cd
+        c_l = _log_or_raise(1.0, model.delta, d + cs, "c_left") / two_cd
+        c_r = _log_or_raise(1.0, model.delta, d - cs, "c_right") / two_cd
         return PreimageIntervals(kind, label, ((eta_avg + c_l, eta_avg + c_r),),
                                  eta_avg, c_left=c_l, c_right=c_r)
 
@@ -496,9 +503,9 @@ def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: f
     if seg in (2, 6):
         num = (xi - model.xi0) ** 2 - (C * sa) ** 2
         den = (C * sa) ** 2 - (xi - model.xi1) ** 2
-        if num / den <= 0:
-            raise OutOfBranchError(f"square-root argument {num/den:.6e} <= 0 in c_star",
-                                   gamma="c_star")
+        if den == 0 or num / den <= 0:
+            raise OutOfBranchError(f"square-root argument {num:.6e} / {den:.6e} "
+                                   "not > 0 in c_star", gamma="c_star")
         c_star = math.log(math.sqrt(num / den)) / two_cd
         if seg == 2:
             return PreimageIntervals(kind, label, ((-math.inf, eta_avg + c_star),),

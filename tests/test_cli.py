@@ -172,6 +172,19 @@ class TestCommands:
             assert len(rows) == 33
             assert np.max(np.abs(column - scalar)) <= 1e-8 * np.max(scalar)
 
+    def test_squeeze_erf_nan_on_segment_boundary(self, tmp_path, capsys):
+        # xi = 1.375 = xi1 - delta/4 sits on an erf segment boundary at the
+        # destructive time t = 1: the erf form is undefined there
+        out = tmp_path / "squeeze_edge"
+        code, _, _ = run(["squeeze", "--out", str(out), "--model.delta=0.5",
+                          "--grid.eta_min=1.0", "--grid.eta_max=2.0", "--grid.n_eta=9",
+                          "--grid.n_t=2", "--grid.t_max=1"], capsys)
+        assert code == 0
+        rows = {float(line.split(",")[0]): line.split(",")[3] for line in
+                (out / "cross_section_destructive.csv").read_text().splitlines()[1:]}
+        assert rows[1.375] == "nan"
+        assert rows[1.125] != "nan"
+
     def test_squeeze_indicator_default_radius(self, tmp_path, capsys):
         out = tmp_path / "squeeze_ind"
         code, _, _ = run(["squeeze", "--preset", "gap-small-balanced", "--out", str(out),

@@ -4,9 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twotone
-from twotone import SqueezeConfig, TwoHarmonicModel, evaluate_two_harmonic, stft_closed_form
+from twotone import (
+    GaussianWindow,
+    SqueezeConfig,
+    TwoHarmonicModel,
+    evaluate_two_harmonic,
+    squeeze_cross_section,
+    stft_closed_form,
+)
 from twotone.errors import InconclusiveCountError
 from twotone.oracle import (
     OracleReport,
@@ -92,6 +101,25 @@ class TestOracleSqueeze:
                 o_val = oracle_quadrature_squeeze(model_a13, window, config, float(t), float(xi))
                 scale = max(abs(a_val), 1e-6)
                 assert abs(a_val - o_val) / scale <= 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(delta=st.floats(0.1, 1.0), a=st.floats(0.3, 3.0), sigma=st.floats(1.0, 2.0),
+           log10_alpha=st.floats(-5.0, -3.0), phase=st.floats(0.0, 1.0),
+           spots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    def test_cross_section_property(self, delta, a, sigma, log10_alpha, phase, spots):
+        # t anywhere in one beat period, xi anywhere on [xi0 - 0.1, xi1 + 0.1]
+        model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
+        window = GaussianWindow(sigma=sigma)
+        config = SqueezeConfig(alpha=10.0 ** log10_alpha, weighting="stft")
+        t = phase / delta
+        xis = model.xi0 - 0.1 + np.array(spots) * (delta + 0.2)
+        got = squeeze_cross_section(model, window, config, t, xis)
+        ref = np.array([oracle_quadrature_squeeze(model, window, config, t, float(xi))
+                        for xi in xis])
+        # the quadrature converges on the whole cross section at once, so
+        # the relative tolerance is taken against its largest value
+        scale = max(float(np.max(np.abs(got))), 1e-6)
+        assert np.max(np.abs(got - ref)) / scale <= 1e-6
 
     def test_node_doubling_stable(self, window, model_balanced):
         config = SqueezeConfig(alpha=1e-4, weighting="stft")

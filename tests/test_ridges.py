@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twotone import (
+    GaussianWindow,
     TFGrid,
     TwoHarmonicModel,
     bifurcation_times,
@@ -20,8 +21,10 @@ from twotone.errors import (
     BandCoverageError,
     DegenerateAmplitudeError,
     HypothesisViolationError,
+    InconclusiveCountError,
     NoBifurcationError,
 )
+from twotone.ridges import _candidate_peaks, _refined_maxima, default_band, golden_max
 
 
 class TestCounting:
@@ -61,6 +64,112 @@ class TestCounting:
             assert count_frequency_maxima(model_balanced, window, float(t)) == 1
         for t in np.linspace(t_l + margin, t_r - margin, 5):
             assert count_frequency_maxima(model_balanced, window, float(t)) == 2
+
+
+def _loop_candidate_peaks(v):
+    """The plateau-aware peak scan as one pass over the samples: the
+    reference the array version must reproduce."""
+    n = len(v)
+    peaks = []
+    i = 1
+    while i < n - 1:
+        if v[i] > v[i - 1]:
+            j = i
+            while j + 1 < n and v[j + 1] == v[i]:
+                j += 1
+            if j < n - 1 and v[j + 1] < v[i]:
+                peaks.append((i, j))
+            i = j + 1
+        else:
+            i += 1
+    return peaks
+
+
+def _count_refining_every_candidate(model, window, t, n_samples):
+    """count_frequency_maxima with every candidate golden-refined before the
+    merge; None where the counts never stabilise."""
+    band = default_band(model, window)
+
+    def modulus(eta):
+        return np.abs(stft_closed_form(model, window, t, np.asarray(eta, dtype=float)))
+
+    def count_at(n):
+        grid = np.linspace(band[0], band[1], n + 1)
+        xs = sorted(golden_max(lambda e: float(modulus(e)), grid[left - 1], grid[right + 1])
+                    for left, right in _loop_candidate_peaks(modulus(grid)))
+        merged = []
+        for x in xs:
+            if merged and abs(x - merged[-1]) < 1e-8:
+                merged[-1] = 0.5 * (merged[-1] + x)
+            else:
+                merged.append(x)
+        return len(merged)
+
+    n = n_samples
+    for _ in range(4):
+        c1, c2 = count_at(n), count_at(2 * n)
+        if c1 == c2:
+            return c1
+        n *= 2
+    return None
+
+
+class TestCandidatePeaks:
+    def test_matches_reference_loop(self, window):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            v = rng.choice([0.0, 1.0, 2.0, 3.0], size=int(rng.integers(0, 41)))
+            u = rng.random(v.size)
+            v[u < 0.1] = np.nan
+            v[(u >= 0.1) & (u < 0.2)] = -0.0
+            got = _candidate_peaks(v)
+            assert got == _loop_candidate_peaks(v)
+            assert all(type(i) is int for peak in got for i in peak)
+        # one full-resolution |V| row at the critical gap (4096-sample count, doubled)
+        delta_crit, _ = critical_gap_stft(1.0, window)
+        model = TwoHarmonicModel(xi0=1.0, delta=delta_crit, a=1.0)
+        row = np.abs(stft_closed_form(model, window, 0.0,
+                                      np.linspace(*default_band(model, window), 8193)))
+        assert _candidate_peaks(row) == _loop_candidate_peaks(row)
+
+
+class TestRefinedMaxima:
+    @pytest.mark.parametrize("gap, expected", [(1, 1), (2, 2)])
+    def test_merge_needs_refinement(self, gap, expected):
+        # two plateaus `gap` samples apart; f peaks at grid[3], the right end
+        # of the first bracket, so with gap 1 (shared bracket end) both
+        # refined maxima converge on it and merge
+        values = np.array([0.0, 1.0, 1.0] + [0.0] * gap + [1.0, 1.0, 0.0, 0.0])
+        grid = np.arange(values.size, dtype=float)
+        maxima = _refined_maxima(lambda x: -(x - 3.0) ** 2, grid, values)
+        assert len(maxima) == expected
+        if expected == 1:
+            assert maxima[0] == pytest.approx(3.0, abs=1e-9)
+
+    def test_merge_across_a_fine_grid(self):
+        # brackets [0, 8e-9] and [1.2e-8, 2e-8] (offsets from 1) lie 4e-9
+        # apart, within the 1e-8 merge distance, though their midpoints do
+        # not; f peaks between them, so the refined maxima meet and merge
+        values = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+        grid = 1.0 + 4e-9 * np.arange(values.size)
+        maxima = _refined_maxima(lambda x: -abs(x - (1.0 + 1e-8)), grid, values)
+        assert len(maxima) == 1
+
+    def test_near_critical_sweep_matches_refining_all(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            a = math.exp(rng.uniform(-1.5, 1.5))
+            window = GaussianWindow(sigma=rng.uniform(0.5, 3.0))
+            delta_crit, _ = critical_gap_stft(a, window)
+            model = TwoHarmonicModel(xi0=1.0, delta=delta_crit * rng.uniform(0.97, 1.03), a=a)
+            t = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 1.0 / model.delta)
+            n = int(rng.choice([512, 1024]))
+            ref = _count_refining_every_candidate(model, window, t, n)
+            if ref is None:
+                with pytest.raises(InconclusiveCountError):
+                    count_frequency_maxima(model, window, t, n_samples=n)
+            else:
+                assert count_frequency_maxima(model, window, t, n_samples=n) == ref
 
 
 class TestCriticalGap:

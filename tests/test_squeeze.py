@@ -290,6 +290,18 @@ class TestPreimage:
         with pytest.raises(DegenerateAmplitudeError):
             preimage_intervals(TwoHarmonicModel(1.0, 0.3, 0.0), window, ALPHA, 1.0, 0.0, 1.1)
 
+    def test_segment_boundary_zero_divisor(self, window):
+        # delta = 0.5 and the default C put xi1 - C sqrt(alpha) = 1.375 exactly,
+        # so the destructive-time divisor d + C sqrt(alpha) is exactly 0
+        model = TwoHarmonicModel(xi0=1.0, delta=0.5, a=1.0)
+        t_minus = destructive_time(model, 0)
+        c_default = model.delta / (4.0 * math.sqrt(ALPHA))
+        with pytest.raises(OutOfBranchError) as err:
+            preimage_intervals(model, window, ALPHA, c_default, t_minus, 1.375)
+        assert err.value.gamma == "c_left"
+        with pytest.raises(OutOfBranchError):
+            erf_closed_form(model, window, ALPHA, t_minus, 1.375)
+
     @pytest.mark.parametrize("t_kind", ["constructive", "destructive", "intermediate"])
     def test_scan_agreement_all_segments(self, window, model_a13, t_kind):
         c_small = model_a13.delta / (8 * math.sqrt(ALPHA))
