@@ -8,13 +8,14 @@ form.
 """
 
 import argparse
-import csv
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from twotone import GaussianWindow, critical_gap_sst, critical_gap_stft
+from twotone.cli import write_table_csv
 from twotone.errors import SolverFailureError
 
 
@@ -51,11 +52,7 @@ if __name__ == "__main__":
 
     ratios = sorted(set(np.geomspace(args.a_min, args.a_max, args.n)) | {1.0})
     rows = scan(args.sigma, ratios)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(float(v)) for k, v in row.items()})
+    write_table_csv(Path(args.out), list(rows[0]), [row.values() for row in rows])
     print(f"{'a':>8}  {'gap (plain)':>12}  {'gap (squeeze)':>13}  {'ratio':>7}")
     for row in rows:
         print(f"{row['a']:8.4f}  {row['delta_critical_stft']:12.6f}  "

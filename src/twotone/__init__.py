@@ -61,6 +61,7 @@ from .squeeze import (
     SqueezeConfig,
     asym_indicator,
     asym_sst,
+    critical_gap_density,
     critical_gap_sst,
     erf_closed_form,
     g_alpha,

@@ -3,8 +3,9 @@ queries, and the acceptance-suite runner.
 
 Configuration is a flat key=value file with dotted sections (model.xi0=1.0);
 any key can be overridden on the command line as --section.key=value. Outputs
-are CSV (shortest round-trip decimals) plus a JSON metadata sidecar; reruns
-with identical configuration are byte-identical.
+are CSV plus a JSON metadata sidecar; reruns with identical configuration are
+byte-identical. Every CSV is UTF-8 with \\r\\n line ends and no quoting, floats
+in repr's shortest round-trip decimals and integers and flags as integers.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure.
@@ -13,7 +14,6 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -188,32 +188,30 @@ def build_config(args, extra: list[str]) -> ExperimentConfig:
     )
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _write_lines(path: Path, header: list[str], lines) -> None:
+    """Stream a header and pre-joined rows: UTF-8, \\r\\n line ends, no quoting."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for line in lines:
+            fh.write(line + "\r\n")
 
 
 def write_grid_csv(path: Path, grid: TFGrid, values: np.ndarray, quantity: str) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"t\\eta ({quantity})"] + [_fmt(e) for e in grid.eta_values()])
-        for t, row in zip(grid.t_values(), values):
-            writer.writerow([_fmt(t)] + [_fmt(v) for v in row])
+    header = [f"t\\eta ({quantity})"] + list(map(repr, grid.eta_values().tolist()))
+    rows = zip(grid.t_values().tolist(), values)
+    _write_lines(path, header, (",".join(map(repr, [t] + row.tolist())) for t, row in rows))
 
 
 def _cell(v) -> str:
     if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return _fmt(v)
+        return repr(float(v))
     return str(v)
 
 
 def write_table_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+    _write_lines(path, header, (",".join(map(_cell, row)) for row in rows))
 
 
 def write_metadata(outdir: Path, command: str, config: ExperimentConfig, files: list[str]) -> None:

@@ -665,6 +665,20 @@ def critical_gap_sst(a: float, window: GaussianWindow) -> tuple[float, float, fl
     return delta_c, r, y
 
 
+def critical_gap_density(a: float, window: GaussianWindow) -> float:
+    """Gap at which the STFT-weighted pushforward density at constructive times
+    flips from one maximum to two: delta_stft(a)/sqrt(3).
+
+    With s = ln((xi - xi0)/(xi1 - xi)), ln|theta| = 3 ln cosh(s/2)
+    - (s - ln a)^2/(4 C delta^2) + const; its double root solves s - sinh s =
+    ln a with delta = sqrt(2/3) cosh(s/2)/(pi sigma), the plain-transform
+    root scaled by 1/sqrt(3) for every a.
+    """
+    from .ridges import critical_gap_stft  # ridges imports this module
+
+    return critical_gap_stft(a, window)[0] / math.sqrt(3.0)
+
+
 # ---------------------------------------------------------------------------
 # extreme amplitudes
 

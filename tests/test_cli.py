@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -7,12 +8,19 @@ import pytest
 from twotone import (
     GaussianWindow,
     SqueezeConfig,
+    TFGrid,
     TwoHarmonicModel,
     constructive_time,
     destructive_time,
     squeeze_transform,
 )
-from twotone.cli import main, parse_config_file, parse_overrides
+from twotone.cli import (
+    main,
+    parse_config_file,
+    parse_overrides,
+    write_grid_csv,
+    write_table_csv,
+)
 from twotone.errors import ConfigError
 from twotone.presets import PRESETS
 
@@ -56,6 +64,67 @@ class TestConfigParsing:
         assert all(cfg["model.sigma"] == math.sqrt(2.0) for cfg in PRESETS.values())
 
 
+def reference_csv(path, rows):
+    # the csv.writer exporter the line writer replaced
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow(row)
+    return path.read_bytes()
+
+
+def reference_cell(v):
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+class TestWriters:
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-5, 9.999999999999998e15,
+               1e16, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, -2.5]
+
+    def check_grid(self, tmp_path, values):
+        grid = TFGrid(t_min=0.0, t_max=0.7, n_t=values.shape[0],
+                      eta_min=0.1, eta_max=2.3, n_eta=values.shape[1])
+        write_grid_csv(tmp_path / "new.csv", grid, values, "abs_v")
+        expected = [["t\\eta (abs_v)"] + [repr(float(e)) for e in grid.eta_values()]]
+        expected += [[repr(float(t))] + [repr(float(v)) for v in row]
+                     for t, row in zip(grid.t_values(), values)]
+        assert (tmp_path / "new.csv").read_bytes() == reference_csv(tmp_path / "old.csv",
+                                                                    expected)
+
+    def test_grid_special_values(self, tmp_path):
+        values = np.array(self.SPECIAL * 3).reshape(6, 6)
+        values[3:] = values[3:, ::-1]
+        self.check_grid(tmp_path, values)
+
+    def test_float32_grid(self, tmp_path):
+        # float32 cells widen to the exact double: 0.1f is 0.10000000149011612
+        values = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-45, 1e-5, 0.1, 1 / 3,
+                           -2.5, 3.4028234663852886e38, 16777217.0, 7.0],
+                          dtype=np.float32).reshape(3, 4)
+        self.check_grid(tmp_path, values)
+
+    def test_table_cell_types(self, tmp_path):
+        header = ["flag", "np_flag", "k", "np_k", "x", "np_x", "np_x32"]
+        rows = [(True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(math.nan),
+                 np.float32(0.1)),
+                (False, np.bool_(True), 0, np.int64(2 ** 40), -0.0, np.float64(1e16),
+                 np.float32(-math.inf)),
+                (1, np.bool_(True), -1, np.int64(0), math.inf, np.float64(5e-324),
+                 np.float32(1 / 3))]
+        write_table_csv(tmp_path / "new.csv", header, rows)
+        expected = [header] + [[reference_cell(v) for v in row] for row in rows]
+        assert (tmp_path / "new.csv").read_bytes() == reference_csv(tmp_path / "old.csv",
+                                                                    expected)
+
+    def test_header_only_table(self, tmp_path):
+        write_table_csv(tmp_path / "new.csv", ["t_detected"], [])
+        assert (tmp_path / "new.csv").read_bytes() == b"t_detected\r\n"
+        assert (tmp_path / "new.csv").read_bytes() == reference_csv(tmp_path / "old.csv",
+                                                                    [["t_detected"]])
+
+
 class TestCommands:
     def test_stft_outputs_and_determinism(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -77,6 +146,24 @@ class TestCommands:
         assert code == 0
         for name in names:
             assert (out / name).read_bytes() == blobs[name]
+
+    @pytest.mark.parametrize("argv", [
+        ["ridges", "--preset", "gap-small-balanced", "--grid.n_t=24", "--grid.n_eta=128",
+         "--grid.t_max=3.5"],
+        ["zeros", "--preset", "gap-small-a13", "--grid.n_t=71", "--grid.n_eta=51",
+         "--grid.t_max=4.0", "--grid.eta_min=0.6", "--grid.eta_max=1.7"],
+        ["reassign", "--preset", "gap-tiny-balanced", "--grid.n_t=9", "--grid.n_eta=17",
+         "--grid.t_max=2.0"],
+        ["squeeze", "--preset", "gap-small-balanced", "--grid.n_t=5", "--grid.n_eta=33",
+         "--grid.t_max=2.0", "--grid.eta_min=0.9", "--grid.eta_max=1.4"],
+    ], ids=lambda argv: argv[0])
+    def test_rerun_is_byte_identical(self, tmp_path, capsys, argv):
+        out = tmp_path / argv[0]
+        assert run(argv + ["--out", str(out)], capsys)[0] == 0
+        blobs = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(blobs) > 1 and "metadata.json" in blobs
+        assert run(argv + ["--out", str(out)], capsys)[0] == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == blobs
 
     def test_unknown_override_exits_2(self, tmp_path, capsys):
         code, _, err = run(["stft", "--out", str(tmp_path), "--model.bogus=1"], capsys)

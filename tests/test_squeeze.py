@@ -10,6 +10,7 @@ from twotone import (
     TwoHarmonicModel,
     asym_indicator,
     asym_sst,
+    critical_gap_density,
     critical_gap_sst,
     critical_gap_stft,
     destructive_time,
@@ -30,6 +31,7 @@ from twotone.errors import (
     SolverFailureError,
 )
 from twotone.reassign import eta_s_values
+from twotone.ridges import _candidate_peaks
 from twotone.squeeze import _mollified_sums, classify_time, squeeze_single_component
 
 ALPHA = 1e-4
@@ -420,6 +422,31 @@ class TestCriticalGap:
 
         assert count(delta_c * 0.99) == 1
         assert count(delta_c * 1.01) == 2
+
+
+class TestCriticalGapDensity:
+    def test_ratio_to_stft(self):
+        rng = np.random.default_rng(7)
+        for a in np.exp(rng.uniform(-3.0, 3.0, 50)):
+            window = GaussianWindow(sigma=float(rng.uniform(0.5, 3.0)))
+            ratio = critical_gap_density(float(a), window) / critical_gap_stft(float(a), window)[0]
+            assert abs(ratio - 1.0 / math.sqrt(3.0)) <= 1e-12
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.3, 3.0])
+    def test_density_count_flips_at_the_form(self, window, a):
+        # maxima of |theta| over the constructive support (xi0, xi1), clear of
+        # the 1e-3 delta standoff at both component frequencies
+        delta_c = critical_gap_density(a, window)
+
+        def count(delta):
+            model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
+            xis = np.linspace(model.xi0 + 2e-3 * delta, model.xi1 - 2e-3 * delta, 20001)
+            vals = np.array([abs(pushforward_density(model, window, "stft", 0.0, float(x)))
+                             for x in xis])
+            return len(_candidate_peaks(vals))
+
+        assert count(0.999 * delta_c) == 1
+        assert count(1.001 * delta_c) == 2
 
 
 class TestExtremeAmplitude:
