@@ -64,7 +64,6 @@ from .squeeze import (
     critical_gap_density,
     critical_gap_sst,
     erf_closed_form,
-    g_alpha,
     preimage_intervals,
     pushforward_density,
     squeeze_cross_section,

@@ -8,7 +8,6 @@ it is meant to check. Slow is fine; auditable is the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -17,17 +16,6 @@ from .errors import InconclusiveCountError
 from .model import GaussianWindow, TwoHarmonicModel
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Value plus enough resolution metadata to reproduce it exactly."""
-
-    name: str
-    inputs: dict
-    value: object
-    resolution: dict = field(default_factory=dict)
-    agreement: float | None = None
 
 
 def oracle_stft(signal, window: GaussianWindow, t: float, eta: float,
@@ -50,17 +38,11 @@ def oracle_stft(signal, window: GaussianWindow, t: float, eta: float,
     return complex(vals.sum() * (2 * w / n))
 
 
-def strict_local_max_count(values: np.ndarray) -> int:
-    """Strict three-point interior local maxima of a sampled curve."""
-    v = np.asarray(values, dtype=float)
-    return int(np.sum((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])))
-
-
 def plateau_aware_max_count(values: np.ndarray) -> int:
     """Interior maxima with equal-valued runs counted once.
 
     Symmetric sampling puts exactly equal neighbors at a peak (and flat-topped
-    peaks do the same), which the strict three-point test misses entirely.
+    peaks do the same), which a strict three-point comparison misses entirely.
     """
     v = np.asarray(values, dtype=float)
     n = len(v)

@@ -11,6 +11,7 @@ on the real line).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,7 +32,9 @@ from .reassign import eta_s_values
 WEIGHTINGS = ("stft", "indicator")
 REASSIGN_MODES = ("sync", "phase")
 _LOG_CUTOFF = 60.0  # e^{-60} ~ 9e-27: negligible next to every stated tolerance
-_UNDERFLOW_EXPONENT = 746.0  # exp(-x) is exactly 0.0 in double precision for x >= 746
+# exp(-x) is a normal double for x <= 708.396...; past that it is subnormal
+# (below 2.2e-308) and then 0.0 from x = 746 on
+_NORMAL_EXPONENT = -math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -55,12 +58,6 @@ class SqueezeConfig:
         if self.weighting == "indicator":
             if self.R is None or not self.R > 0:
                 raise ModelValidationError("indicator weighting requires a finite R > 0")
-
-
-def g_alpha(z, alpha: float):
-    """Gaussian mollifier on the complex plane, unit L1 mass on the real line."""
-    z = np.asarray(z)
-    return np.exp(-np.abs(z) ** 2 / alpha) / math.sqrt(math.pi * alpha)
 
 
 def indicator_radius_floor(model: TwoHarmonicModel, window: GaussianWindow) -> float:
@@ -129,17 +126,19 @@ def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
                     alpha: float) -> np.ndarray:
     """sum_k weights_k exp(-|hat_k - xi|^2 / alpha) for each xi in xis.
 
-    exp(-x) underflows to exactly 0.0 once x passes 746, so only nodes with
-    |Re hat_k - xi| <= sqrt(746 alpha) can add a nonzero term. The nodes are
-    sorted once by Re hat, and each xi sums over its own contiguous
-    searchsorted window: every nonzero term of the dense sum over all nodes
-    is kept, in another order. The factor exp(-(Im hat_k)^2 / alpha) is folded
-    into the weights, and nodes whose folded weight is 0 (zero weight, or
-    |Im hat_k|^2 past the underflow point) sort past every window. Memory is
-    O(nodes + xis).
+    A term is kept only while both of its Gaussian factors are normal
+    doubles: |Re hat_k - xi|^2 / alpha and |Im hat_k|^2 / alpha at most
+    -ln(2.2e-308) = 708.396... Every dropped term is below 2.2e-308 |w_k|, so
+    no sum above ~1e-292 moves, and the kernel never computes with subnormal
+    numbers, which take a slow path in exp and in the matrix-vector product.
+    The nodes are sorted once by Re hat, and each xi sums over its own
+    contiguous searchsorted window of half-width sqrt(708.396 alpha). The
+    factor exp(-(Im hat_k)^2 / alpha) is folded into the weights, and nodes
+    whose factor is below the smallest normal double, or whose weight is 0,
+    sort past every window. Memory is O(nodes + xis).
     """
     fold = np.exp(-hat.imag ** 2 / alpha)
-    key = np.where((fold > 0.0) & (weights != 0.0), hat.real, np.inf)
+    key = np.where((fold >= sys.float_info.min) & (weights != 0.0), hat.real, np.inf)
     order = np.argsort(key, kind="stable")
     re = key[order]
     # each node-sized temporary is dropped as soon as it is used, so this
@@ -152,7 +151,7 @@ def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
     del order
     folded *= fold
     del fold
-    reach = math.sqrt(_UNDERFLOW_EXPONENT * alpha)
+    reach = math.sqrt(_NORMAL_EXPONENT * alpha)
     starts = np.searchsorted(re, xis - reach, side="left")
     stops = np.searchsorted(re, xis + reach, side="right")
     buf = np.empty(int(np.max(stops - starts, initial=0)))
@@ -180,11 +179,13 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     term). Sentinel reassignment values contribute zero mass.
 
     Each pass sums, for every xi, only over the nodes with
-    |Re eta_hat - xi| <= sqrt(746 alpha). Past that reach exp(-|eta_hat - xi|^2
-    / alpha) underflows to exactly 0.0, so the windowed sum keeps every term
-    the sum over all nodes would add; only the order of summation differs.
-    A smaller reach (such as the e^-60 activity cutoff) would drop the
-    exponentially small off-support tails.
+    |Re eta_hat - xi| <= sqrt(708.396 alpha) and |Im eta_hat| within the same
+    reach, where both Gaussian factors of exp(-|eta_hat - xi|^2 / alpha) are
+    still normal doubles. A dropped term is below 2.2e-308 times its weight,
+    so no value above ~1e-292 moves; values below that may read 0.0 where
+    the sum over all nodes would give a subnormal number. A smaller reach
+    (such as the e^-60 activity cutoff) would drop the exponentially small
+    off-support tails.
 
     Raises SolverFailureError when max_doublings doublings of the active
     region do not reach the tolerance. With max_doublings = 0 there is no

@@ -18,11 +18,9 @@ from twotone import (
 )
 from twotone.errors import InconclusiveCountError
 from twotone.oracle import (
-    OracleReport,
     oracle_maxima_count,
     oracle_quadrature_squeeze,
     oracle_stft,
-    strict_local_max_count,
 )
 from twotone.squeeze import squeeze_single_component, squeeze_transform
 
@@ -60,6 +58,15 @@ class TestOracleStft:
         default = abs(oracle_stft(f, window, 1.0, 1.1) - ref)
         assert default <= 1e-13
 
+    def test_explicit_resolution_reruns_exactly(self, window):
+        # the step and half-width are the whole resolution: passing the
+        # defaults explicitly reproduces the value bit for bit
+        model = TwoHarmonicModel(xi0=1.0, delta=0.5, a=1.0)
+        f = lambda x: evaluate_two_harmonic(model, x)
+        value = oracle_stft(f, window, 1.0, 1.1)
+        assert abs(value - stft_closed_form(model, window, 1.0, 1.1)) <= 1e-7
+        assert oracle_stft(f, window, 1.0, 1.1, step=1e-4, half_width_sigmas=8.0) == value
+
 
 class TestMaximaCount:
     def test_single_gaussian(self):
@@ -80,9 +87,6 @@ class TestMaximaCount:
     def test_sample_floor(self):
         with pytest.raises(InconclusiveCountError):
             oracle_maxima_count(lambda x: np.exp(-x ** 2), -4.0, 4.0, 128)
-
-    def test_strict_count_plateau_is_not_a_peak(self):
-        assert strict_local_max_count(np.array([0.0, 1.0, 1.0, 0.0])) == 0
 
 
 class TestOracleSqueeze:
@@ -127,23 +131,6 @@ class TestOracleSqueeze:
         v2 = oracle_quadrature_squeeze(model_balanced, window, config, 0.0, 1.15,
                                        n_nodes=2 ** 17)
         assert abs(v1 - v2) < 1e-8
-
-
-def test_oracle_report_carries_resolution_metadata(window):
-    model = TwoHarmonicModel(xi0=1.0, delta=0.5, a=1.0)
-    value = oracle_stft(lambda x: evaluate_two_harmonic(model, x), window, 1.0, 1.1)
-    report = OracleReport(
-        name="oracle_stft",
-        inputs={"t": 1.0, "eta": 1.1, "sigma": window.sigma},
-        value=value,
-        resolution={"step": 1e-4, "half_width_sigmas": 8.0},
-        agreement=abs(value - stft_closed_form(model, window, 1.0, 1.1)),
-    )
-    assert report.agreement <= 1e-7
-    rerun = oracle_stft(lambda x: evaluate_two_harmonic(model, x), window, 1.0, 1.1,
-                        step=report.resolution["step"],
-                        half_width_sigmas=report.resolution["half_width_sigmas"])
-    assert rerun == report.value
 
 
 def _twotone_imports(path: Path) -> set:

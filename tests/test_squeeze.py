@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from twotone import (
     critical_gap_stft,
     destructive_time,
     erf_closed_form,
-    g_alpha,
     preimage_intervals,
     pushforward_density,
     squeeze_cross_section,
@@ -31,8 +31,13 @@ from twotone.errors import (
     SolverFailureError,
 )
 from twotone.reassign import eta_s_values
-from twotone.ridges import _candidate_peaks
-from twotone.squeeze import _mollified_sums, classify_time, squeeze_single_component
+from twotone.ridges import _candidate_peaks, constructive_maxima, flip_bracket
+from twotone.squeeze import (
+    _NORMAL_EXPONENT,
+    _mollified_sums,
+    classify_time,
+    squeeze_single_component,
+)
 
 ALPHA = 1e-4
 
@@ -48,11 +53,16 @@ class TestConfig:
         with pytest.raises(ModelValidationError):
             SqueezeConfig(alpha=1e-4, reassignment_mode="other")
 
-    def test_mollifier_unit_mass(self):
+    def test_mollifier_unit_mass(self, window):
+        # a lone unit harmonic reassigns every eta to xi0, so S(t, xi) is
+        # (integral of V over eta) times the mollifier at xi - xi0, and the
+        # mass of S over xi is that of V: 1/(sigma sqrt(pi)) at t = 0
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=0.0)
         for alpha in (1e-3, 1e-5):
-            x = np.linspace(-30 * math.sqrt(alpha), 30 * math.sqrt(alpha), 40001)
-            mass = np.trapezoid(g_alpha(x, alpha), x)
-            assert mass == pytest.approx(1.0, abs=1e-10)
+            config = SqueezeConfig(alpha=alpha, weighting="stft")
+            x = model.xi0 + np.linspace(-30 * math.sqrt(alpha), 30 * math.sqrt(alpha), 601)
+            mass = np.trapezoid(squeeze_cross_section(model, window, config, 0.0, x), x)
+            assert mass == pytest.approx(1.0 / (window.sigma * math.sqrt(math.pi)), abs=1e-10)
 
 
 class TestTransform:
@@ -159,6 +169,23 @@ class TestMollifiedSums:
         assert np.all((tail > 1e-250) & (tail < 1e-80))
         big = np.abs(ref) > 1e-280
         assert np.all(np.abs(got[big] - ref[big]) <= 1e-12 * np.abs(ref[big]))
+
+    def test_subnormal_terms_are_cut(self):
+        # every term the dense sum adds at this xi is subnormal: the real
+        # nodes sit at exponents 710-745 from xi, past the normal reach, and
+        # the complex nodes sit on xi with exp(-(Im hat)^2 / alpha) subnormal
+        assert math.exp(-_NORMAL_EXPONENT) >= sys.float_info.min
+        alpha, xi = 1e-4, 1.0
+        offsets = np.sqrt(np.array([710.0, 720.0, 735.0, 745.0]) * alpha)
+        hat = np.concatenate([xi - offsets, xi + offsets, xi + 1j * offsets]).astype(complex)
+        n = len(hat)
+        sent = np.zeros(n, dtype=bool)
+        w = np.ones(n)
+        gvals = np.ones(n, dtype=complex)
+        ref = _dense_mollified_sums(hat, sent, w, gvals, np.array([xi]), alpha)
+        assert 0.0 < abs(ref[0]) < 1e-300
+        got = _mollified_sums(hat, w * gvals, np.array([xi]), alpha)
+        assert got[0] == 0.0
 
 
 class TestPushforward:
@@ -447,6 +474,21 @@ class TestCriticalGapDensity:
 
         assert count(0.999 * delta_c) == 1
         assert count(1.001 * delta_c) == 2
+
+    @pytest.mark.parametrize("a", [1.0, 1.3])
+    def test_quadrature_flip_sits_just_above_the_form(self, window, a):
+        # the squeeze at alpha = 1e-4 is the density mollified at finite
+        # alpha; its 1 -> 2 flip lies within 1% above the alpha -> 0 form
+        delta_c = critical_gap_density(a, window)
+
+        def count(delta):
+            return constructive_maxima(a, window, "sst", delta)
+
+        lo, hi = 0.99 * delta_c, 1.02 * delta_c
+        assert count(lo) < 2 <= count(hi)
+        lo, hi = flip_bracket(count, lo, hi, 4)
+        assert hi - lo < 2e-3 * delta_c
+        assert delta_c <= lo and hi <= 1.01 * delta_c
 
 
 class TestExtremeAmplitude:
