@@ -24,6 +24,7 @@ from .model import (
     ahm_stft_error_bound_dwindow,
     constructive_time,
     destructive_time,
+    destructive_zero,
     evaluate_two_harmonic,
     freeze_ahm,
     lift_two_harmonic,
@@ -33,7 +34,6 @@ from .reassign import (
     INF_POINT,
     SENTINEL,
     MobiusMap,
-    ReassignField,
     arc_circle,
     attraction_bound_check,
     ahm_reassign_error_bound,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reassign, ridges, squeeze
+from .errors import NotApplicableError
 from .gabor import TFGrid, stft_closed_form, stft_field, stft_numeric
 from .model import (
     AHMComponent,
@@ -22,6 +23,7 @@ from .model import (
     ahm_stft_error_bound_dwindow,
     constructive_time,
     destructive_time,
+    destructive_zero,
     freeze_ahm,
 )
 from .phasefield import locate_zeros, winding_number
@@ -42,14 +44,26 @@ class CriterionResult:
     seconds: float
 
 
-def _result(index, name, passed, detail, start) -> CriterionResult:
-    return CriterionResult(index=index, name=name, passed=bool(passed),
-                           detail=detail, seconds=time.perf_counter() - start)
+CRITERIA = {}
 
 
-def criterion_1() -> CriterionResult:
+def _criterion(index: int, name: str):
+    """Register a check body returning (passed, detail) as CRITERIA[index]: a
+    zero-argument callable that times the body and builds its CriterionResult."""
+    def register(body):
+        def run() -> CriterionResult:
+            start = time.perf_counter()
+            passed, detail = body()
+            return CriterionResult(index=index, name=name, passed=bool(passed),
+                                   detail=detail, seconds=time.perf_counter() - start)
+        CRITERIA[index] = run
+        return run
+    return register
+
+
+@_criterion(1, "stft critical gap, a=1")
+def criterion_1():
     """STFT critical gap, balanced amplitudes."""
-    start = time.perf_counter()
     delta_crit, s = ridges.critical_gap_stft(1.0, WINDOW)
     solver_ok = abs(delta_crit - 1.0 / math.pi) <= 1e-10 and s == 1.0
     counts = []
@@ -58,12 +72,12 @@ def criterion_1() -> CriterionResult:
         counts.append(ridges.count_frequency_maxima(model, WINDOW, 0.0, n_samples=2048))
     passed = solver_ok and counts == [1, 2]
     detail = f"solver={delta_crit:.12f} (target {1/math.pi:.12f}), counts 0.99/1.01 = {counts}"
-    return _result(1, "stft critical gap, a=1", passed, detail, start)
+    return passed, detail
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "stft critical gap, a in {0.5, 2}")
+def criterion_2():
     """STFT critical gap for unbalanced amplitudes brackets the empirical flip."""
-    start = time.perf_counter()
     base, _ = ridges.critical_gap_stft(1.0, WINDOW)
     details = []
     passed = True
@@ -80,16 +94,15 @@ def criterion_2() -> CriterionResult:
         ok = rel <= 0.02 and delta_crit > base
         passed = passed and ok
         details.append(f"a={a}: crit={delta_crit:.6f} flip={flip:.6f} rel={rel:.4f}")
-    return _result(2, "stft critical gap, a in {0.5, 2}", passed, "; ".join(details), start)
+    return passed, "; ".join(details)
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "bubble geometry")
+def criterion_3():
     """Bubble geometry: detected bifurcations and residual scaling."""
-    start = time.perf_counter()
     model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.0)
-    pad = 3.0 / (math.pi * SIGMA)
-    grid = TFGrid(t_min=0.0, t_max=3.5, n_t=512,
-                  eta_min=model.xi0 - pad, eta_max=model.xi1 + pad, n_eta=600)
+    lo, hi = ridges.default_band(model, WINDOW)
+    grid = TFGrid(t_min=0.0, t_max=3.5, n_t=512, eta_min=lo, eta_max=hi, n_eta=600)
     report = ridges.extract_ridges(stft_field(model, WINDOW, grid))
     t_l, t_r = ridges.bifurcation_times(model, WINDOW, 0)
     predicted = [t_l, t_r]
@@ -109,22 +122,21 @@ def criterion_3() -> CriterionResult:
     detail = (f"bif detected={tuple(round(b, 4) for b in report.bifurcation_times)} "
               f"predicted=({t_l:.4f}, {t_r:.4f}) tol={tol:.4f}; "
               f"residual ratios {ratio:.2f} (0.2/0.1), {ratio2:.2f} (0.1/0.05), window [3.2, 4.8]")
-    return _result(3, "bubble geometry", passed, detail, start)
+    return passed, detail
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "destructive-time zero")
+def criterion_4():
     """Destructive-time zero location and flank bounds."""
-    start = time.perf_counter()
     model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.3)
     eta_avg, eta_minus, eta_plus = ridges.destructive_extrema(model, WINDOW, 0)
-    formula = model.xibar - math.log(model.a) / (2 * WINDOW.C * model.delta)
     v_zero = abs(stft_closed_form(model, WINDOW, destructive_time(model, 0), eta_avg))
     wfac = math.exp(-WINDOW.C * model.delta ** 2)
     left_bound = model.delta * model.a * wfac / (1 + model.a * wfac)
     right_bound = model.delta * wfac / (model.a + wfac)
     checks = [
         v_zero < 1e-10,
-        abs(eta_avg - formula) < 1e-12,
+        abs(eta_avg - destructive_zero(model, WINDOW)) < 1e-12,
         eta_minus < model.xi0,
         eta_plus > model.xi1,
         model.xi0 - eta_minus <= left_bound,
@@ -133,12 +145,12 @@ def criterion_4() -> CriterionResult:
     detail = (f"|V(t0-, eta_avg)|={v_zero:.2e}; eta-={eta_minus:.6f} (dist "
               f"{model.xi0-eta_minus:.4f} <= {left_bound:.4f}); eta+={eta_plus:.6f} "
               f"(dist {eta_plus-model.xi1:.4f} <= {right_bound:.4f})")
-    return _result(4, "destructive-time zero", all(checks), detail, start)
+    return all(checks), detail
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "phase winding at zeros")
+def criterion_5():
     """Winding numbers of every zero plus a two-zero contour."""
-    start = time.perf_counter()
     model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.3)
     region = TFGrid(t_min=0.0, t_max=7.0, n_t=141, eta_min=0.5, eta_max=1.8, n_eta=101)
     zeros = locate_zeros(model, WINDOW, region)
@@ -150,12 +162,12 @@ def criterion_5() -> CriterionResult:
     passed = singles_ok and pair == 2
     detail = (f"zeros at {[(round(z.t0, 4), round(z.eta0, 5)) for z in zeros]} "
               f"windings {[z.winding for z in zeros]}; two-zero contour -> {pair}")
-    return _result(5, "phase winding at zeros", passed, detail, start)
+    return passed, detail
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "reassignment identities")
+def criterion_6():
     """Reassignment identities, arc membership, attraction bound."""
-    start = time.perf_counter()
     model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.0)
     ts = np.linspace(0.0, 2.0 / model.delta, 256)
     etas = np.linspace(model.xi0 - 1.0, model.xi1 + 1.0, 256)
@@ -185,28 +197,28 @@ def criterion_6() -> CriterionResult:
     tested = 0
     for t in np.linspace(0.0, 1.0 / model.delta, 21):
         for eta in np.linspace(model.xi0 - 1.0, model.xibar, 21):
-            w = model.a * math.exp(math.pi ** 2 * SIGMA ** 2 * model.delta * (eta - model.xibar))
-            if w > 0.5:
+            try:
+                chk = reassign.attraction_bound_check(model, WINDOW, float(t), float(eta))
+            except NotApplicableError:
                 continue
             tested += 1
-            chk = reassign.attraction_bound_check(model, WINDOW, float(t), float(eta))
             attraction_ok = attraction_ok and chk.holds
     passed = (bool(np.all(finite | np.isneginf(vals.real))) and re_dev <= 1e-12
               and imag_dev <= 1e-12 and arc_dev <= 1e-10 and attraction_ok and tested > 0)
     detail = (f"re_dev={re_dev:.2e}, imag_dev@t_k={imag_dev:.2e}, arc_dev={arc_dev:.2e}, "
               f"attraction holds at {tested} premise points: {attraction_ok}")
-    return _result(6, "reassignment identities", passed, detail, start)
+    return passed, detail
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "pushforward density + dichotomy")
+def criterion_7():
     """Pushforward density match and support dichotomy."""
-    start = time.perf_counter()
     model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.0)
     alpha = 1e-5
     config = SqueezeConfig(alpha=alpha, weighting="indicator", R=50.0)
     xis = np.linspace(model.xi0 + model.delta / 4, model.xi1 - model.delta / 4, 21)
     quad = np.abs(squeeze_cross_section(model, WINDOW, config, 0.0, xis))
-    theta = np.array([1.0 / (2 * WINDOW.C * abs((x - model.xi0) * (x - model.xi1)))
+    theta = np.array([squeeze.pushforward_density(model, WINDOW, "indicator", 0.0, x).real
                       for x in xis])
     rel = float(np.max(np.abs(quad - theta) / theta))
 
@@ -222,12 +234,12 @@ def criterion_7() -> CriterionResult:
     passed = rel <= 0.05 and off_plus < 1e-6 and in_minus < 1e-6
     detail = (f"max rel dev vs density = {rel:.4f} (<= 0.05); off-support mass "
               f"t0+ = {off_plus:.2e}, inner mass t0- = {in_minus:.2e} (< 1e-6)")
-    return _result(7, "pushforward density + dichotomy", passed, detail, start)
+    return passed, detail
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "squeeze weighting contrast")
+def criterion_8():
     """Squeeze weighting contrast and the critical-gap location."""
-    start = time.perf_counter()
     alpha = 1e-4
     delta_ref, _, _ = squeeze.critical_gap_sst(1.0, WINDOW)
     counts = {}
@@ -247,23 +259,23 @@ def criterion_8() -> CriterionResult:
     passed = structure_ok and rel <= 0.03
     detail = (f"counts {dict((f'{k[0]}@{k[1]}', v) for k, v in counts.items())}; "
               f"empirical flip {flip:.5f} vs solver {delta_ref:.5f} (rel {rel:.4f}, tol 0.03)")
-    return _result(8, "squeeze weighting contrast", passed, detail, start)
+    return passed, detail
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "critical-gap ratio")
+def criterion_9():
     """Ratio of the balanced critical gaps."""
-    start = time.perf_counter()
     d_sst, _, _ = squeeze.critical_gap_sst(1.0, WINDOW)
     d_stft, _ = ridges.critical_gap_stft(1.0, WINDOW)
     target = math.sqrt(math.log(3.0) / 3.0)
     dev = abs(d_sst / d_stft - target)
     detail = f"ratio {d_sst/d_stft:.12f} vs {target:.12f} (dev {dev:.2e})"
-    return _result(9, "critical-gap ratio", dev <= 1e-9, detail, start)
+    return dev <= 1e-9, detail
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "erf closed forms")
+def criterion_10():
     """erf closed forms against quadrature."""
-    start = time.perf_counter()
     model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.0)
     alpha = 1e-4
     cap = model.delta / (4 * math.sqrt(alpha))
@@ -290,14 +302,24 @@ def criterion_10() -> CriterionResult:
     passed = rel_worst <= tol and zero_ok and worst_zero < 1e-8
     detail = (f"interior max rel dev {rel_worst:.3f} (tol {tol:.3f}); zero-branch max |S| "
               f"{worst_zero:.2e} (< 1e-8)")
-    return _result(10, "erf closed forms", passed, detail, start)
+    return passed, detail
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "limit regimes")
+def criterion_11():
     """Large-gap decay rate and extreme-amplitude linear convergence."""
-    start = time.perf_counter()
     alpha = 1e-3
     window_c = WINDOW.C
+
+    def sections(model: TwoHarmonicModel, ts, n: int):
+        """(S, S_f0, S_f1) at each t on n xi across the band: the squeeze and
+        the lone-harmonic squeezes of the two components."""
+        cfg = SqueezeConfig(alpha=alpha, weighting="stft")
+        xis = np.linspace(model.xi0 - 0.3, model.xi1 + 0.3, n)
+        for t in ts:
+            s0, s1 = ([squeeze.squeeze_single_component(xi_c, amp, WINDOW, alpha, t, x)
+                       for x in xis] for xi_c, amp in ((model.xi0, 1.0), (model.xi1, model.a)))
+            yield squeeze_cross_section(model, WINDOW, cfg, t, xis), np.array(s0), np.array(s1)
 
     def sup_residual_pair(a: float, delta: float = 0.05):
         """Amplitude-limit probe at a small gap: the stated a values sit inside
@@ -305,33 +327,16 @@ def criterion_11() -> CriterionResult:
         frequency decays like a^(1/2) e^{-ln^2(kappa/a)/(4 C delta^2)} and is
         o(a) only once |ln a| clears ~2 C delta^2)."""
         model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
-        cfg = SqueezeConfig(alpha=alpha, weighting="stft")
-        worst0 = worst1 = 0.0
-        for t in (0.2, destructive_time(model, 0)):
-            xis = np.linspace(model.xi0 - 0.3, model.xi1 + 0.3, 121)
-            vals = squeeze_cross_section(model, WINDOW, cfg, t, xis)
-            s0 = np.array([squeeze.squeeze_single_component(model.xi0, 1.0, WINDOW, alpha, t, x)
-                           for x in xis])
-            s1 = np.array([squeeze.squeeze_single_component(model.xi1, model.a, WINDOW,
-                                                            alpha, t, x) for x in xis])
-            worst0 = max(worst0, float(np.max(np.abs(vals - s0))))
-            worst1 = max(worst1, float(np.max(np.abs(vals - s1))))
-        return worst0, worst1
+        rows = list(sections(model, (0.2, destructive_time(model, 0)), 121))
+        return (max(float(np.max(np.abs(vals - s0))) for vals, s0, _ in rows),
+                max(float(np.max(np.abs(vals - s1))) for vals, _, s1 in rows))
 
     residuals = []
     for delta in (0.8, 1.0, 1.2):
         model = TwoHarmonicModel(xi0=1.0, delta=delta, a=1.0)
-        cfg = SqueezeConfig(alpha=alpha, weighting="stft")
-        worst = 0.0
-        for t in (0.137, 0.411 / delta, destructive_time(model, 0)):
-            xis = np.linspace(model.xi0 - 0.3, model.xi1 + 0.3, 61)
-            vals = squeeze_cross_section(model, WINDOW, cfg, t, xis)
-            s0 = np.array([squeeze.squeeze_single_component(model.xi0, 1.0, WINDOW, alpha, t, x)
-                           for x in xis])
-            s1 = np.array([squeeze.squeeze_single_component(model.xi1, 1.0, WINDOW, alpha, t, x)
-                           for x in xis])
-            worst = max(worst, float(np.max(np.abs(vals - s0 - s1))))
-        residuals.append(worst)
+        ts = (0.137, 0.411 / delta, destructive_time(model, 0))
+        residuals.append(max(float(np.max(np.abs(vals - s0 - s1)))
+                             for vals, s0, s1 in sections(model, ts, 61)))
     slope = float(np.polyfit([0.64, 1.0, 1.44], np.log(residuals), 1)[0])
     target = -window_c / 4.0
     slope_ok = abs(slope - target) <= 0.2 * abs(target)
@@ -350,7 +355,7 @@ def criterion_11() -> CriterionResult:
     detail = (f"decay slope {slope:.3f} vs {target:.3f} (20% tol); small-a: "
               f"{res_005:.3e} <= {k_small*0.05:.3e}; large-a scaled: "
               f"{rho_20:.3e} <= {k_large/20:.3e}")
-    return _result(11, "limit regimes", passed, detail, start)
+    return passed, detail
 
 
 def _slow_chirp_signal() -> tuple[AHMSignal, float]:
@@ -376,9 +381,9 @@ def _slow_chirp_signal() -> tuple[AHMSignal, float]:
     return signal, t_star
 
 
-def criterion_12() -> CriterionResult:
+@_criterion(12, "slow-chirp proximity bounds")
+def criterion_12():
     """Slow-chirp signal: STFT proximity bound and reassignment proximity bound."""
-    start = time.perf_counter()
     signal, t_star = _slow_chirp_signal()
     model, scale = freeze_ahm(signal, t_star)
     t_probe = t_star + np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -417,14 +422,7 @@ def criterion_12() -> CriterionResult:
     passed = stft_ok and reassign_ok and tested > 0
     detail = (f"stft bound margin max(err-bound) = {worst_margin:.3e}; reassignment dev "
               f"{worst_dev:.3e} <= {bound_r:.3e} at {tested} points")
-    return _result(12, "slow-chirp proximity bounds", passed, detail, start)
-
-
-CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10, 11: criterion_11, 12: criterion_12,
-}
+    return passed, detail
 
 
 def run_criteria(level: str = "full") -> list[CriterionResult]:

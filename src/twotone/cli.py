@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance, reassign, ridges, squeeze
-from .errors import ConfigError, ModelValidationError, TwoToneError
+from .errors import ConfigError, NotApplicableError, TwoToneError
 from .gabor import TFGrid, stft_field
 from .model import GaussianWindow, TwoHarmonicModel, constructive_time, destructive_time
 from .phasefield import amplitude_weighted_phase, locate_zeros
@@ -74,31 +74,26 @@ class ExperimentConfig:
     model: TwoHarmonicModel
     window: GaussianWindow
     grid: TFGrid
-    alpha: float
-    weighting: str
-    radius: float | None
-    reassignment_mode: str
+    squeeze: SqueezeConfig
     arc_thetas: tuple
     outdir: Path
     raw: dict
 
-    def squeeze_config(self) -> SqueezeConfig:
-        radius = self.radius
-        if self.weighting == "indicator" and radius is None:
-            # the exponential branch of the default-radius rule needs the xi
-            # set to stay clear of the component frequencies; grid exports
-            # rarely do, so fall back to the 1/alpha branch above the band floor
-            xis = np.linspace(self.grid.eta_min, self.grid.eta_max, 65)
-            keep = (np.abs(xis - self.model.xi0) > 3 * math.sqrt(self.alpha)) & (
-                np.abs(xis - self.model.xi1) > 3 * math.sqrt(self.alpha))
-            floor = squeeze.indicator_radius_floor(self.model, self.window)
-            try:
-                radius = squeeze.default_indicator_radius(
-                    self.model, self.window, self.alpha, xis[keep])
-            except TwoToneError:
-                radius = max(1.0 / self.alpha, 1.5 * floor)
-        return SqueezeConfig(alpha=self.alpha, weighting=self.weighting,
-                             R=radius, reassignment_mode=self.reassignment_mode)
+
+def _default_indicator_radius(model: TwoHarmonicModel, window: GaussianWindow,
+                              grid: TFGrid, alpha: float) -> float:
+    # the exponential branch of the default-radius rule needs the xi set to
+    # stay clear of the component frequencies; grid exports rarely do, so fall
+    # back to the 1/alpha branch above the band floor
+    xis = np.linspace(grid.eta_min, grid.eta_max, 65)
+    keep = (np.abs(xis - model.xi0) > 3 * math.sqrt(alpha)) & (
+        np.abs(xis - model.xi1) > 3 * math.sqrt(alpha))
+    if keep.any():
+        try:
+            return squeeze.default_indicator_radius(model, window, alpha, xis[keep])
+        except TwoToneError:
+            pass
+    return max(1.0 / alpha, 1.5 * squeeze.indicator_radius_floor(model, window))
 
 
 def _coerce(key: str, text: str, line_no=None):
@@ -155,6 +150,8 @@ def build_config(args, extra: list[str]) -> ExperimentConfig:
     merged.update(parse_overrides(extra))
     if getattr(args, "out", None):
         merged["output.dir"] = args.out
+    alpha, weighting = merged["squeeze.alpha"], merged["squeeze.weighting"]
+    radius, mode = merged.get("squeeze.r"), merged["squeeze.reassignment_mode"]
     try:
         model = TwoHarmonicModel(xi0=merged["model.xi0"], delta=merged["model.delta"],
                                  a=merged["model.a"])
@@ -162,28 +159,21 @@ def build_config(args, extra: list[str]) -> ExperimentConfig:
         grid = TFGrid(t_min=merged["grid.t_min"], t_max=merged["grid.t_max"],
                       n_t=merged["grid.n_t"], eta_min=merged["grid.eta_min"],
                       eta_max=merged["grid.eta_max"], n_eta=merged["grid.n_eta"])
-    except ModelValidationError as exc:
+        if weighting == "indicator" and radius is None:
+            SqueezeConfig(alpha=alpha)  # rejects a bad alpha before the default radius uses it
+            radius = _default_indicator_radius(model, window, grid, alpha)
+        sq_config = SqueezeConfig(alpha=alpha, weighting=weighting, R=radius,
+                                  reassignment_mode=mode)
+        if weighting == "indicator":
+            squeeze.require_indicator_radius(model, window, radius)
+    except TwoToneError as exc:  # every failure here is a bad configuration value
         raise ConfigError(str(exc)) from exc
-    alpha, weighting = merged["squeeze.alpha"], merged["squeeze.weighting"]
-    radius, mode = merged.get("squeeze.r"), merged["squeeze.reassignment_mode"]
-    if weighting not in squeeze.WEIGHTINGS:
-        raise ConfigError(f"squeeze.weighting must be one of {squeeze.WEIGHTINGS}, got {weighting!r}")
-    if mode not in squeeze.REASSIGN_MODES:
-        raise ConfigError(
-            f"squeeze.reassignment_mode must be one of {squeeze.REASSIGN_MODES}, got {mode!r}")
-    if not 0.0 < alpha < math.inf:
-        raise ConfigError(f"squeeze.alpha must be positive and finite, got {alpha!r}")
-    if weighting == "indicator" and radius is not None:
-        floor = squeeze.indicator_radius_floor(model, window)
-        if not radius > floor:
-            raise ConfigError(f"squeeze.r = {radius!r} must exceed the band floor {floor:.6f}")
     try:
         thetas = tuple(float(x) for x in str(merged["reassign.arc_thetas"]).split(",") if x)
     except ValueError as exc:
         raise ConfigError(f"bad value for 'reassign.arc_thetas': {exc}") from exc
     return ExperimentConfig(
-        model=model, window=window, grid=grid, alpha=alpha, weighting=weighting,
-        radius=radius, reassignment_mode=mode, arc_thetas=thetas,
+        model=model, window=window, grid=grid, squeeze=sq_config, arc_thetas=thetas,
         outdir=Path(merged["output.dir"]), raw=merged,
     )
 
@@ -297,12 +287,11 @@ def cmd_reassign(config: ExperimentConfig) -> int:
     audit_rows = []
     for t in np.linspace(grid.t_min, grid.t_max, 13):
         for eta in np.linspace(grid.eta_min, model.xibar, 17):
-            w = model.a * math.exp(
-                math.pi ** 2 * window.sigma ** 2 * model.delta * (eta - model.xibar))
-            if w > 0.5:
+            try:
+                chk = reassign.attraction_bound_check(model, window, float(t), float(eta))
+            except NotApplicableError:
                 continue
-            chk = reassign.attraction_bound_check(model, window, float(t), float(eta))
-            audit_rows.append((t, eta, w, chk.bound, chk.actual, int(chk.holds)))
+            audit_rows.append((t, eta, chk.premise, chk.bound, chk.actual, int(chk.holds)))
     write_table_csv(config.outdir / "attraction_audit.csv",
                     ["t", "eta", "premise", "bound", "actual", "holds"], audit_rows)
     write_metadata(config.outdir, "reassign", config,
@@ -313,7 +302,7 @@ def cmd_reassign(config: ExperimentConfig) -> int:
 def cmd_squeeze(config: ExperimentConfig) -> int:
     config.outdir.mkdir(parents=True, exist_ok=True)
     model, window, grid = config.model, config.window, config.grid
-    sq_config = config.squeeze_config()
+    sq_config = config.squeeze
     field = squeeze.squeeze_field(model, window, sq_config, grid)
     write_grid_csv(config.outdir / "abs_s.csv", grid, np.abs(field.values), "abs_s")
     files = ["abs_s.csv"]

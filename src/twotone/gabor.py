@@ -35,6 +35,9 @@ class TFGrid:
     n_eta: int
 
     def __post_init__(self):
+        bounds = (self.t_min, self.t_max, self.eta_min, self.eta_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ModelValidationError(f"grid bounds must be finite, got {bounds}")
         if not (self.t_min < self.t_max and self.eta_min < self.eta_max):
             raise ModelValidationError("grid ranges must be nonempty")
         if self.n_t < 2 or self.n_eta < 2:

@@ -160,6 +160,12 @@ def destructive_time(model: TwoHarmonicModel, k: int) -> float:
     return (k + 0.5) / model.delta
 
 
+def destructive_zero(model: TwoHarmonicModel, window: GaussianWindow) -> float:
+    """eta_avg = xibar - ln(a)/(2 C delta), the frequency of the zero of V on
+    every destructive slice t_k^-; needs a > 0."""
+    return model.xibar - math.log(model.a) / (2 * window.C * model.delta)
+
+
 def lift_two_harmonic(model: TwoHarmonicModel) -> AHMSignal:
     """Embed a TwoHarmonicModel as a constant-amplitude linear-phase AHMSignal."""
     comps = []

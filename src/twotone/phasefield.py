@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ContourThroughZeroError, PhaseUndefinedError, PreconditionError, SolverFailureError
 from .gabor import ComplexField, TFGrid, _v_terms, stft_closed_form
-from .model import GaussianWindow, TwoHarmonicModel, destructive_time
+from .model import GaussianWindow, TwoHarmonicModel, destructive_time, destructive_zero
 
 logger = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ def locate_zeros(model: TwoHarmonicModel, window: GaussianWindow, region: TFGrid
     if model.a == 0.0:
         return []
     seeds = []
-    eta_avg = model.xibar - math.log(model.a) / (2 * window.C * model.delta)
+    eta_avg = destructive_zero(model, window)
     k_lo = math.floor(region.t_min * model.delta - 0.5)
     k_hi = math.ceil(region.t_max * model.delta - 0.5)
     for k in range(k_lo, k_hi + 1):
@@ -176,21 +176,18 @@ def winding_number(model: TwoHarmonicModel, window: GaussianWindow, center,
     # zeros deep in a Gaussian tail where the whole contour is tiny yet clean
     floor = min(1e-12 * (1.0 + model.a), 1e-9 * float(np.max(np.abs(samples))))
 
-    def value(theta):
-        t, e = point(theta)
-        v = stft_closed_form(model, window, t, e)
+    def checked(theta, v):
         if abs(v) <= floor:
             raise ContourThroughZeroError(
                 f"contour sample at theta = {theta:.4f} has |V| = {abs(v):.2e}; change rho"
             )
         return v
 
-    if np.any(np.abs(samples) <= floor):
-        bad = float(thetas[int(np.argmin(np.abs(samples)))])
-        raise ContourThroughZeroError(
-            f"contour sample at theta = {bad:.4f} has |V| = {float(np.min(np.abs(samples))):.2e}; "
-            "change rho"
-        )
+    def value(theta):
+        return checked(theta, stft_closed_form(model, window, *point(theta)))
+
+    weakest = int(np.argmin(np.abs(samples)))
+    checked(float(thetas[weakest]), samples[weakest])
     values = list(samples)
     thetas = list(thetas)
     total = 0.0

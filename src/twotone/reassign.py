@@ -20,7 +20,7 @@ from .errors import (
     NotApplicableError,
     PhaseUndefinedError,
 )
-from .gabor import QuadratureSpec, TFGrid, stft_numeric
+from .gabor import ComplexField, QuadratureSpec, TFGrid, spectrogram_decomposition, stft_numeric
 from .model import (
     AHMSignal,
     GaussianWindow,
@@ -130,55 +130,34 @@ def imag_correction(model: TwoHarmonicModel, window: GaussianWindow, t: float, e
     """Closed form of Im(eta_s): the purely imaginary offset between the two
     reassignment rules,
     a delta e^{-C((eta-xi0)^2 + (eta-xi1)^2)} sin(2 pi delta t) / |V|^2."""
-    C = window.C
-    d0 = (eta - model.xi0) ** 2
-    d1 = (eta - model.xi1) ** 2
-    num = model.a * model.delta * math.exp(-C * (d0 + d1)) * math.sin(2 * math.pi * model.delta * t)
-    den = (
-        math.exp(-2 * C * d0)
-        + model.a ** 2 * math.exp(-2 * C * d1)
-        + 2 * model.a * math.exp(-C * (d0 + d1)) * math.cos(2 * math.pi * model.delta * t)
-    )
+    d2 = (eta - model.xi0) ** 2 + (eta - model.xi1) ** 2
+    num = model.a * model.delta * math.exp(-window.C * d2) * math.sin(2 * math.pi * model.delta * t)
+    den = sum(spectrogram_decomposition(model, window, t, eta))
     if den <= 0.0:
         raise PhaseUndefinedError(f"|V|^2 vanishes at (t={t}, eta={eta})")
     return num / den
 
 
-@dataclass(frozen=True)
-class ReassignField:
-    """Reassignment values over a grid; PHASE mode stores real parts only."""
-
-    grid: TFGrid
-    values: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in ("PHASE", "SYNC"):
-            raise ModelValidationError(f"unknown reassignment mode {self.mode!r}")
-        v = np.asarray(self.values)
-        if v.shape != (self.grid.n_t, self.grid.n_eta):
-            raise ModelValidationError("values shape does not match grid")
-        if self.mode == "PHASE" and np.any(np.imag(v[np.isfinite(v)]) != 0.0):
-            raise ModelValidationError("PHASE field must have exactly zero imaginary part")
-
-
 def reassign_field(model: TwoHarmonicModel, window: GaussianWindow, grid: TFGrid,
-                   mode: str = "SYNC") -> ReassignField:
+                   mode: str = "SYNC") -> ComplexField:
+    """eta_s over the grid as a REASSIGN field, SENTINEL at zeros of V; PHASE
+    mode keeps the real parts only (the sentinel's real part is -inf)."""
+    if mode not in ("PHASE", "SYNC"):
+        raise ModelValidationError(f"unknown reassignment mode {mode!r}")
     vals = eta_s_values(model, window, grid.t_values()[:, None], grid.eta_values()[None, :])
     if mode == "PHASE":
-        sent = np.isneginf(vals.real)
         vals = vals.real.astype(complex)
-        vals[sent] = SENTINEL
-    return ReassignField(grid=grid, values=vals, mode=mode)
+    return ComplexField(grid=grid, values=vals, tag="REASSIGN")
 
 
-AttractionCheck = namedtuple("AttractionCheck", ["bound", "actual", "holds"])
+AttractionCheck = namedtuple("AttractionCheck", ["bound", "actual", "holds", "premise"])
 
 
 def attraction_bound_check(model: TwoHarmonicModel, window: GaussianWindow,
                            t: float, eta: float) -> AttractionCheck:
-    """Quantitative pull toward xi0: with w = a e^{pi^2 sigma^2 delta (eta - xibar)},
-    |eta_s - xi0| <= 2 delta w whenever w <= 1/2, for every t.
+    """Quantitative pull toward xi0: with the premise value
+    w = a e^{pi^2 sigma^2 delta (eta - xibar)}, |eta_s - xi0| <= 2 delta w
+    whenever w <= 1/2, for every t; w is returned as the premise field.
 
     Outside the premise the check is not applicable and raises. The holds flag
     carries an absolute rounding floor: far below xibar the bound shrinks
@@ -194,7 +173,7 @@ def attraction_bound_check(model: TwoHarmonicModel, window: GaussianWindow,
     actual = abs(val - model.xi0)
     atol = 1e-13 * (1.0 + abs(model.xi0) + abs(model.xi1))
     return AttractionCheck(bound=bound, actual=actual,
-                           holds=actual <= bound * (1 + 1e-12) + atol)
+                           holds=actual <= bound * (1 + 1e-12) + atol, premise=w)
 
 
 def arc_circle(model: TwoHarmonicModel, theta: float) -> tuple[complex, float]:

@@ -23,7 +23,7 @@ from .errors import (
     SolverFailureError,
 )
 from .gabor import ComplexField, _simpson_weights, spectrogram_decomposition, stft_closed_form
-from .model import GaussianWindow, TwoHarmonicModel, destructive_time
+from .model import GaussianWindow, TwoHarmonicModel, destructive_time, destructive_zero
 from .squeeze import SqueezeConfig, squeeze_cross_section
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -306,7 +306,7 @@ def destructive_extrema(model: TwoHarmonicModel, window: GaussianWindow, k: int
                         ) -> tuple[float, float, float]:
     """(eta_avg, eta_minus, eta_plus) on the destructive slice t_k^-.
 
-    eta_avg = xibar - ln(a)/(2 C delta) is the exact modulus zero; the flanking
+    eta_avg (model.destructive_zero) is the exact modulus zero; the flanking
     maxima are located by golden search on each side and must straddle
     [xi0, xi1]. Their distances obey y <= delta w/(1-w) on the left
     (w = a e^{-C delta^2}, when w < 1) and z <= delta e^{-C delta^2}/(a - e^{-C delta^2})
@@ -316,7 +316,7 @@ def destructive_extrema(model: TwoHarmonicModel, window: GaussianWindow, k: int
         raise DegenerateAmplitudeError("destructive zero requires a > 0")
     C = window.C
     d = model.delta
-    eta_avg = model.xibar - math.log(model.a) / (2 * C * d)
+    eta_avg = destructive_zero(model, window)
     # provable flank-distance caps fix the search window: from the
     # stationarity fixed points, y e^{2C d y} = a (d + y) e^{-C d^2} gives
     # y <= max(d, ln^+(2 a e^{-C d^2})/(2 C d)); the right side is its a -> 1/a dual

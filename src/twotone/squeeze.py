@@ -26,7 +26,7 @@ from .errors import (
     SolverFailureError,
 )
 from .gabor import ComplexField, QuadratureSpec, TFGrid, _simpson_weights, stft_closed_form
-from .model import GaussianWindow, TwoHarmonicModel
+from .model import GaussianWindow, TwoHarmonicModel, destructive_zero
 from .reassign import eta_s_values
 
 WEIGHTINGS = ("stft", "indicator")
@@ -49,19 +49,29 @@ class SqueezeConfig:
     reassignment_mode: str = "sync"
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ModelValidationError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ModelValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
         if self.weighting not in WEIGHTINGS:
-            raise ModelValidationError(f"weighting must be one of {WEIGHTINGS}")
+            raise ModelValidationError(
+                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
         if self.reassignment_mode not in REASSIGN_MODES:
-            raise ModelValidationError(f"reassignment_mode must be one of {REASSIGN_MODES}")
-        if self.weighting == "indicator":
-            if self.R is None or not self.R > 0:
-                raise ModelValidationError("indicator weighting requires a finite R > 0")
+            raise ModelValidationError(f"reassignment_mode must be one of {REASSIGN_MODES}, "
+                                       f"got {self.reassignment_mode!r}")
+        if self.weighting == "indicator" and not (self.R is not None and 0 < self.R < math.inf):
+            raise ModelValidationError(
+                f"indicator weighting requires a finite R > 0, got {self.R!r}")
 
 
 def indicator_radius_floor(model: TwoHarmonicModel, window: GaussianWindow) -> float:
     return max(abs(model.xi0), abs(model.xi1)) + 3.0 / (math.pi * window.sigma)
+
+
+def require_indicator_radius(model: TwoHarmonicModel, window: GaussianWindow, R: float) -> None:
+    """The indicator window [-R, R] must clear the band floor."""
+    floor = indicator_radius_floor(model, window)
+    if not R > floor:
+        raise PreconditionError(
+            f"indicator radius R = {R!r} must exceed the band floor {floor:.6f}")
 
 
 def default_indicator_radius(model: TwoHarmonicModel, window: GaussianWindow,
@@ -86,11 +96,7 @@ def default_indicator_radius(model: TwoHarmonicModel, window: GaussianWindow,
 def _integration_window(model: TwoHarmonicModel, window: GaussianWindow,
                         config: SqueezeConfig) -> tuple[float, float]:
     if config.weighting == "indicator":
-        floor = indicator_radius_floor(model, window)
-        if not config.R > floor:
-            raise PreconditionError(
-                f"indicator radius R = {config.R} must exceed {floor:.6f}"
-            )
+        require_indicator_radius(model, window, config.R)
         return -config.R, config.R
     pad = 10.0 / (math.pi * window.sigma)
     return model.xi0 - pad, model.xi1 + pad
@@ -332,6 +338,38 @@ def _theta_stft(model: TwoHarmonicModel, window: GaussianWindow,
     return phase * amp / grad
 
 
+@dataclass(frozen=True)
+class AsymptoticValue:
+    """Leading-order value with classification tags; off_support values carry
+    an exponentially small remainder rather than a polynomial one."""
+
+    value: complex
+    off_support: bool = False
+    near_singularity: bool = False
+
+
+def _leading_order(model: TwoHarmonicModel, window: GaussianWindow, weighting: str,
+                   t: float, xi: float, standoff_raises: bool) -> AsymptoticValue:
+    """Indicator or STFT density at a distinguished time, tagged: 0 off the
+    support, inf exactly at xi0/xi1. Inside the 1e-3*delta standoff it raises
+    when standoff_raises, and is tagged near_singularity otherwise."""
+    kind = classify_time(model, t)
+    if kind == "intermediate":
+        raise PreconditionError("leading-order forms exist at t_k^+ / t_k^- only")
+    near = _near_singularity(model, xi)
+    if near and standoff_raises:
+        raise SingularityError(
+            f"xi = {xi} is within {1e-3 * model.delta:.3e} of a component frequency"
+        )
+    if not _on_support(model, kind, xi):
+        return AsymptoticValue(value=0.0 + 0.0j, off_support=True, near_singularity=near)
+    if near and (xi == model.xi0 or xi == model.xi1):
+        return AsymptoticValue(value=complex(math.inf), near_singularity=True)
+    value = (complex(_theta_indicator(model, window, xi)) if weighting == "indicator"
+             else _theta_stft(model, window, kind, t, xi))
+    return AsymptoticValue(value=value, near_singularity=near)
+
+
 def pushforward_density(model: TwoHarmonicModel, window: GaussianWindow,
                         weighting: str, t: float, xi: float) -> complex:
     """Density of the reassignment-mapped weight measure at a distinguished time.
@@ -343,29 +381,8 @@ def pushforward_density(model: TwoHarmonicModel, window: GaussianWindow,
     raises.
     """
     if weighting not in WEIGHTINGS:
-        raise ModelValidationError(f"weighting must be one of {WEIGHTINGS}")
-    kind = classify_time(model, t)
-    if kind == "intermediate":
-        raise PreconditionError("density closed forms exist at t_k^+ / t_k^- only")
-    if _near_singularity(model, xi):
-        raise SingularityError(
-            f"xi = {xi} is within {1e-3 * model.delta:.3e} of a component frequency"
-        )
-    if not _on_support(model, kind, xi):
-        return 0.0 + 0.0j
-    if weighting == "indicator":
-        return complex(_theta_indicator(model, window, xi))
-    return _theta_stft(model, window, kind, t, xi)
-
-
-@dataclass(frozen=True)
-class AsymptoticValue:
-    """Leading-order value with classification tags; off_support values carry
-    an exponentially small remainder rather than a polynomial one."""
-
-    value: complex
-    off_support: bool = False
-    near_singularity: bool = False
+        raise ModelValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+    return _leading_order(model, window, weighting, t, xi, standoff_raises=True).value
 
 
 def asym_indicator(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,
@@ -375,22 +392,11 @@ def asym_indicator(model: TwoHarmonicModel, window: GaussianWindow, alpha: float
     R must stay exponentially subcritical: R <= 1/alpha or
     ln R <= min((xi-xi0)^2, (xi-xi1)^2)/(2 alpha).
     """
-    kind = classify_time(model, t)
-    if kind == "intermediate":
-        raise PreconditionError("asymptotics stated at t_k^+ / t_k^- only")
-    floor = indicator_radius_floor(model, window)
-    if not R > floor:
-        raise PreconditionError(f"R = {R} must exceed the band floor {floor:.6f}")
+    require_indicator_radius(model, window, R)
     c = min((xi - model.xi0) ** 2, (xi - model.xi1) ** 2)
     if R > 1.0 / alpha and (c <= 0 or math.log(R) > c / (2.0 * alpha)):
         raise PreconditionError(f"R = {R} grows too fast for alpha = {alpha} at xi = {xi}")
-    near = _near_singularity(model, xi)
-    if not _on_support(model, kind, xi):
-        return AsymptoticValue(value=0.0 + 0.0j, off_support=True, near_singularity=near)
-    if near and (xi == model.xi0 or xi == model.xi1):
-        return AsymptoticValue(value=complex(math.inf), near_singularity=True)
-    return AsymptoticValue(value=complex(_theta_indicator(model, window, xi)),
-                           near_singularity=near)
+    return _leading_order(model, window, "indicator", t, xi, standoff_raises=False)
 
 
 def asym_sst(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,
@@ -398,16 +404,7 @@ def asym_sst(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,
     """Small-alpha limit of the STFT-weighted squeeze at t_k^+/- (error O(alpha))."""
     if not alpha > 0:
         raise PreconditionError("alpha must be positive")
-    kind = classify_time(model, t)
-    if kind == "intermediate":
-        raise PreconditionError("asymptotics stated at t_k^+ / t_k^- only")
-    near = _near_singularity(model, xi)
-    if not _on_support(model, kind, xi):
-        return AsymptoticValue(value=0.0 + 0.0j, off_support=True, near_singularity=near)
-    if near and (xi == model.xi0 or xi == model.xi1):
-        return AsymptoticValue(value=complex(math.inf), near_singularity=True)
-    return AsymptoticValue(value=_theta_stft(model, window, kind, t, xi),
-                           near_singularity=near)
+    return _leading_order(model, window, "stft", t, xi, standoff_raises=False)
 
 
 # ---------------------------------------------------------------------------
@@ -464,56 +461,36 @@ def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: f
     cs = C * sa
     d = xi - model.xi1
     two_cd = 2.0 * window.C * model.delta
-    eta_avg = model.xibar - math.log(model.a) / two_cd
+    eta_avg = destructive_zero(model, window)
     label = _segment_label(model, cs, xi)
     seg = int(label[1])
 
-    if kind == "constructive":
-        if seg in (1, 7):
+    if kind != "intermediate":
+        # the destructive case mirrors the constructive one: the log argument
+        # and the roles of d +- cs flip sign, and the empty segments move
+        sign = -1.0 if kind == "constructive" else 1.0
+        if seg in ((1, 7) if kind == "constructive" else (3, 4, 5)):
             return PreimageIntervals(kind, label, (), eta_avg)
-        if seg == 2:
-            c_r = _log_or_raise(-1.0, model.delta, d + cs, "c_right") / two_cd
-            return PreimageIntervals(kind, label, ((-math.inf, eta_avg + c_r),),
-                                     eta_avg, c_right=c_r)
-        if seg == 6:
-            c_l = _log_or_raise(-1.0, model.delta, d - cs, "c_left") / two_cd
-            return PreimageIntervals(kind, label, ((eta_avg + c_l, math.inf),),
-                                     eta_avg, c_left=c_l)
-        c_l = _log_or_raise(-1.0, model.delta, d - cs, "c_left") / two_cd
-        c_r = _log_or_raise(-1.0, model.delta, d + cs, "c_right") / two_cd
-        return PreimageIntervals(kind, label, ((eta_avg + c_l, eta_avg + c_r),),
-                                 eta_avg, c_left=c_l, c_right=c_r)
-
-    if kind == "destructive":
-        if seg in (3, 4, 5):
-            return PreimageIntervals(kind, label, (), eta_avg)
-        if seg == 2:
-            c_r = _log_or_raise(1.0, model.delta, d - cs, "c_right") / two_cd
-            return PreimageIntervals(kind, label, ((-math.inf, eta_avg + c_r),),
-                                     eta_avg, c_right=c_r)
-        if seg == 6:
-            c_l = _log_or_raise(1.0, model.delta, d + cs, "c_left") / two_cd
-            return PreimageIntervals(kind, label, ((eta_avg + c_l, math.inf),),
-                                     eta_avg, c_left=c_l)
-        c_l = _log_or_raise(1.0, model.delta, d + cs, "c_left") / two_cd
-        c_r = _log_or_raise(1.0, model.delta, d - cs, "c_right") / two_cd
-        return PreimageIntervals(kind, label, ((eta_avg + c_l, eta_avg + c_r),),
-                                 eta_avg, c_left=c_l, c_right=c_r)
+        c_l = c_r = None
+        if seg != 2:
+            c_l = _log_or_raise(sign, model.delta, d + sign * cs, "c_left") / two_cd
+        if seg != 6:
+            c_r = _log_or_raise(sign, model.delta, d - sign * cs, "c_right") / two_cd
+        lo = -math.inf if c_l is None else eta_avg + c_l
+        hi = math.inf if c_r is None else eta_avg + c_r
+        return PreimageIntervals(kind, label, ((lo, hi),), eta_avg, c_left=c_l, c_right=c_r)
 
     # intermediate time: only the one-sided segments survive
-    if seg in (2, 6):
-        num = (xi - model.xi0) ** 2 - (C * sa) ** 2
-        den = (C * sa) ** 2 - (xi - model.xi1) ** 2
-        if den == 0 or num / den <= 0:
-            raise OutOfBranchError(f"square-root argument {num:.6e} / {den:.6e} "
-                                   "not > 0 in c_star", gamma="c_star")
-        c_star = math.log(math.sqrt(num / den)) / two_cd
-        if seg == 2:
-            return PreimageIntervals(kind, label, ((-math.inf, eta_avg + c_star),),
-                                     eta_avg, c_star=c_star)
-        return PreimageIntervals(kind, label, ((eta_avg + c_star, math.inf),),
-                                 eta_avg, c_star=c_star)
-    return PreimageIntervals(kind, label, (), eta_avg)
+    if seg not in (2, 6):
+        return PreimageIntervals(kind, label, (), eta_avg)
+    num = (xi - model.xi0) ** 2 - (C * sa) ** 2
+    den = (C * sa) ** 2 - (xi - model.xi1) ** 2
+    if den == 0 or num / den <= 0:
+        raise OutOfBranchError(f"square-root argument {num:.6e} / {den:.6e} "
+                               "not > 0 in c_star", gamma="c_star")
+    c_star = math.log(math.sqrt(num / den)) / two_cd
+    interval = (-math.inf, eta_avg + c_star) if seg == 2 else (eta_avg + c_star, math.inf)
+    return PreimageIntervals(kind, label, (interval,), eta_avg, c_star=c_star)
 
 
 def erf_closed_form(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,

@@ -185,6 +185,11 @@ class TestCommands:
         ["--model.delta=inf"],
         ["--model.xi0=nan"],
         ["--model.a=inf"],
+        ["--squeeze.weighting=indicator", "--squeeze.r=inf"],
+        ["--squeeze.weighting=indicator", "--squeeze.r=nan"],
+        ["--squeeze.alpha=inf"],
+        ["--grid.t_max=inf"],
+        ["--grid.eta_min=-inf"],
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, overrides):
         code, _, err = run(["squeeze", "--preset", "gap-small-balanced", "--out", str(tmp_path)]
@@ -192,6 +197,29 @@ class TestCommands:
         assert code == 2
         assert err.startswith("configuration error:")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["reassign", "stft"])
+    @pytest.mark.parametrize("override", ["--grid.t_max=inf", "--grid.eta_min=-inf"])
+    def test_non_finite_grid_bound_exits_2(self, tmp_path, capsys, command, override):
+        code, _, err = run([command, "--preset", "gap-small-a13", "--out", str(tmp_path),
+                            override], capsys)
+        assert code == 2
+        assert err.startswith("configuration error:") and "finite" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("override, bad", [
+        ("--squeeze.weighting=foo", "'foo'"),
+        ("--squeeze.reassignment_mode=foo", "'foo'"),
+        ("--squeeze.alpha=nan", "nan"),
+        ("--squeeze.r=inf", "inf"),
+        ("--squeeze.r=0.5", "0.5"),
+    ])
+    def test_squeeze_config_error_names_the_value(self, tmp_path, capsys, override, bad):
+        argv = ["squeeze", "--out", str(tmp_path), override]
+        if override.startswith("--squeeze.r="):
+            argv.append("--squeeze.weighting=indicator")
+        code, _, err = run(argv, capsys)
+        assert code == 2 and bad in err
 
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         code, _, err = run(["stft", "--preset", "nope", "--out", str(tmp_path)], capsys)

@@ -208,6 +208,15 @@ class TestValidation:
         with pytest.raises(ModelValidationError):
             TFGrid(0.0, 1.0, 1, 0.0, 1.0, 4)
 
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf, 0.2, 2.4), (-math.inf, 7.0, 0.2, 2.4),
+                                        (0.0, 7.0, -math.inf, 2.4), (0.0, 7.0, 0.2, math.inf)])
+    def test_grid_rejects_non_finite_bounds(self, bounds):
+        from twotone.errors import ModelValidationError
+
+        t_min, t_max, eta_min, eta_max = bounds
+        with pytest.raises(ModelValidationError, match="finite"):
+            TFGrid(t_min, t_max, 4, eta_min, eta_max, 4)
+
     def test_field_rejects_non_finite_stft(self, window):
         from twotone.errors import ModelValidationError
         from twotone.gabor import ComplexField

@@ -14,6 +14,7 @@ from twotone import (
     ahm_stft_error_bound,
     constructive_time,
     destructive_time,
+    destructive_zero,
     evaluate_two_harmonic,
     freeze_ahm,
     lift_two_harmonic,
@@ -107,6 +108,18 @@ class TestDistinguishedTimes:
     def test_half_period_spacing(self, model, k):
         gap = destructive_time(model, k) - constructive_time(model, k)
         assert gap == pytest.approx(1.0 / (2.0 * model.delta), rel=1e-14)
+
+    @pytest.mark.parametrize("a", [0.2, 1.0, 1.3, 4.0])
+    @pytest.mark.parametrize("sigma", [0.7, math.sqrt(2.0), 2.5])
+    def test_destructive_zero_balances_the_components(self, a, sigma):
+        # at t_k^- the two terms of V have opposite phase, so V vanishes where
+        # e^{-C (eta - xi0)^2} = a e^{-C (eta - xi1)^2}
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=a)
+        window = GaussianWindow(sigma=sigma)
+        eta = destructive_zero(model, window)
+        log_ratio = window.C * ((eta - model.xi1) ** 2 - (eta - model.xi0) ** 2)
+        assert log_ratio == pytest.approx(math.log(a), abs=1e-12)
+        assert (eta == model.xibar) == (a == 1.0)
 
 
 class TestFreeze:

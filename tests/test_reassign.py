@@ -6,6 +6,8 @@ import pytest
 
 from twotone import (
     INF_POINT,
+    SENTINEL,
+    ComplexField,
     MobiusMap,
     TFGrid,
     TwoHarmonicModel,
@@ -23,7 +25,12 @@ from twotone import (
     reassign_field,
     stft_closed_form,
 )
-from twotone.errors import DomainError, NotApplicableError, PhaseUndefinedError
+from twotone.errors import (
+    DomainError,
+    ModelValidationError,
+    NotApplicableError,
+    PhaseUndefinedError,
+)
 from twotone.reassign import eta_s_numeric, imag_correction, mobius_of
 from tests.test_model import quadratic_signal
 
@@ -147,6 +154,14 @@ class TestAttraction:
         chk = attraction_bound_check(model, window, 0.4, model.xibar)
         assert chk.bound < 1e-8 and chk.actual <= chk.bound
 
+    def test_premise_is_returned(self, window, model_a13):
+        # w = a e^{pi^2 sigma^2 delta (eta - xibar)}, and the bound is 2 delta w
+        for eta in (model_a13.xibar - 0.5, model_a13.xi0 - 0.2, model_a13.xibar - 2.0):
+            chk = attraction_bound_check(model_a13, window, 0.7, eta)
+            w = model_a13.a * math.exp(window.C * model_a13.delta * (eta - model_a13.xibar))
+            assert chk.premise == pytest.approx(w, rel=1e-14)
+            assert chk.bound == pytest.approx(2 * model_a13.delta * w, rel=1e-14)
+
 
 class TestArcCircle:
     def test_right_angle(self, model_a13):
@@ -190,6 +205,21 @@ class TestReassignField:
         grid = TFGrid(t0 - 1e-9, t0 + 1e-9, 3, eta_avg - 1e-9, eta_avg + 1e-9, 3)
         field = reassign_field(model_a13, window, grid, mode="SYNC")
         assert np.isneginf(field.values.real).any()
+        phase_mode = reassign_field(model_a13, window, grid, mode="PHASE")
+        sent = np.isneginf(field.values.real)
+        # the real part of the sentinel is -inf, so PHASE mode keeps it as is
+        assert np.all(phase_mode.values[sent] == SENTINEL)
+
+    def test_is_a_reassign_field(self, window, model_a13):
+        grid = TFGrid(0.0, 2.0, 8, 0.7, 1.6, 8)
+        for mode in ("SYNC", "PHASE"):
+            field = reassign_field(model_a13, window, grid, mode=mode)
+            assert isinstance(field, ComplexField) and field.tag == "REASSIGN"
+            assert field.grid == grid and field.values.shape == (8, 8)
+
+    def test_unknown_mode_rejected(self, window, model_a13):
+        with pytest.raises(ModelValidationError, match="'sync'"):
+            reassign_field(model_a13, window, TFGrid(0.0, 2.0, 4, 0.7, 1.6, 4), mode="sync")
 
 
 class TestAhmReassignBound:

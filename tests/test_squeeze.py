@@ -53,6 +53,25 @@ class TestConfig:
         with pytest.raises(ModelValidationError):
             SqueezeConfig(alpha=1e-4, reassignment_mode="other")
 
+    @pytest.mark.parametrize("kwargs, bad", [
+        ({"alpha": math.inf}, "inf"),
+        ({"alpha": math.nan}, "nan"),
+        ({"alpha": -1e-4}, "-0.0001"),
+        ({"alpha": 1e-4, "weighting": "indicator", "R": math.inf}, "inf"),
+        ({"alpha": 1e-4, "weighting": "indicator", "R": math.nan}, "nan"),
+        ({"alpha": 1e-4, "weighting": "indicator", "R": 0.0}, "0.0"),
+        ({"alpha": 1e-4, "weighting": "boxcar"}, "'boxcar'"),
+        ({"alpha": 1e-4, "reassignment_mode": "other"}, "'other'"),
+    ])
+    def test_rejects_and_names_the_bad_value(self, kwargs, bad):
+        with pytest.raises(ModelValidationError) as info:
+            SqueezeConfig(**kwargs)
+        assert str(info.value).endswith(f"got {bad}")
+
+    def test_radius_only_checked_for_indicator_weighting(self):
+        assert SqueezeConfig(alpha=1e-4, weighting="stft", R=math.inf).R == math.inf
+        assert SqueezeConfig(alpha=1e-4, weighting="indicator", R=50.0).R == 50.0
+
     def test_mollifier_unit_mass(self, window):
         # a lone unit harmonic reassigns every eta to xi0, so S(t, xi) is
         # (integral of V over eta) times the mollifier at xi - xi0, and the
@@ -227,6 +246,30 @@ class TestPushforward:
             pushforward_density(model_balanced, window, "indicator", 0.123, 1.1)
         with pytest.raises(PreconditionError):
             classify_time(model_balanced, 0.123)
+
+    def test_guard_order(self, window, model_balanced):
+        # weighting, then the time, then the standoff, then the support
+        m = model_balanced
+        quarter = 0.25 / m.delta
+        with pytest.raises(ModelValidationError):
+            pushforward_density(m, window, "boxcar", quarter, m.xi0)
+        with pytest.raises(PreconditionError):
+            pushforward_density(m, window, "stft", quarter, m.xi0)
+        # xi0 - 1e-5 is off the constructive support but inside the standoff
+        with pytest.raises(SingularityError):
+            pushforward_density(m, window, "stft", 0.0, m.xi0 - 1e-5)
+        for value in (asym_sst(m, window, 1e-5, 0.0, m.xi0 - 1e-5),
+                      asym_indicator(m, window, 1e-5, 50.0, 0.0, m.xi0 - 1e-5)):
+            assert value.off_support and value.near_singularity and value.value == 0.0
+        # exactly at a component frequency on the destructive support
+        t_minus = destructive_time(m, 0)
+        for value in (asym_sst(m, window, 1e-5, t_minus, m.xi0),
+                      asym_indicator(m, window, 1e-5, 50.0, t_minus, m.xi1)):
+            assert value.value == complex(math.inf) and value.near_singularity
+        with pytest.raises(PreconditionError):
+            asym_sst(m, window, 0.0, quarter, m.xibar)
+        with pytest.raises(PreconditionError):
+            asym_indicator(m, window, 1e-5, 50.0, quarter, m.xibar)
 
 
 class TestAsymptotics:
@@ -474,6 +517,27 @@ class TestCriticalGapDensity:
 
         assert count(0.999 * delta_c) == 1
         assert count(1.001 * delta_c) == 2
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.3, 3.0])
+    def test_density_count_bisects_to_the_form(self, window, a):
+        # xi is sampled uniformly in s = ln((xi - xi0)/(xi1 - xi)) out to the
+        # 2e-3 delta standoff, 4001 points; 12 halvings of [0.999, 1.001]
+        # delta_c leave a bracket 4.9e-7 delta_c wide
+        delta_c = critical_gap_density(a, window)
+        edge = math.log((1.0 - 2e-3) / 2e-3)
+        s = np.linspace(-edge, edge, 4001)
+
+        def count(delta):
+            model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
+            xis = model.xi0 + delta / (1.0 + np.exp(-s))
+            vals = np.array([abs(pushforward_density(model, window, "stft", 0.0, float(x)))
+                             for x in xis])
+            return len(_candidate_peaks(vals))
+
+        lo, hi = 0.999 * delta_c, 1.001 * delta_c
+        assert count(lo) == 1 and count(hi) == 2
+        lo, hi = flip_bracket(count, lo, hi, 12)
+        assert (1.0 - 1e-6) * delta_c <= lo and hi <= (1.0 + 1e-6) * delta_c
 
     @pytest.mark.parametrize("a", [1.0, 1.3])
     def test_quadrature_flip_sits_just_above_the_form(self, window, a):
