@@ -80,22 +80,6 @@ class ExperimentConfig:
     raw: dict
 
 
-def _default_indicator_radius(model: TwoHarmonicModel, window: GaussianWindow,
-                              grid: TFGrid, alpha: float) -> float:
-    # the exponential branch of the default-radius rule needs the xi set to
-    # stay clear of the component frequencies; grid exports rarely do, so fall
-    # back to the 1/alpha branch above the band floor
-    xis = np.linspace(grid.eta_min, grid.eta_max, 65)
-    keep = (np.abs(xis - model.xi0) > 3 * math.sqrt(alpha)) & (
-        np.abs(xis - model.xi1) > 3 * math.sqrt(alpha))
-    if keep.any():
-        try:
-            return squeeze.default_indicator_radius(model, window, alpha, xis[keep])
-        except TwoToneError:
-            pass
-    return max(1.0 / alpha, 1.5 * squeeze.indicator_radius_floor(model, window))
-
-
 def _coerce(key: str, text: str, line_no=None):
     where = f" (line {line_no})" if line_no is not None else ""
     if key not in _SCHEMA:
@@ -161,7 +145,8 @@ def build_config(args, extra: list[str]) -> ExperimentConfig:
                       eta_max=merged["grid.eta_max"], n_eta=merged["grid.n_eta"])
         if weighting == "indicator" and radius is None:
             SqueezeConfig(alpha=alpha)  # rejects a bad alpha before the default radius uses it
-            radius = _default_indicator_radius(model, window, grid, alpha)
+            radius = squeeze.default_indicator_radius(
+                model, window, alpha, np.linspace(grid.eta_min, grid.eta_max, 65))
         sq_config = SqueezeConfig(alpha=alpha, weighting=weighting, R=radius,
                                   reassignment_mode=mode)
         if weighting == "indicator":
@@ -215,33 +200,35 @@ def write_metadata(outdir: Path, command: str, config: ExperimentConfig, files: 
     (outdir / "metadata.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_stft(config: ExperimentConfig) -> int:
+def _write_outputs(config: ExperimentConfig, command: str, outputs: dict) -> None:
+    """Write each named output, a grid of values or a (header, rows) table,
+    and the metadata that lists them."""
     config.outdir.mkdir(parents=True, exist_ok=True)
+    for name, value in outputs.items():
+        if isinstance(value, np.ndarray):
+            write_grid_csv(config.outdir / name, config.grid, value, name[:-4])
+        else:
+            write_table_csv(config.outdir / name, *value)
+    write_metadata(config.outdir, command, config, list(outputs))
+
+
+def cmd_stft(config: ExperimentConfig) -> int:
     field = stft_field(config.model, config.window, config.grid)
     mag = np.abs(field.values)
     phase = np.mod(np.angle(field.values), 2 * math.pi)
     phase[mag <= 1e-14 * (1.0 + config.model.a)] = 0.0
-    outputs = {
+    _write_outputs(config, "stft", {
         "abs_v.csv": mag,
         "re_v.csv": field.values.real,
         "im_v.csv": field.values.imag,
         "phase.csv": phase,
         "amp_weighted_phase.csv": amplitude_weighted_phase(field),
-    }
-    for name, values in outputs.items():
-        write_grid_csv(config.outdir / name, config.grid, values, name[:-4])
-    write_metadata(config.outdir, "stft", config, list(outputs))
+    })
     return 0
 
 
 def cmd_ridges(config: ExperimentConfig) -> int:
-    config.outdir.mkdir(parents=True, exist_ok=True)
     report = ridges.extract_ridges(stft_field(config.model, config.window, config.grid))
-    write_table_csv(config.outdir / "ridge_points.csv", ["t", "eta"], report.points)
-    write_table_csv(config.outdir / "maxima_counts.csv", ["t", "count"],
-                    report.maxima_count_per_t)
-    write_table_csv(config.outdir / "bifurcation_times.csv", ["t_detected"],
-                    [(b,) for b in report.bifurcation_times])
     ellipse_rows = []
     model, window = config.model, config.window
     if model.a == 1.0 and window.C * model.delta ** 2 < 2.0:
@@ -252,38 +239,33 @@ def cmd_ridges(config: ExperimentConfig) -> int:
             if config.grid.t_min <= ell.center_t <= config.grid.t_max:
                 ellipse_rows.append((ell.k, ell.center_t, ell.center_eta,
                                      ell.semi_axis_t, ell.semi_axis_eta))
-    write_table_csv(config.outdir / "ellipses.csv",
-                    ["k", "center_t", "center_eta", "semi_axis_t", "semi_axis_eta"],
-                    ellipse_rows)
-    write_metadata(config.outdir, "ridges", config,
-                   ["ridge_points.csv", "maxima_counts.csv", "bifurcation_times.csv",
-                    "ellipses.csv"])
+    _write_outputs(config, "ridges", {
+        "ridge_points.csv": (["t", "eta"], report.points),
+        "maxima_counts.csv": (["t", "count"], report.maxima_count_per_t),
+        "bifurcation_times.csv": (["t_detected"], [(b,) for b in report.bifurcation_times]),
+        "ellipses.csv": (["k", "center_t", "center_eta", "semi_axis_t", "semi_axis_eta"],
+                         ellipse_rows),
+    })
     return 0
 
 
 def cmd_zeros(config: ExperimentConfig) -> int:
-    config.outdir.mkdir(parents=True, exist_ok=True)
     zeros = locate_zeros(config.model, config.window, config.grid)
-    write_table_csv(config.outdir / "zeros.csv",
-                    ["t0", "eta0", "winding", "residual"],
-                    [(z.t0, z.eta0, z.winding, z.refinement_residual) for z in zeros])
-    write_metadata(config.outdir, "zeros", config, ["zeros.csv"])
+    _write_outputs(config, "zeros", {
+        "zeros.csv": (["t0", "eta0", "winding", "residual"],
+                      [(z.t0, z.eta0, z.winding, z.refinement_residual) for z in zeros]),
+    })
     return 0
 
 
 def cmd_reassign(config: ExperimentConfig) -> int:
-    config.outdir.mkdir(parents=True, exist_ok=True)
     model, window, grid = config.model, config.window, config.grid
     sync = reassign.reassign_field(model, window, grid, mode="SYNC")
     values = np.where(np.isneginf(sync.values.real), np.nan + 0j, sync.values)
-    write_grid_csv(config.outdir / "eta_s_re.csv", grid, values.real, "eta_s_re")
-    write_grid_csv(config.outdir / "eta_s_im.csv", grid, values.imag, "eta_s_im")
     arc_rows = []
     for theta in config.arc_thetas:
         center, radius = reassign.arc_circle(model, theta)
         arc_rows.append((theta, center.real, center.imag, radius))
-    write_table_csv(config.outdir / "arc_circles.csv",
-                    ["theta", "center_re", "center_im", "radius"], arc_rows)
     audit_rows = []
     for t in np.linspace(grid.t_min, grid.t_max, 13):
         for eta in np.linspace(grid.eta_min, model.xibar, 17):
@@ -292,20 +274,20 @@ def cmd_reassign(config: ExperimentConfig) -> int:
             except NotApplicableError:
                 continue
             audit_rows.append((t, eta, chk.premise, chk.bound, chk.actual, int(chk.holds)))
-    write_table_csv(config.outdir / "attraction_audit.csv",
-                    ["t", "eta", "premise", "bound", "actual", "holds"], audit_rows)
-    write_metadata(config.outdir, "reassign", config,
-                   ["eta_s_re.csv", "eta_s_im.csv", "arc_circles.csv", "attraction_audit.csv"])
+    _write_outputs(config, "reassign", {
+        "eta_s_re.csv": values.real,
+        "eta_s_im.csv": values.imag,
+        "arc_circles.csv": (["theta", "center_re", "center_im", "radius"], arc_rows),
+        "attraction_audit.csv": (["t", "eta", "premise", "bound", "actual", "holds"],
+                                 audit_rows),
+    })
     return 0
 
 
 def cmd_squeeze(config: ExperimentConfig) -> int:
-    config.outdir.mkdir(parents=True, exist_ok=True)
     model, window, grid = config.model, config.window, config.grid
     sq_config = config.squeeze
-    field = squeeze.squeeze_field(model, window, sq_config, grid)
-    write_grid_csv(config.outdir / "abs_s.csv", grid, np.abs(field.values), "abs_s")
-    files = ["abs_s.csv"]
+    outputs = {"abs_s.csv": np.abs(squeeze.squeeze_field(model, window, sq_config, grid).values)}
     standoff = 2e-3 * model.delta
     for label, t in (("constructive", constructive_time(model, 0)),
                      ("destructive", destructive_time(model, 0))):
@@ -325,11 +307,9 @@ def cmd_squeeze(config: ExperimentConfig) -> int:
             except TwoToneError:
                 erf_val = float("nan")
             rows.append((xi, quad, abs(asym.value), erf_val))
-        name = f"cross_section_{label}.csv"
-        write_table_csv(config.outdir / name,
-                        ["xi", "abs_quadrature", "abs_density_limit", "abs_erf_form"], rows)
-        files.append(name)
-    write_metadata(config.outdir, "squeeze", config, files)
+        outputs[f"cross_section_{label}.csv"] = (
+            ["xi", "abs_quadrature", "abs_density_limit", "abs_erf_form"], rows)
+    _write_outputs(config, "squeeze", outputs)
     return 0
 
 

@@ -72,9 +72,14 @@ def _newton_zero(model, window, t, eta, tol=1e-10, max_iter=50):
     return None
 
 
+def _length_scale(window: GaussianWindow) -> float:
+    """The shorter window spread: sigma in time or 1/(pi sigma) in frequency."""
+    return min(window.sigma, 1.0 / (math.pi * window.sigma))
+
+
 def default_contour_rho(window: GaussianWindow) -> float:
     """Small relative to both contour semi-axes sigma*rho and rho/(pi sigma)."""
-    return 0.05 * min(window.sigma, 1.0 / (math.pi * window.sigma))
+    return 0.05 * _length_scale(window)
 
 
 def locate_zeros(model: TwoHarmonicModel, window: GaussianWindow, region: TFGrid,
@@ -117,7 +122,6 @@ def locate_zeros(model: TwoHarmonicModel, window: GaussianWindow, region: TFGrid
         seeds.append((0.5 * (t_vals[i] + t_vals[i + 1]), 0.5 * (e_vals[j] + e_vals[j + 1])))
 
     found = []
-    char_len = min(window.sigma, 1.0 / (math.pi * window.sigma))
     for t0, e0 in seeds:
         res = _newton_zero(model, window, t0, e0)
         if res is None:
@@ -126,7 +130,7 @@ def locate_zeros(model: TwoHarmonicModel, window: GaussianWindow, region: TFGrid
         t_ref, e_ref, resid, grad = res
         # spurious tail candidates satisfy |V| <= tol over whole neighborhoods;
         # a simple zero is pinned by distance-to-zero ~ |V|/|grad V| collapsing
-        if grad == 0.0 or resid > 1e-6 * grad * char_len:
+        if grad == 0.0 or resid > 1e-6 * grad * _length_scale(window):
             logger.info("candidate at (%.6f, %.6f) is not an isolated zero; dropped",
                         t_ref, e_ref)
             continue

@@ -78,19 +78,19 @@ def default_indicator_radius(model: TwoHarmonicModel, window: GaussianWindow,
                              alpha: float, xi_set) -> float:
     """R(alpha) = min(1/alpha, e^{c/(2 alpha)}) with c the squared distance of
     the requested xi set to {xi0, xi1}; diverges as alpha -> 0 while staying
-    exponentially subcritical."""
+    exponentially subcritical. Only xi farther than 3 sqrt(alpha) from xi0 and
+    xi1 count; when none do, or R does not clear the band floor, R is
+    max(1/alpha, 1.5 floor) instead, so the rule never raises."""
     xis = np.atleast_1d(np.asarray(xi_set, dtype=float))
-    c = float(np.min(np.minimum((xis - model.xi0) ** 2, (xis - model.xi1) ** 2)))
-    if c <= 0:
-        raise PreconditionError("xi set touches a component frequency")
-    log_r = min(math.log(1.0 / alpha), c / (2.0 * alpha))
-    radius = math.exp(log_r)
+    reach = 3 * math.sqrt(alpha)
+    xis = xis[(np.abs(xis - model.xi0) > reach) & (np.abs(xis - model.xi1) > reach)]
     floor = indicator_radius_floor(model, window)
-    if radius <= floor:
-        raise PreconditionError(
-            f"default radius {radius:.3g} does not clear the band floor {floor:.3g}"
-        )
-    return radius
+    if xis.size:
+        c = float(np.min(np.minimum((xis - model.xi0) ** 2, (xis - model.xi1) ** 2)))
+        radius = math.exp(min(math.log(1.0 / alpha), c / (2.0 * alpha)))
+        if radius > floor:
+            return radius
+    return max(1.0 / alpha, 1.5 * floor)
 
 
 def _integration_window(model: TwoHarmonicModel, window: GaussianWindow,
@@ -178,11 +178,13 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
                           config: SqueezeConfig, t: float, xis) -> np.ndarray:
     """S_G(t, xi) for an array of xi at fixed t.
 
-    Composite Simpson on the truncation window with deterministic refinement of
-    the active region (base nodes whose reassignment value lies within
-    e^-60 mollifier reach of the xi hull): resolution doubles until the whole
-    vector changes by <= quadrature.rtol relative (floored by a tiny absolute
-    term). Sentinel reassignment values contribute zero mass.
+    Composite Simpson on the truncation window. A base pass finds the active
+    nodes (reassignment value within e^-60 mollifier reach of the xi hull);
+    the refinement window spans them plus two base cells, and the base cells
+    outside it are summed once at base resolution (none on a whole-grid
+    window). Inside the window the resolution doubles until the whole vector
+    changes by <= quadrature.rtol relative (floored by a tiny absolute term).
+    Sentinel reassignment values contribute zero mass.
 
     Each pass sums, for every xi, only over the nodes with
     |Re eta_hat - xi| <= sqrt(708.396 alpha) and |Im eta_hat| within the same
@@ -207,36 +209,27 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
 
     base_eta = np.linspace(lo, hi, n0 + 1)
     base_hat, base_sent = _eta_hat(model, window, config, t, base_eta)
-    base_g = _weight_values(model, window, config, t, base_eta)
-    d2 = _dist2_to_hull(base_hat, base_sent, xi_lo, xi_hi)
-    active_pt = d2 <= _LOG_CUTOFF * alpha
+    active = np.flatnonzero(
+        _dist2_to_hull(base_hat, base_sent, xi_lo, xi_hi) <= _LOG_CUTOFF * alpha)
 
     def integrate(hat, sent, weights):
         weights[sent] = 0.0
         return _mollified_sums(hat, weights, xis, alpha) / math.sqrt(math.pi * alpha)
 
+    # refinement window: the sampled hits padded by two base cells, widened to
+    # even nodes so the pieces outside it stay whole Simpson cell pairs
+    i0, i1 = 0, n0
+    if active.size:
+        i0, i1 = max(int(active[0]) - 2, 0), min(int(active[-1]) + 2, n0)
+    i0, i1 = i0 - i0 % 2, i1 + i1 % 2
     step = base_eta[1] - base_eta[0]
-    total_base = integrate(base_hat, base_sent, base_g * _simpson_weights(n0 + 1, step))
-
-    # active interval: the sampled hits padded by two base cells
-    idx = np.nonzero(active_pt)[0]
-    if idx.size:
-        bounds = (float(base_eta[max(int(idx[0]) - 2, 0)]),
-                  float(base_eta[min(int(idx[-1]) + 2, n0)]))
-    else:
-        bounds = (lo, hi)
-
-    # snap the refinement window to whole base cell pairs so pieces tile exactly
-    i0 = int(np.searchsorted(base_eta, bounds[0], side="right")) - 1
-    i1 = int(np.searchsorted(base_eta, bounds[1], side="left"))
-    i0 = max(0, i0 - i0 % 2)
-    i1 = min(n0, i1 + (i1 - i0) % 2)
-    if i1 - i0 < 2:
-        i1 = min(n0, i0 + 2)
-        i0 = i1 - 2
+    outside = np.zeros(len(xis), dtype=complex)
+    for j0, j1 in ((0, i0), (i1, n0)):
+        if j1 > j0:
+            weights = _weight_values(model, window, config, t, base_eta[j0:j1 + 1])
+            weights *= _simpson_weights(j1 - j0 + 1, step)
+            outside += integrate(base_hat[j0:j1 + 1], base_sent[j0:j1 + 1], weights)
     a_lo, a_hi = float(base_eta[i0]), float(base_eta[i1])
-    base_win = integrate(base_hat[i0:i1 + 1], base_sent[i0:i1 + 1],
-                         base_g[i0:i1 + 1] * _simpson_weights(i1 - i0 + 1, step))
 
     def window_integral(n):
         # the weights overwrite the weighting values and eta is dropped, so
@@ -250,11 +243,11 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
 
     scale_floor = 1e-13 / math.sqrt(alpha)
     n_win = max(n0, i1 - i0)
-    total = total_base - base_win + window_integral(n_win)
+    total = outside + window_integral(n_win)
     change = scale = math.nan
     for _ in range(spec.max_doublings):
         n_win *= 2
-        new_total = total_base - base_win + window_integral(n_win)
+        new_total = outside + window_integral(n_win)
         change = float(np.max(np.abs(new_total - total)))
         scale = max(float(np.max(np.abs(new_total))), scale_floor)
         total = new_total
@@ -307,8 +300,9 @@ def _on_support(model: TwoHarmonicModel, kind: str, xi: float) -> bool:
     return inside if kind == "constructive" else not inside
 
 
-def _theta_indicator(model: TwoHarmonicModel, window: GaussianWindow, xi: float) -> float:
-    return 1.0 / (2.0 * window.C * abs((xi - model.xi0) * (xi - model.xi1)))
+def _map_gradient(model: TwoHarmonicModel, window: GaussianWindow, xi: float) -> float:
+    """|d eta_s/d eta| = 2C |(xi - xi0)(xi - xi1)| at the preimage of xi."""
+    return 2.0 * window.C * abs((xi - model.xi0) * (xi - model.xi1))
 
 
 def _theta_stft(model: TwoHarmonicModel, window: GaussianWindow,
@@ -334,8 +328,7 @@ def _theta_stft(model: TwoHarmonicModel, window: GaussianWindow,
         * tail
     )
     phase = complex(math.cos(2 * math.pi * model.xi0 * t), math.sin(2 * math.pi * model.xi0 * t))
-    grad = 2.0 * C * abs((xi - model.xi0) * (xi - model.xi1))
-    return phase * amp / grad
+    return phase * amp / _map_gradient(model, window, xi)
 
 
 @dataclass(frozen=True)
@@ -365,7 +358,7 @@ def _leading_order(model: TwoHarmonicModel, window: GaussianWindow, weighting: s
         return AsymptoticValue(value=0.0 + 0.0j, off_support=True, near_singularity=near)
     if near and (xi == model.xi0 or xi == model.xi1):
         return AsymptoticValue(value=complex(math.inf), near_singularity=True)
-    value = (complex(_theta_indicator(model, window, xi)) if weighting == "indicator"
+    value = (complex(1.0 / _map_gradient(model, window, xi)) if weighting == "indicator"
              else _theta_stft(model, window, kind, t, xi))
     return AsymptoticValue(value=value, near_singularity=near)
 

@@ -21,7 +21,8 @@ from twotone.cli import (
     write_grid_csv,
     write_table_csv,
 )
-from twotone.errors import ConfigError
+from twotone import squeeze
+from twotone.errors import ConfigError, SolverFailureError
 from twotone.presets import PRESETS
 
 
@@ -206,6 +207,26 @@ class TestCommands:
         assert code == 2
         assert err.startswith("configuration error:") and "finite" in err
         assert not any(tmp_path.iterdir())
+
+    def test_numerical_failure_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the field and the constructive cross section succeed; the
+        # destructive cross section fails, as the default indicator radius
+        # makes it do on the presets
+        original = squeeze.squeeze_cross_section
+
+        def fail_at_destructive_time(model, window, config, t, xis):
+            if t == destructive_time(model, 0):
+                raise SolverFailureError("did not converge")
+            return original(model, window, config, t, xis)
+
+        monkeypatch.setattr(squeeze, "squeeze_cross_section", fail_at_destructive_time)
+        out = tmp_path / "out"
+        code, _, err = run(["squeeze", "--preset", "gap-small-a13", "--grid.n_t=3",
+                            "--grid.n_eta=17", "--out", str(out)], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("override, bad", [
         ("--squeeze.weighting=foo", "'foo'"),

@@ -22,6 +22,7 @@ from twotone import (
     squeeze_transform,
     sst_extreme_amplitude,
 )
+from twotone import squeeze as squeeze_module
 from twotone.errors import (
     DegenerateAmplitudeError,
     ModelValidationError,
@@ -30,12 +31,15 @@ from twotone.errors import (
     SingularityError,
     SolverFailureError,
 )
+from twotone.oracle import oracle_quadrature_squeeze
 from twotone.reassign import eta_s_values
 from twotone.ridges import _candidate_peaks, constructive_maxima, flip_bracket
 from twotone.squeeze import (
     _NORMAL_EXPONENT,
     _mollified_sums,
     classify_time,
+    default_indicator_radius,
+    indicator_radius_floor,
     squeeze_single_component,
 )
 
@@ -67,6 +71,27 @@ class TestConfig:
         with pytest.raises(ModelValidationError) as info:
             SqueezeConfig(**kwargs)
         assert str(info.value).endswith(f"got {bad}")
+
+    def test_default_radius_exponential_branch(self, window, model_balanced):
+        # xi = 1.04 clears 3 sqrt(alpha) = 0.03 of xi0; c/(2 alpha) = 8 < ln(1/alpha)
+        radius = default_indicator_radius(model_balanced, window, 1e-4, [1.04, 1.9])
+        assert radius == pytest.approx(math.exp(0.04 ** 2 / 2e-4), rel=1e-12)
+        assert indicator_radius_floor(model_balanced, window) < radius < 1e4
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5])
+    def test_default_radius_falls_back_when_every_xi_is_filtered(self, window,
+                                                                  model_balanced, alpha):
+        # every xi lies within 3 sqrt(alpha) of xi0 or xi1, one of them on xi0
+        floor = indicator_radius_floor(model_balanced, window)
+        radius = default_indicator_radius(model_balanced, window, alpha, [1.0, 1.01, 1.29])
+        assert radius == max(1.0 / alpha, 1.5 * floor)
+
+    def test_default_radius_falls_back_below_the_band_floor(self, window, model_balanced):
+        # xi = 5 clears 3 sqrt(0.6) but R = min(1/0.6, e^{c/1.2}) = 1.67 is below the floor
+        floor = indicator_radius_floor(model_balanced, window)
+        assert 1.0 / 0.6 < floor
+        radius = default_indicator_radius(model_balanced, window, 0.6, [5.0])
+        assert radius == 1.5 * floor
 
     def test_radius_only_checked_for_indicator_weighting(self):
         assert SqueezeConfig(alpha=1e-4, weighting="stft", R=math.inf).R == math.inf
@@ -134,6 +159,63 @@ class TestTransform:
         config = SqueezeConfig(alpha=ALPHA, weighting="stft", reassignment_mode="phase")
         val = squeeze_transform(model_a13, window, config, 0.3, 1.1)
         assert np.isfinite(val)
+
+    @staticmethod
+    def _record_passes(monkeypatch):
+        """Node count of every _mollified_sums call and the eta of every
+        eta_s_values call that squeeze_cross_section makes, in order."""
+        sums, etas = [], []
+        sum_fn, eta_fn = squeeze_module._mollified_sums, squeeze_module.eta_s_values
+
+        def sums_spy(hat, *args):
+            sums.append(len(hat))
+            return sum_fn(hat, *args)
+
+        def eta_spy(model, window, t, eta):
+            etas.append(np.array(eta))
+            return eta_fn(model, window, t, eta)
+
+        monkeypatch.setattr(squeeze_module, "_mollified_sums", sums_spy)
+        monkeypatch.setattr(squeeze_module, "eta_s_values", eta_spy)
+        return sums, etas
+
+    def test_whole_grid_window_sums_each_level_once(self, window, model_a13, monkeypatch):
+        config = SqueezeConfig(alpha=ALPHA, weighting="stft")
+        n0 = config.quadrature.n_nodes
+        sums, etas = self._record_passes(monkeypatch)
+        squeeze_cross_section(model_a13, window, config, 0.0, np.linspace(0.9, 1.4, 11))
+        # the window is the whole base grid: no outside pieces, one sum per level
+        assert etas[1][0] == etas[0][0] and etas[1][-1] == etas[0][-1]
+        assert len(sums) >= 2
+        assert sums == [(n0 << k) + 1 for k in range(len(sums))]
+        assert len(etas) == len(sums) + 1
+
+    @pytest.mark.parametrize("R", [5.0, 50.0])
+    def test_partial_window_sums_each_outside_piece_once(self, window, model_a13,
+                                                         monkeypatch, R):
+        config = SqueezeConfig(alpha=ALPHA, weighting="indicator", R=R)
+        n0 = config.quadrature.n_nodes
+        sums, etas = self._record_passes(monkeypatch)
+        squeeze_cross_section(model_a13, window, config, 0.0, np.array([1.08, 1.15, 1.22]))
+        left, right, levels = sums[0], sums[1], sums[2:]
+        # both pieces come first, once each, as whole Simpson cell pairs
+        assert left % 2 == 1 and right % 2 == 1 and left + right < n0
+        assert len(levels) >= 2
+        assert levels == [(n0 << k) + 1 for k in range(len(levels))]
+        # the pieces and the refinement window tile the base grid [-R, R]
+        base = etas[0]
+        assert len(base) == n0 + 1 and base[0] == -R and base[-1] == R
+        for eta in etas[1:]:
+            assert eta[0] == base[left - 1] and eta[-1] == base[n0 + 1 - right]
+
+    @pytest.mark.parametrize("R", [5.0, 50.0])
+    def test_indicator_partial_window_matches_oracle(self, window, model_a13, R):
+        config = SqueezeConfig(alpha=ALPHA, weighting="indicator", R=R)
+        xis = np.array([1.08, 1.15, 1.22])
+        vals = squeeze_cross_section(model_a13, window, config, 0.0, xis)
+        ref = np.array([oracle_quadrature_squeeze(model_a13, window, config, 0.0, float(xi),
+                                                  n_nodes=2 ** 18) for xi in xis])
+        assert np.max(np.abs(vals - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("max_doublings", [0, 1])
     def test_starved_refinement_raises(self, window, model_a13, max_doublings):
