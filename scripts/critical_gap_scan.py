@@ -3,7 +3,8 @@
 
 Writes a CSV with the plain-transform and squeeze critical gaps per amplitude
 ratio, plus the auxiliary roots, and prints a small table. The squeeze column
-uses the erf-form double-root solver; the balanced row is the exact closed
+is the double root of the erf form: a bisection finds where the one-variable
+curve of its critical points folds. The balanced row is the exact closed
 form.
 """
 

@@ -27,46 +27,11 @@ from . import __version__, acceptance, reassign, ridges, squeeze
 from .errors import ConfigError, NotApplicableError, TwoToneError
 from .gabor import TFGrid, stft_field
 from .model import GaussianWindow, TwoHarmonicModel, constructive_time, destructive_time
-from .phasefield import amplitude_weighted_phase, locate_zeros
-from .presets import PRESETS
+from .phasefield import _phase_threshold, amplitude_weighted_phase, locate_zeros
+from .presets import DEFAULTS, PRESETS
 from .squeeze import SqueezeConfig
 
-_SCHEMA = {
-    "model.xi0": float,
-    "model.delta": float,
-    "model.a": float,
-    "model.sigma": float,
-    "grid.t_min": float,
-    "grid.t_max": float,
-    "grid.n_t": int,
-    "grid.eta_min": float,
-    "grid.eta_max": float,
-    "grid.n_eta": int,
-    "squeeze.alpha": float,
-    "squeeze.weighting": str,
-    "squeeze.r": float,
-    "squeeze.reassignment_mode": str,
-    "reassign.arc_thetas": str,
-    "output.dir": str,
-}
-
-_DEFAULTS = {
-    "model.xi0": 1.0,
-    "model.delta": 0.3,
-    "model.a": 1.0,
-    "model.sigma": math.sqrt(2.0),
-    "grid.t_min": 0.0,
-    "grid.t_max": 7.0,
-    "grid.n_t": 129,
-    "grid.eta_min": 0.2,
-    "grid.eta_max": 2.4,
-    "grid.n_eta": 129,
-    "squeeze.alpha": 1e-4,
-    "squeeze.weighting": "stft",
-    "squeeze.reassignment_mode": "sync",
-    "reassign.arc_thetas": "0.5,1.0,2.0",
-    "output.dir": "out",
-}
+_SCHEMA = {**{key: type(value) for key, value in DEFAULTS.items()}, "squeeze.r": float}
 
 
 @dataclass(frozen=True)
@@ -122,7 +87,7 @@ def parse_overrides(tokens: list[str]) -> dict:
 
 
 def build_config(args, extra: list[str]) -> ExperimentConfig:
-    merged = dict(_DEFAULTS)
+    merged = dict(DEFAULTS)
     if getattr(args, "preset", None):
         if args.preset not in PRESETS:
             raise ConfigError(
@@ -216,7 +181,7 @@ def cmd_stft(config: ExperimentConfig) -> int:
     field = stft_field(config.model, config.window, config.grid)
     mag = np.abs(field.values)
     phase = np.mod(np.angle(field.values), 2 * math.pi)
-    phase[mag <= 1e-14 * (1.0 + config.model.a)] = 0.0
+    phase[mag <= _phase_threshold(config.model.a)] = 0.0
     _write_outputs(config, "stft", {
         "abs_v.csv": mag,
         "re_v.csv": field.values.real,

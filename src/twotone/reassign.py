@@ -163,7 +163,7 @@ def attraction_bound_check(model: TwoHarmonicModel, window: GaussianWindow,
     carries an absolute rounding floor: far below xibar the bound shrinks
     beneath the eps-level noise of the reassignment value itself.
     """
-    w = model.a * math.exp(math.pi ** 2 * window.sigma ** 2 * model.delta * (eta - model.xibar))
+    w = model.a * math.exp(window.C * model.delta * (eta - model.xibar))
     if w > 0.5:
         raise NotApplicableError(f"premise a e^(pi^2 sigma^2 delta (eta-xibar)) = {w:.6f} > 1/2")
     bound = 2.0 * model.delta * w

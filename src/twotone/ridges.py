@@ -205,8 +205,8 @@ def critical_gap_stft(a: float, window: GaussianWindow) -> tuple[float, float]:
     the unique root of ln(s/a) = (s - 1/s)/2 (the left side minus the right is
     strictly decreasing, so bisection is safe). a = 1 short-circuits to s = 1.
     """
-    if not a > 0:
-        raise ModelValidationError("a must be positive")
+    if not 0 < a < math.inf:
+        raise ModelValidationError(f"a must be positive and finite, got {a!r}")
     if a == 1.0:
         s = 1.0
     else:

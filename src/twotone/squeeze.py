@@ -517,123 +517,73 @@ def erf_closed_form(model: TwoHarmonicModel, window: GaussianWindow, alpha: floa
 # critical gap
 
 
-def _sst_double_root_residuals(a: float, sigma: float, delta: float, y: float):
-    """Scaled residuals of (H'(xi_c), H''(xi_c)) for the erf form at
-    C = delta/(4 sqrt alpha); alpha drops out. y = xi_c - xi0 in (delta/4, 3 delta/4)."""
-    s1 = y - 0.75 * delta
-    s2 = y - 1.25 * delta
-    if not (-delta < s1 < 0.0 and -delta < s2 < 0.0):
-        return None
-    csq = math.pi ** 2 * sigma ** 2
-    l1 = math.log(-(1.0 + delta / s1) / a)
-    l2 = math.log(-(1.0 + delta / s2) / a)
-    ps = math.pi * sigma
-    z1 = 0.5 * ps * delta + l1 / (2.0 * ps * delta)
-    z2 = 0.5 * ps * delta + l2 / (2.0 * ps * delta)
-    z3 = z1 - ps * delta
-    z4 = z2 - ps * delta
-    g1p = -1.0 / (2.0 * csq * s1 * (s1 + delta))
-    g2p = -1.0 / (2.0 * csq * s2 * (s2 + delta))
-    g1pp = (2.0 * s1 + delta) / (2.0 * csq * s1 ** 2 * (s1 + delta) ** 2)
-    g2pp = (2.0 * s2 + delta) / (2.0 * csq * s2 ** 2 * (s2 + delta) ** 2)
-    e1, e2, e3, e4 = (math.exp(-z1 ** 2), math.exp(-z2 ** 2),
-                      math.exp(-z3 ** 2), math.exp(-z4 ** 2))
-    f1 = g1p * (e1 + a * e3) - g2p * (e2 + a * e4)
-    s1_scale = abs(g1p) * (e1 + a * e3) + abs(g2p) * (e2 + a * e4)
-    terms = (
-        e1 * (ps * g1pp - 2 * z1 * (ps * g1p) ** 2),
-        -e2 * (ps * g2pp - 2 * z2 * (ps * g2p) ** 2),
-        a * e3 * (ps * g1pp - 2 * z3 * (ps * g1p) ** 2),
-        -a * e4 * (ps * g2pp - 2 * z4 * (ps * g2p) ** 2),
-    )
-    f2 = sum(terms)
-    s2_scale = sum(abs(x) for x in terms)
-    return f1 / max(s1_scale, 1e-300), f2 / max(s2_scale, 1e-300)
-
-
 def critical_gap_sst(a: float, window: GaussianWindow) -> tuple[float, float, float]:
     """Critical gap for the STFT-weighted squeezed transform to resolve two
     maxima at constructive times.
 
     Returns (delta_crit, r, xi_c) with xi_c relative to xi0. Balanced
     amplitudes short-circuit to the closed form delta = sqrt(2 ln 3 / 3)/(pi
-    sigma), r = 1/3, xi_c = delta/2. Otherwise a damped Newton iteration
-    drives the erf-form double-root conditions (first and second derivative
-    both zero at an interior critical point) from the balanced seed, or, for
-    0 < |ln a| < 0.1, from the cusp expansion around a = 1.
+    sigma), r = 1/3, xi_c = delta/2.
+
+    Otherwise the gap is the double root of the erf form at C = delta/(4
+    sqrt alpha), where alpha and sigma drop out. With u = pi sigma delta and
+    Y = xi_c/delta in (1/4, 3/4), set p1 = Y + 1/4, q1 = 3/4 - Y, p2 = Y -
+    1/4, q2 = 5/4 - Y and L_j = ln(p_j/q_j) - ln a. At z = u/2 + L/(2u) the
+    erf pair's derivative e^{-z^2} + a e^{-(z-u)^2} factors as e^{-u^2/4 -
+    L^2/(4u^2)} sqrt(a) (1 + w)/sqrt(w) with w = p/q. As p + q = 1, d ln
+    w/dY = 1/(pq) and (1 + w)/sqrt(w) = 1/sqrt(pq), so the critical points
+    of the form lie on the curve u^2 = N/(4G), with N = L2^2 - L1^2 and G =
+    1.5 ln(p1 q1/(p2 q2)). The double root is where this curve folds,
+    d(u^2)/dY = 0: the sign change of N'G - NG', which is bracketed on (1/4,
+    1/2) for a > 1 because u^2 -> inf at both ends. For a < 1 the fold is
+    its mirror, since u^2(1 - Y; 1/a) = u^2(Y; a). Then delta = u/(pi
+    sigma), r = a q1/p1 and xi_c = Y delta.
+
+    Raises SolverFailureError when the fold is not resolved in floating
+    point: it lies within 1e-12 of Y = 1/4 or 3/4 from about a = 1e107 and
+    its reciprocal on.
     """
-    if not a > 0:
-        raise ModelValidationError("a must be positive")
+    if not 0 < a < math.inf:
+        raise ModelValidationError(f"a must be positive and finite, got {a!r}")
     sigma = window.sigma
-    delta_balanced = math.sqrt(2.0 * math.log(3.0) / 3.0) / (math.pi * sigma)
     if a == 1.0:
-        return delta_balanced, 1.0 / 3.0, 0.5 * delta_balanced
+        delta_c = math.sqrt(2.0 * math.log(3.0) / 3.0) / (math.pi * sigma)
+        return delta_c, 1.0 / 3.0, 0.5 * delta_c
+    log_a = abs(math.log(a))
 
-    def residual(vec):
-        res = _sst_double_root_residuals(a, sigma, vec[0], vec[1])
-        if res is None:
-            return None
-        return np.array(res)
+    def curve(y):
+        """N, G and N'G - NG' at Y in (1/4, 1/2), for a > 1."""
+        p1, q1, p2, q2 = y + 0.25, 0.75 - y, y - 0.25, 1.25 - y
+        l1, l2 = math.log(p1 / q1) - log_a, math.log(p2 / q2) - log_a
+        # p1 p2 - q1 q2 = 2Y - 1 and p1 q1 - p2 q2 = 1/2 - Y, both exact here,
+        # so N and G keep full relative precision as the fold nears 1/2 (a -> 1)
+        n = (l2 - l1) * (math.log1p((2.0 * y - 1.0) / (q1 * q2)) - 2.0 * log_a)
+        g = 1.5 * math.log1p((0.5 - y) / (p2 * q2))
+        dn = 2.0 * (l2 / (p2 * q2) - l1 / (p1 * q1))
+        dg = 1.5 * ((q1 - p1) / (p1 * q1) - (q2 - p2) / (p2 * q2))
+        return n, g, dn * g - n * dg
 
-    log_a = math.log(a)
-    if abs(log_a) < 0.1:
-        # a = 1 is a cusp of the double-root curve: the root leaves the
-        # balanced point as delta - delta_bal ~ 0.379 |ln a|^(2/3) / (pi sigma)
-        # and xi_c - delta/2 ~ -0.272 sgn(ln a) |ln a|^(1/3) / (pi sigma), which
-        # puts the balanced seed outside Newton's basin for small |ln a|
-        root3 = abs(log_a) ** (1.0 / 3.0)
-        ps = math.pi * sigma
-        delta_seed = delta_balanced + 0.379 * root3 ** 2 / ps
-        vec = np.array([delta_seed, 0.5 * delta_seed - math.copysign(0.272 * root3, log_a) / ps])
-    else:
-        vec = np.array([delta_balanced, 0.5 * delta_balanced])
-    f = residual(vec)
-    if f is None:
-        raise SolverFailureError("seed outside the valid region", residuals=None)
-    for _ in range(200):
-        norm = float(np.max(np.abs(f)))
-        if norm < 1e-12:
-            break
-        jac = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * max(abs(vec[j]), 1e-3)
-            probe = vec.copy()
-            probe[j] += h
-            fp = residual(probe)
-            if fp is None:
-                probe[j] -= 2 * h
-                fp = residual(probe)
-                if fp is None:
-                    raise SolverFailureError("Jacobian probe left the valid region",
-                                             residuals=tuple(f))
-                jac[:, j] = (f - fp) / h
-            else:
-                jac[:, j] = (fp - f) / h
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            raise SolverFailureError("singular Jacobian in the gap solver",
-                                     residuals=tuple(f))
-        lam = 1.0
-        for _ in range(50):
-            trial = vec + lam * step
-            ft = residual(trial) if trial[0] > 0 else None
-            if ft is not None and float(np.max(np.abs(ft))) < norm:
-                vec, f = trial, ft
-                break
-            lam *= 0.5
+    # 52 halvings shrink [1/4, 1/2] to one ulp of Y; every midpoint is exact
+    # and interior, so the logs above stay finite
+    lo, hi = 0.25, 0.5
+    for _ in range(52):
+        y = 0.5 * (lo + hi)
+        if curve(y)[2] < 0.0:
+            lo = y
         else:
-            raise SolverFailureError(
-                f"Newton stalled at residuals {tuple(f)}", residuals=tuple(f)
-            )
-    else:
+            hi = y
+    n, g, _ = curve(y)
+    u2 = n / (4.0 * g)
+    if not (y - 0.25 > 1e-12 and 0.0 < u2 < math.inf):
         raise SolverFailureError(
-            f"Newton did not converge, residuals {tuple(f)}", residuals=tuple(f)
+            f"the fold of the critical-point curve at a = {a!r} is not resolved in "
+            f"floating point: |Y - Y_edge| = {y - 0.25:.3e}, u^2 = {u2!r}",
+            residuals=(y - 0.25, u2),
         )
-    delta_c, y = float(vec[0]), float(vec[1])
-    s1 = y - 0.75 * delta_c
-    r = -a * s1 / (delta_c + s1)
-    return delta_c, r, y
+    if a < 1.0:
+        y = 1.0 - y
+    delta_c = math.sqrt(u2) / (math.pi * sigma)
+    return delta_c, a * (0.75 - y) / (y + 0.25), y * delta_c
 
 
 def critical_gap_density(a: float, window: GaussianWindow) -> float:

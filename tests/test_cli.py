@@ -378,6 +378,13 @@ class TestCritical:
         pitchfork = math.sqrt(2.0 / 3.0) / (math.pi * sigma)
         assert abs(0.5 * (lo + hi) - pitchfork) <= 0.01 * pitchfork
 
+    def test_sst_unresolved_fold_exits_3(self, capsys):
+        code, out, err = run(["critical", "--a", "1e300", "--sigma", repr(math.sqrt(2.0)),
+                              "--method", "sst", "--no-empirical"], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure:")
+        assert out == ""
+
     @pytest.mark.parametrize("args", [
         ["--a", "0", "--sigma", "1.0"],
         ["--a", "nan", "--sigma", "1.0"],

@@ -527,6 +527,16 @@ class TestErfClosedForm:
                             0.25 / model_balanced.delta, model_balanced.xibar)
 
 
+def _erf_form_maxima(a, window, delta):
+    """Interior maxima of the constructive erf form over xi - xi0 in
+    (0.2501, 0.7499) delta."""
+    model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
+    ys = np.linspace(0.2501 * delta, 0.7499 * delta, 4001)
+    vals = np.array([erf_closed_form(model, window, ALPHA, 0.0, model.xi0 + float(y))
+                     for y in ys])
+    return int(np.sum((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])))
+
+
 class TestCriticalGap:
     def test_balanced_closed_form(self, window):
         delta_c, r, xi_c = critical_gap_sst(1.0, window)
@@ -550,7 +560,7 @@ class TestCriticalGap:
     @pytest.mark.parametrize("offset", [1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5])
     def test_near_balanced_cusp(self, sigma, offset):
         # at a = 1 the double root is a cusp: delta - delta_bal grows like
-        # |ln a|^(2/3), which the balanced seed alone cannot follow
+        # |ln a|^(2/3), and the fold nears Y = 1/2 like |ln a|^(1/3)
         window = GaussianWindow(sigma=sigma)
         a = 1.0 + offset
         d_bal, _, _ = critical_gap_sst(1.0, window)
@@ -564,16 +574,51 @@ class TestCriticalGap:
         # flips at the solver value
         a = 1.3
         delta_c, _, _ = critical_gap_sst(a, window)
+        assert _erf_form_maxima(a, window, delta_c * 0.99) == 1
+        assert _erf_form_maxima(a, window, delta_c * 1.01) == 2
 
-        def count(delta):
-            model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
-            ys = np.linspace(0.2501 * delta, 0.7499 * delta, 4001)
-            vals = np.array([erf_closed_form(model, window, ALPHA, 0.0, model.xi0 + float(y))
-                             for y in ys])
-            return int(np.sum((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])))
+    @pytest.mark.parametrize("a", [40.0, 50.0, 200.0, 1e3, 1 / 40, 1 / 200])
+    def test_large_ratio_gains_one_maximum_at_the_gap(self, window, a):
+        # the dominant maximum sits at the edge of the sampled (1/4, 3/4) delta
+        # range, so only the interior maximum born at the fold is counted
+        delta_c, _, _ = critical_gap_sst(a, window)
+        below = _erf_form_maxima(a, window, delta_c * 0.99)
+        assert _erf_form_maxima(a, window, delta_c * 1.01) == below + 1
 
-        assert count(delta_c * 0.99) == 1
-        assert count(delta_c * 1.01) == 2
+    def test_inversion_duality_log_uniform(self, window):
+        rng = np.random.default_rng(11)
+        for a in np.exp(rng.uniform(-100.0, 100.0, 40) * math.log(10.0)):
+            d, _, y = critical_gap_sst(float(a), window)
+            d_inv, _, y_inv = critical_gap_sst(float(1.0 / a), window)
+            assert d_inv == pytest.approx(d, rel=1e-12)
+            assert y_inv == pytest.approx(d - y, rel=1e-9)
+
+    @pytest.mark.parametrize("a, expected", [
+        (0.5, (0.2577027550532, 0.02411470972690, 0.1814200681584)),
+        (1.3, (0.2271132597655, 0.9375318386179, 0.07517388015120)),
+        (2.0, (0.2577027550532, 1.662934119563, 0.07628268689480)),
+        (3.0, (0.2802121792196, 2.639756707653, 0.07900241649153)),
+    ])
+    def test_reference_values(self, window, a, expected):
+        # (delta, r, xi_c) at sigma = sqrt(2) from the earlier two-variable
+        # Newton solve of the same double root, to 13 significant digits
+        delta_c, r, xi_c = critical_gap_sst(a, window)
+        assert delta_c == pytest.approx(expected[0], rel=1e-12)
+        assert r == pytest.approx(expected[1], abs=1e-8)
+        assert xi_c == pytest.approx(expected[2], abs=1e-8)
+
+    @pytest.mark.parametrize("a", [1e-300, 1e300, 5e-324, 1.7e308])
+    def test_unresolved_fold_raises(self, window, a):
+        # the fold lies closer than 1e-12 to Y = 1/4 (or 3/4) from a ~ 1e107 on
+        with pytest.raises(SolverFailureError):
+            critical_gap_sst(a, window)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("solver", [critical_gap_sst, critical_gap_stft,
+                                        critical_gap_density])
+    def test_gap_solvers_reject_bad_amplitude(self, window, solver, a):
+        with pytest.raises(ModelValidationError):
+            solver(a, window)
 
 
 class TestCriticalGapDensity:
