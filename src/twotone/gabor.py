@@ -83,9 +83,10 @@ class QuadratureSpec:
     """Controls for direct quadratures.
 
     half_width_sigmas: truncation half-width in units of sigma (Gaussian tail
-    below 1e-27 at the default 8). n_nodes: composite-Simpson interval count
-    (rounded up to even). rtol/max_doublings steer adaptive refinement where
-    an operation uses it.
+    below 1e-27 at the default 8). n_nodes: the composite-Simpson interval
+    count of stft_numeric (rounded up to even), and the base trapezoid
+    interval count of each squeeze piece. rtol/max_doublings steer adaptive
+    refinement where an operation uses it.
     """
 
     half_width_sigmas: float = 8.0

@@ -25,7 +25,7 @@ from .errors import (
     SingularityError,
     SolverFailureError,
 )
-from .gabor import ComplexField, QuadratureSpec, TFGrid, _simpson_weights, stft_closed_form
+from .gabor import ComplexField, QuadratureSpec, TFGrid, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_zero
 from .reassign import eta_s_values
 
@@ -87,19 +87,32 @@ def default_indicator_radius(model: TwoHarmonicModel, window: GaussianWindow,
     floor = indicator_radius_floor(model, window)
     if xis.size:
         c = float(np.min(np.minimum((xis - model.xi0) ** 2, (xis - model.xi1) ** 2)))
-        radius = math.exp(min(math.log(1.0 / alpha), c / (2.0 * alpha)))
+        # the outer min keeps R <= 1/alpha: exp(log(1/alpha)) can round above it
+        radius = min(1.0 / alpha, math.exp(min(math.log(1.0 / alpha), c / (2.0 * alpha))))
         if radius > floor:
             return radius
     return max(1.0 / alpha, 1.5 * floor)
 
 
-def _integration_window(model: TwoHarmonicModel, window: GaussianWindow,
-                        config: SqueezeConfig) -> tuple[float, float]:
-    if config.weighting == "indicator":
-        require_indicator_radius(model, window, config.R)
-        return -config.R, config.R
+def _integration_pieces(model: TwoHarmonicModel, window: GaussianWindow,
+                        config: SqueezeConfig) -> tuple:
+    """The band, then for indicator weighting the far fields of [-R, R] on
+    either side of it. The band [xi0 - 10/(pi sigma), xi1 + 10/(pi sigma)]
+    puts the STFT weight below e^-100 at its ends; for indicator weighting it
+    widens until q = a e^{2 C delta (eta - xibar)}, or 1/q, is below e^-37,
+    so that the reassignment value is xi0 or xi1 to double precision across
+    each far field, and it is clipped to [-R, R]."""
     pad = 10.0 / (math.pi * window.sigma)
-    return model.xi0 - pad, model.xi1 + pad
+    lo, hi = model.xi0 - pad, model.xi1 + pad
+    if config.weighting != "indicator":
+        return ((lo, hi),)
+    require_indicator_radius(model, window, config.R)
+    if model.a > 0:
+        reach = (37.0 + abs(math.log(model.a))) / (2.0 * window.C * model.delta)
+        lo, hi = min(lo, model.xibar - reach), max(hi, model.xibar + reach)
+    R = config.R
+    lo, hi = max(lo, -R), min(hi, R)
+    return ((lo, hi),) + tuple((x0, x1) for x0, x1 in ((-R, lo), (hi, R)) if x0 < x1)
 
 
 def _eta_hat(model, window, config, t, eta):
@@ -178,13 +191,17 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
                           config: SqueezeConfig, t: float, xis) -> np.ndarray:
     """S_G(t, xi) for an array of xi at fixed t.
 
-    Composite Simpson on the truncation window. A base pass finds the active
-    nodes (reassignment value within e^-60 mollifier reach of the xi hull);
-    the refinement window spans them plus two base cells, and the base cells
-    outside it are summed once at base resolution (none on a whole-grid
-    window). Inside the window the resolution doubles until the whole vector
-    changes by <= quadrature.rtol relative (floored by a tiny absolute term).
-    Sentinel reassignment values contribute zero mass.
+    Nested trapezoid refinement on the band of _integration_pieces, where the
+    integrand is analytic and flat at both ends, so the rule converges
+    geometrically. A base pass of quadrature.n_nodes intervals finds the
+    active nodes (reassignment value within e^-60 mollifier reach of the xi
+    hull); the refinement window spans them plus two base cells. Its base
+    trapezoid is level 0; each doubling evaluates only the midpoints,
+    T_{h/2} = T_h/2 + (h/2) sum f(midpoints), until the whole vector changes
+    by <= quadrature.rtol relative (floored by a tiny absolute term). The base
+    cells outside the window and the indicator far fields (each its own
+    n_nodes-interval trapezoid) are summed once. Sentinel reassignment values
+    contribute zero mass.
 
     Each pass sums, for every xi, only over the nodes with
     |Re eta_hat - xi| <= sqrt(708.396 alpha) and |Im eta_hat| within the same
@@ -201,53 +218,44 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     the call always raises.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    lo, hi = _integration_window(model, window, config)
     spec = config.quadrature
-    n0 = spec.n_nodes + (spec.n_nodes % 2)
-    alpha = config.alpha
+    n0, alpha = spec.n_nodes, config.alpha
     xi_lo, xi_hi = float(xis.min()), float(xis.max())
 
-    base_eta = np.linspace(lo, hi, n0 + 1)
-    base_hat, base_sent = _eta_hat(model, window, config, t, base_eta)
-    active = np.flatnonzero(
-        _dist2_to_hull(base_hat, base_sent, xi_lo, xi_hi) <= _LOG_CUTOFF * alpha)
-
-    def integrate(hat, sent, weights):
+    def integrate(eta, hat, sent, step, trapezoid=True):
+        # step times the sum over the nodes; a trapezoid halves both end nodes
+        weights = _weight_values(model, window, config, t, eta) * step
+        if trapezoid:
+            weights[[0, -1]] *= 0.5
         weights[sent] = 0.0
         return _mollified_sums(hat, weights, xis, alpha) / math.sqrt(math.pi * alpha)
 
-    # refinement window: the sampled hits padded by two base cells, widened to
-    # even nodes so the pieces outside it stay whole Simpson cell pairs
-    i0, i1 = 0, n0
-    if active.size:
-        i0, i1 = max(int(active[0]) - 2, 0), min(int(active[-1]) + 2, n0)
-    i0, i1 = i0 - i0 % 2, i1 + i1 % 2
-    step = base_eta[1] - base_eta[0]
     outside = np.zeros(len(xis), dtype=complex)
-    for j0, j1 in ((0, i0), (i1, n0)):
-        if j1 > j0:
-            weights = _weight_values(model, window, config, t, base_eta[j0:j1 + 1])
-            weights *= _simpson_weights(j1 - j0 + 1, step)
-            outside += integrate(base_hat[j0:j1 + 1], base_sent[j0:j1 + 1], weights)
-    a_lo, a_hi = float(base_eta[i0]), float(base_eta[i1])
-
-    def window_integral(n):
-        # the weights overwrite the weighting values and eta is dropped, so
-        # the summation holds only hat, sent and weights
-        eta = np.linspace(a_lo, a_hi, n + 1)
+    for k, (lo, hi) in enumerate(_integration_pieces(model, window, config)):
+        eta = np.linspace(lo, hi, n0 + 1)
         hat, sent = _eta_hat(model, window, config, t, eta)
-        weights = _weight_values(model, window, config, t, eta)
-        weights *= _simpson_weights(n + 1, eta[1] - eta[0])
-        del eta
-        return integrate(hat, sent, weights)
+        step = eta[1] - eta[0]
+        i0 = i1 = n0  # a far field is all outside the refinement window
+        if k == 0:  # the band: refine the sampled hits padded by two base cells
+            active = np.flatnonzero(
+                _dist2_to_hull(hat, sent, xi_lo, xi_hi) <= _LOG_CUTOFF * alpha)
+            i0, i1 = 0, n0
+            if active.size:
+                i0, i1 = max(int(active[0]) - 2, 0), min(int(active[-1]) + 2, n0)
+            a_lo, h, n = eta[i0], step, i1 - i0
+            inner = integrate(eta[i0:i1 + 1], hat[i0:i1 + 1], sent[i0:i1 + 1], step)
+        for j0, j1 in ((0, i0), (i1, n0)):
+            if j1 > j0:
+                outside += integrate(eta[j0:j1 + 1], hat[j0:j1 + 1], sent[j0:j1 + 1], step)
 
     scale_floor = 1e-13 / math.sqrt(alpha)
-    n_win = max(n0, i1 - i0)
-    total = outside + window_integral(n_win)
+    total = outside + inner
     change = scale = math.nan
     for _ in range(spec.max_doublings):
-        n_win *= 2
-        new_total = outside + window_integral(n_win)
+        mid = a_lo + h * (np.arange(n) + 0.5)
+        inner = inner / 2 + integrate(mid, *_eta_hat(model, window, config, t, mid), h / 2, False)
+        h, n = h / 2, 2 * n
+        new_total = outside + inner
         change = float(np.max(np.abs(new_total - total)))
         scale = max(float(np.max(np.abs(new_total))), scale_floor)
         total = new_total
@@ -255,7 +263,7 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
             return total
     raise SolverFailureError(
         f"squeeze quadrature at t = {t} did not converge in {spec.max_doublings} "
-        f"doublings ({n_win} intervals): last change {change:.3e} > "
+        f"doublings ({n} intervals): last change {change:.3e} > "
         f"rtol * scale = {spec.rtol * scale:.3e}",
         residuals=(change, spec.rtol * scale),
     )

@@ -211,8 +211,7 @@ class TestCommands:
     def test_numerical_failure_exits_3_and_writes_nothing(self, tmp_path, capsys,
                                                           monkeypatch):
         # the field and the constructive cross section succeed; the
-        # destructive cross section fails, as the default indicator radius
-        # makes it do on the presets
+        # destructive cross section fails
         original = squeeze.squeeze_cross_section
 
         def fail_at_destructive_time(model, window, config, t, xis):
@@ -329,6 +328,14 @@ class TestCommands:
                           "--grid.eta_min=0.9", "--grid.eta_max=1.4"], capsys)
         assert code == 0
         assert (out / "abs_s.csv").exists()
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_squeeze_indicator_default_radius_on_presets(self, tmp_path, capsys, preset):
+        # the default R is 368 or 1e4; only the band around [xi0, xi1] is refined
+        code, _, err = run(["squeeze", "--preset", preset, "--out", str(tmp_path),
+                            "--squeeze.weighting=indicator", "--grid.n_t=5",
+                            "--grid.n_eta=33"], capsys)
+        assert code == 0, err
 
     def test_squeeze_phase_mode(self, tmp_path, capsys):
         out = tmp_path / "squeeze_phase"

@@ -93,6 +93,18 @@ class TestConfig:
         radius = default_indicator_radius(model_balanced, window, 0.6, [5.0])
         assert radius == 1.5 * floor
 
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-5, 2e-4])
+    def test_default_radius_inverse_alpha_branch_stays_subcritical(self, window,
+                                                                   model_balanced, alpha):
+        # xi = 2 picks the 1/alpha branch, where exp(ln(1/alpha)) rounds above
+        # 1/alpha; asym_indicator accepts any R <= 1/alpha, even at an xi whose
+        # e^{c/(2 alpha)} bound is smaller
+        radius = default_indicator_radius(model_balanced, window, alpha, [2.0])
+        assert radius <= 1.0 / alpha
+        xi = model_balanced.xi0 + 2 * math.sqrt(alpha)
+        assert math.log(radius) > (xi - model_balanced.xi0) ** 2 / (2 * alpha)
+        assert asym_indicator(model_balanced, window, alpha, radius, 0.0, xi).value != 0
+
     def test_radius_only_checked_for_indicator_weighting(self):
         assert SqueezeConfig(alpha=1e-4, weighting="stft", R=math.inf).R == math.inf
         assert SqueezeConfig(alpha=1e-4, weighting="indicator", R=50.0).R == 50.0
@@ -117,6 +129,15 @@ class TestTransform:
             val = squeeze_transform(model, window, config, t, xi)
             ref = squeeze_single_component(model.xi0, 1.0, window, ALPHA, t, xi)
             assert abs(val - ref) <= 1e-8 * abs(ref)
+
+    def test_single_component_indicator_is_the_window_length(self, window):
+        # a lone harmonic reassigns every eta in [-R, R] to xi0
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=0.0)
+        config = SqueezeConfig(alpha=ALPHA, weighting="indicator", R=20.0)
+        xis = model.xi0 + np.array([-0.01, 0.0, 0.005])
+        vals = squeeze_cross_section(model, window, config, 0.4, xis)
+        ref = 40.0 * np.exp(-(xis - model.xi0) ** 2 / ALPHA) / math.sqrt(math.pi * ALPHA)
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(ref)
 
     def test_far_tail_negligible(self, window, model_balanced):
         config = SqueezeConfig(alpha=1e-3, weighting="stft")
@@ -179,16 +200,27 @@ class TestTransform:
         monkeypatch.setattr(squeeze_module, "eta_s_values", eta_spy)
         return sums, etas
 
+    @staticmethod
+    def _assert_nested(base, levels, lo, hi):
+        """The base nodes and the midpoint levels evaluate every node of the
+        finest nested grid on [lo, hi] exactly once, and no other node."""
+        nodes = np.sort(np.concatenate([base] + levels))
+        inside = nodes[(nodes >= lo) & (nodes <= hi)]
+        fine = np.linspace(lo, hi, (len(levels[0]) << (len(levels) - 1)) * 2 + 1)
+        assert len(inside) == len(fine) and np.all(np.diff(nodes) > 0)
+        assert np.max(np.abs(inside - fine)) <= 1e-12 * (hi - lo)
+
     def test_whole_grid_window_sums_each_level_once(self, window, model_a13, monkeypatch):
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
         n0 = config.quadrature.n_nodes
         sums, etas = self._record_passes(monkeypatch)
         squeeze_cross_section(model_a13, window, config, 0.0, np.linspace(0.9, 1.4, 11))
-        # the window is the whole base grid: no outside pieces, one sum per level
-        assert etas[1][0] == etas[0][0] and etas[1][-1] == etas[0][-1]
-        assert len(sums) >= 2
-        assert sums == [(n0 << k) + 1 for k in range(len(sums))]
-        assert len(etas) == len(sums) + 1
+        # the window is the whole band: the base trapezoid is level 0 and no
+        # piece lies outside; each doubling evaluates and sums only the
+        # n0, 2 n0, 4 n0, ... midpoints of the level before
+        assert len(sums) >= 2 and len(etas) == len(sums)
+        assert sums == [n0 + 1] + [n0 << k for k in range(len(sums) - 1)]
+        self._assert_nested(etas[0], etas[1:], etas[0][0], etas[0][-1])
 
     @pytest.mark.parametrize("R", [5.0, 50.0])
     def test_partial_window_sums_each_outside_piece_once(self, window, model_a13,
@@ -197,18 +229,24 @@ class TestTransform:
         n0 = config.quadrature.n_nodes
         sums, etas = self._record_passes(monkeypatch)
         squeeze_cross_section(model_a13, window, config, 0.0, np.array([1.08, 1.15, 1.22]))
-        left, right, levels = sums[0], sums[1], sums[2:]
-        # both pieces come first, once each, as whole Simpson cell pairs
-        assert left % 2 == 1 and right % 2 == 1 and left + right < n0
-        assert len(levels) >= 2
-        assert levels == [(n0 << k) + 1 for k in range(len(levels))]
-        # the pieces and the refinement window tile the base grid [-R, R]
-        base = etas[0]
-        assert len(base) == n0 + 1 and base[0] == -R and base[-1] == R
-        for eta in etas[1:]:
-            assert eta[0] == base[left - 1] and eta[-1] == base[n0 + 1 - right]
+        # the band, then the far fields [-R, band] and [band, R], n0 + 1 base
+        # nodes each, tile [-R, R]
+        band, far_left, far_right = etas[:3]
+        assert all(len(eta) == n0 + 1 for eta in etas[:3])
+        assert far_left[0] == -R and far_left[-1] == band[0]
+        assert far_right[0] == band[-1] and far_right[-1] == R
+        # level 0 on the window, the band's two outside pieces and the two far
+        # fields are each summed once; the pieces share only their end nodes
+        inner, left, right = sums[:3]
+        assert sums[3:5] == [n0 + 1, n0 + 1]
+        assert left > 1 and right > 1 and inner + left + right == n0 + 3
+        # the midpoint levels stay inside the window, nested on its base cells
+        n, levels = inner - 1, etas[3:]
+        assert len(levels) >= 1 and sums[5:] == [n << k for k in range(len(levels))]
+        self._assert_nested(band, levels, band[left - 1], band[n0 + 1 - right])
 
-    @pytest.mark.parametrize("R", [5.0, 50.0])
+    # at R = 2.5 the band is clipped at R and only the left far field remains
+    @pytest.mark.parametrize("R", [2.5, 5.0, 50.0])
     def test_indicator_partial_window_matches_oracle(self, window, model_a13, R):
         config = SqueezeConfig(alpha=ALPHA, weighting="indicator", R=R)
         xis = np.array([1.08, 1.15, 1.22])
@@ -216,6 +254,25 @@ class TestTransform:
         ref = np.array([oracle_quadrature_squeeze(model_a13, window, config, 0.0, float(xi),
                                                   n_nodes=2 ** 18) for xi in xis])
         assert np.max(np.abs(vals - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("delta", [0.3, 0.05])
+    @pytest.mark.parametrize("kind", ["constructive", "destructive"])
+    def test_indicator_far_fields_match_a_fine_uniform_rule(self, window, delta, kind):
+        # xi on and next to xi0 and xi1 take most of their mass from the far
+        # fields, where eta_hat must already sit on xi0 or xi1: at delta = 0.05
+        # it is still 7e-4 away at xi0 - 10/(pi sigma). The reference is one
+        # midpoint rule over all of [-R, R] at 2^20 nodes
+        R = 20.0
+        model = TwoHarmonicModel(xi0=1.0, delta=delta, a=1.3)
+        t = 0.0 if kind == "constructive" else destructive_time(model, 0)
+        config = SqueezeConfig(alpha=ALPHA, weighting="indicator", R=R)
+        xis = model.xi0 + delta * np.array([-0.05, 0.0, 0.05, 0.5, 0.95, 1.0, 1.05])
+        vals = squeeze_cross_section(model, window, config, t, xis)
+        n = 2 ** 20
+        hat = eta_s_values(model, window, t, -R + (2 * R / n) * (np.arange(n) + 0.5))
+        ref = np.array([np.sum(np.exp(-np.abs(hat - xi) ** 2 / ALPHA)) for xi in xis])
+        ref *= 2 * R / n / math.sqrt(math.pi * ALPHA)
+        assert np.max(np.abs(vals - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("max_doublings", [0, 1])
     def test_starved_refinement_raises(self, window, model_a13, max_doublings):
