@@ -83,12 +83,12 @@ def criterion_2():
     passed = True
     for a in (0.5, 2.0):
         delta_crit, s = ridges.critical_gap_stft(a, WINDOW)
-        count = lambda delta: ridges.constructive_maxima(a, WINDOW, "stft", delta)
+        count = lambda delta: squeeze.constructive_maxima(a, WINDOW, "stft", delta)
         lo, hi = 0.9 * delta_crit, 1.1 * delta_crit
         c_lo, c_hi = count(lo), count(hi)
         if not (c_lo == 1 and c_hi == 2):
             raise AssertionError(f"flip bracket invalid: counts {c_lo}, {c_hi}")
-        lo, hi = ridges.flip_bracket(count, lo, hi, 14)
+        lo, hi = ridges.flip_bracket(lambda d: count(d) >= 2, lo, hi, 14)
         flip = 0.5 * (lo + hi)
         rel = abs(delta_crit - flip) / delta_crit
         ok = rel <= 0.02 and delta_crit > base
@@ -246,12 +246,12 @@ def criterion_8():
     for delta in (0.15, 0.25):
         model = TwoHarmonicModel(xi0=1.0, delta=delta, a=1.0)
         ind_cfg = SqueezeConfig(alpha=alpha, weighting="indicator", R=50.0)
-        counts[("ind", delta)] = ridges.count_squeeze_maxima(model, WINDOW, ind_cfg)
-        counts[("stft", delta)] = ridges.constructive_maxima(1.0, WINDOW, "sst", delta)
+        counts[("ind", delta)] = squeeze.count_squeeze_maxima(model, WINDOW, ind_cfg)
+        counts[("stft", delta)] = squeeze.constructive_maxima(1.0, WINDOW, "sst", delta)
     # the stft-weighted counts at 0.15 and 0.25 are the bracket's endpoint
     # check; constructive_maxima squeezes at the same alpha = 1e-4
-    count = lambda delta: ridges.constructive_maxima(1.0, WINDOW, "sst", delta)
-    lo, hi = ridges.flip_bracket(count, 0.15, 0.25, 9)
+    count = lambda delta: squeeze.constructive_maxima(1.0, WINDOW, "sst", delta)
+    lo, hi = ridges.flip_bracket(lambda d: count(d) >= 2, 0.15, 0.25, 9)
     flip = 0.5 * (lo + hi)
     rel = abs(flip - delta_ref) / delta_ref
     structure_ok = (counts[("ind", 0.15)] == 2 and counts[("ind", 0.25)] == 2

@@ -284,12 +284,12 @@ def _critical_empirical_bracket(a: float, window: GaussianWindow, method: str,
     lo, hi = lo * delta_crit, hi * delta_crit
 
     def count(delta):
-        return ridges.constructive_maxima(a, window, method, delta)
+        return squeeze.constructive_maxima(a, window, method, delta)
 
     try:
         if not (count(lo) == 1 and count(hi) >= 2):
             return None
-        return list(ridges.flip_bracket(count, lo, hi, 10))
+        return list(ridges.flip_bracket(lambda d: count(d) >= 2, lo, hi, 10))
     except TwoToneError:
         return None
 

@@ -97,13 +97,16 @@ def oracle_quadrature_squeeze(model: TwoHarmonicModel, window: GaussianWindow,
     eta = 0.5 * (edges[:-1] + edges[1:])
 
     rot = complex(math.cos(TWO_PI * d * t), math.sin(TWO_PI * d * t))
-    g0 = np.exp(-C * (eta - xi0) ** 2)
-    g1 = np.exp(-C * (eta - xi1) ** 2)
-    bracket = g0 + a * rot * g1
-    dbracket_dt = a * rot * g1 * (2j * math.pi * d)
-    ok = np.abs(bracket) > 1e-300
+    e0, e1 = (eta - xi0) ** 2, (eta - xi1) ** 2
+    # eta_hat = xi0 + delta a rot g1 / (g0 + a rot g1) with g_j = e^{-C e_j};
+    # both Gaussians are taken over the larger one, so the ratio stays
+    # defined where both underflow (|eta - xi_j| beyond about 6 at sigma = sqrt 2)
+    e_min = np.minimum(e0, e1)
+    scaled1 = a * rot * np.exp(-C * (e1 - e_min))
+    scaled = np.exp(-C * (e0 - e_min)) + scaled1
+    ok = np.abs(scaled) > 1e-300
     etahat = np.full(eta.shape, np.inf, dtype=complex)
-    etahat[ok] = xi0 + dbracket_dt[ok] / (2j * math.pi * bracket[ok])
+    etahat[ok] = xi0 + d * scaled1[ok] / scaled[ok]
 
     weight = np.zeros(eta.shape)
     finite = np.isfinite(etahat)
@@ -112,5 +115,5 @@ def oracle_quadrature_squeeze(model: TwoHarmonicModel, window: GaussianWindow,
         g = np.ones(eta.shape, dtype=complex)
     else:
         phase0 = complex(math.cos(TWO_PI * xi0 * t), math.sin(TWO_PI * xi0 * t))
-        g = phase0 * bracket
+        g = phase0 * (np.exp(-C * e0) + a * rot * np.exp(-C * e1))
     return complex(np.sum(g * weight) * (hi - lo) / n)

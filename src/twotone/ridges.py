@@ -1,8 +1,8 @@
-"""Spectrogram ridge machinery: frequency-axis maxima counting with refinement
-(of |V| and of squeezed cross sections) and bisection of the 1 <-> 2 count
-flip, the amplitude-dependent critical gap, bifurcation times and the
-elliptical ridge loops ("bubbles") of the balanced model, destructive-slice
-extrema, and grid-based ridge extraction.
+"""Spectrogram ridge machinery: frequency-axis maxima counting of |V| with
+refinement, the library's one bisection (of a count flip or a root), the
+amplitude-dependent critical gap, bifurcation times and the elliptical ridge
+loops ("bubbles") of the balanced model, destructive-slice extrema, and
+grid-based ridge extraction.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
 )
 from .gabor import ComplexField, _simpson_weights, spectrogram_decomposition, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_time, destructive_zero
-from .squeeze import SqueezeConfig, squeeze_cross_section
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -151,47 +150,28 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
         return len(_refined_maxima(lambda e: float(modulus(e)), grid, vals))
 
     n = n_samples
+    count = count_at(n)
     for _ in range(4):
-        c1, c2 = count_at(n), count_at(2 * n)
-        if c1 == c2:
-            return c1
-        n *= 2
+        finer = count_at(2 * n)
+        if finer == count:
+            return count
+        count, n = finer, 2 * n
     raise InconclusiveCountError(
         f"maxima count did not stabilize up to n = {n} samples at t = {t}"
     )
 
 
-def count_squeeze_maxima(model: TwoHarmonicModel, window: GaussianWindow,
-                         config: SqueezeConfig) -> int:
-    """Interior local maxima of xi -> |S(0, xi)| at 641 xi on [xi0 - 0.08, xi1 + 0.08].
+def flip_bracket(pred, lo: float, hi: float, steps: int) -> tuple[float, float]:
+    """Halve [lo, hi] steps times around the point where pred flips from
+    false to true, and return the last bracket.
 
-    Samples below 1e-3 of the largest are raised to that floor first: in the
-    tails they carry only quadrature noise, which would register spurious
-    maxima.
+    Assumes pred(lo) is false and pred(hi) true; checking that is left to the
+    caller. This is the library's one bisection: the 1 <-> 2 flip of a maxima
+    count (pred = count >= 2), the STFT gap root and the SST fold all run it.
     """
-    xis = np.linspace(model.xi0 - 0.08, model.xi1 + 0.08, 641)
-    vals = np.abs(squeeze_cross_section(model, window, config, 0.0, xis))
-    return len(_candidate_peaks(np.maximum(vals, 1e-3 * vals.max())))
-
-
-def constructive_maxima(a: float, window: GaussianWindow, method: str, delta: float) -> int:
-    """Maxima count on the constructive slice t = 0 of the model (xi0 = 1, delta, a):
-    of |V| at 4096 samples for method 'stft', of the STFT-weighted squeeze at
-    alpha = 1e-4 for 'sst'."""
-    model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
-    if method == "stft":
-        return count_frequency_maxima(model, window, 0.0, n_samples=4096)
-    return count_squeeze_maxima(model, window, SqueezeConfig(alpha=1e-4, weighting="stft"))
-
-
-def flip_bracket(count, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Halve [lo, hi] iters times around the gap where count(delta) >= 2 starts.
-
-    Assumes count(lo) < 2 <= count(hi); checking that is left to the caller.
-    """
-    for _ in range(iters):
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if count(mid) >= 2:
+        if pred(mid):
             hi = mid
         else:
             lo = mid
@@ -202,39 +182,18 @@ def critical_gap_stft(a: float, window: GaussianWindow) -> tuple[float, float]:
     """Smallest gap at which the constructive-time slice resolves two maxima.
 
     Returns (delta_crit, s) with delta_crit = (1+s)/(pi sigma sqrt(2 s)) and s
-    the unique root of ln(s/a) = (s - 1/s)/2 (the left side minus the right is
-    strictly decreasing, so bisection is safe). a = 1 short-circuits to s = 1.
+    the unique root of ln(s/a) = (s - 1/s)/2. In x = ln s the equation is
+    x - sinh x = ln a, whose left side strictly decreases; as |ln a| <= 745 <
+    sinh 8 - 8 for every positive finite a, 64 halvings of [-8, 8] always
+    hold the root, and s = e^x at the upper end of the last bracket. a = 1
+    short-circuits to s = 1 exactly.
     """
     if not 0 < a < math.inf:
         raise ModelValidationError(f"a must be positive and finite, got {a!r}")
-    if a == 1.0:
-        s = 1.0
-    else:
-        def g(s):
-            return math.log(s / a) - 0.5 * (s - 1.0 / s)
-
-        lo, hi = 1e-8, 1e8
-        if not (g(lo) > 0 > g(hi)):
-            raise SolverFailureError(
-                f"no bracket for the gap equation in (1e-8, 1e8) at a = {a}",
-                residuals=(g(lo), g(hi)),
-            )
-        mid = math.sqrt(lo * hi)
-        for _ in range(400):
-            mid = math.sqrt(lo * hi)
-            val = g(mid)
-            if abs(val) < 1e-12:
-                break
-            if val > 0:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            raise SolverFailureError(
-                f"gap-equation bisection stalled at residual {g(mid)}",
-                residuals=(g(mid),),
-            )
-        s = mid
+    s = 1.0
+    if a != 1.0:
+        log_a = math.log(a)
+        s = math.exp(flip_bracket(lambda x: x - math.sinh(x) <= log_a, -8.0, 8.0, 64)[1])
     delta_crit = (1.0 + s) / (math.pi * window.sigma * math.sqrt(2.0 * s))
     return delta_crit, s
 

@@ -1,7 +1,8 @@
 """Generalized synchrosqueezing: the squeezed transform with STFT or indicator
-weighting, pushforward densities along the reassignment image, small-kernel
-asymptotics, preimage case analysis at distinguished times, erf closed forms,
-the SST critical-gap solver, and extreme-amplitude limits.
+weighting, maxima counting of its cross sections, pushforward densities along
+the reassignment image, small-kernel asymptotics, preimage case analysis at
+distinguished times, erf closed forms, the SST critical-gap solver, and
+extreme-amplitude limits.
 
 The transform is S_G(t, xi) = integral G(t, eta) g_alpha(eta_s(t, eta) - xi) d eta
 with Gaussian mollifier g_alpha(z) = e^{-|z|^2/alpha}/sqrt(pi alpha) (unit mass
@@ -28,6 +29,7 @@ from .errors import (
 from .gabor import ComplexField, QuadratureSpec, TFGrid, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_zero
 from .reassign import eta_s_values
+from .ridges import _candidate_peaks, count_frequency_maxima, critical_gap_stft, flip_bracket
 
 WEIGHTINGS = ("stft", "indicator")
 REASSIGN_MODES = ("sync", "phase")
@@ -280,6 +282,29 @@ def squeeze_field(model: TwoHarmonicModel, window: GaussianWindow,
     rows = [squeeze_cross_section(model, window, config, t, grid.eta_values())
             for t in grid.t_values()]
     return ComplexField(grid=grid, values=np.vstack(rows), tag="SQUEEZE")
+
+
+def count_squeeze_maxima(model: TwoHarmonicModel, window: GaussianWindow,
+                         config: SqueezeConfig) -> int:
+    """Interior local maxima of xi -> |S(0, xi)| at 641 xi on [xi0 - 0.08, xi1 + 0.08].
+
+    Samples below 1e-3 of the largest are raised to that floor first: in the
+    tails they carry only quadrature noise, which would register spurious
+    maxima.
+    """
+    xis = np.linspace(model.xi0 - 0.08, model.xi1 + 0.08, 641)
+    vals = np.abs(squeeze_cross_section(model, window, config, 0.0, xis))
+    return len(_candidate_peaks(np.maximum(vals, 1e-3 * vals.max())))
+
+
+def constructive_maxima(a: float, window: GaussianWindow, method: str, delta: float) -> int:
+    """Maxima count on the constructive slice t = 0 of the model (xi0 = 1, delta, a):
+    of |V| at 4096 samples for method 'stft', of the STFT-weighted squeeze at
+    alpha = 1e-4 for 'sst'."""
+    model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
+    if method == "stft":
+        return count_frequency_maxima(model, window, 0.0, n_samples=4096)
+    return count_squeeze_maxima(model, window, SqueezeConfig(alpha=1e-4, weighting="stft"))
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +597,9 @@ def critical_gap_sst(a: float, window: GaussianWindow) -> tuple[float, float, fl
         return n, g, dn * g - n * dg
 
     # 52 halvings shrink [1/4, 1/2] to one ulp of Y; every midpoint is exact
-    # and interior, so the logs above stay finite
-    lo, hi = 0.25, 0.5
-    for _ in range(52):
-        y = 0.5 * (lo + hi)
-        if curve(y)[2] < 0.0:
-            lo = y
-        else:
-            hi = y
+    # and interior, so the logs above stay finite. Y is the bracket's upper
+    # end, where N'G - NG' >= 0
+    y = flip_bracket(lambda y: curve(y)[2] >= 0.0, 0.25, 0.5, 52)[1]
     n, g, _ = curve(y)
     u2 = n / (4.0 * g)
     if not (y - 0.25 > 1e-12 and 0.0 < u2 < math.inf):
@@ -600,11 +620,10 @@ def critical_gap_density(a: float, window: GaussianWindow) -> float:
 
     With s = ln((xi - xi0)/(xi1 - xi)), ln|theta| = 3 ln cosh(s/2)
     - (s - ln a)^2/(4 C delta^2) + const; its double root solves s - sinh s =
-    ln a with delta = sqrt(2/3) cosh(s/2)/(pi sigma), the plain-transform
-    root scaled by 1/sqrt(3) for every a.
+    ln a, the equation critical_gap_stft solves in x = ln s, with delta =
+    sqrt(2/3) cosh(s/2)/(pi sigma): the plain-transform gap scaled by
+    1/sqrt(3) for every a.
     """
-    from .ridges import critical_gap_stft  # ridges imports this module
-
     return critical_gap_stft(a, window)[0] / math.sqrt(3.0)
 
 

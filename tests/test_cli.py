@@ -385,6 +385,12 @@ class TestCritical:
         pitchfork = math.sqrt(2.0 / 3.0) / (math.pi * sigma)
         assert abs(0.5 * (lo + hi) - pitchfork) <= 0.01 * pitchfork
 
+    def test_stft_tiny_amplitude(self, capsys):
+        code, out, _ = run(["critical", "--a", "1e-305", "--sigma", repr(math.sqrt(2.0)),
+                            "--method", "stft", "--no-empirical"], capsys)
+        assert code == 0
+        assert 0.0 < json.loads(out)["delta_critical"] < math.inf
+
     def test_sst_unresolved_fold_exits_3(self, capsys):
         code, out, err = run(["critical", "--a", "1e300", "--sigma", repr(math.sqrt(2.0)),
                               "--method", "sst", "--no-empirical"], capsys)

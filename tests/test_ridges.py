@@ -24,6 +24,7 @@ from twotone.errors import (
     InconclusiveCountError,
     NoBifurcationError,
 )
+from twotone import ridges
 from twotone.ridges import _candidate_peaks, _refined_maxima, default_band, golden_max
 
 
@@ -40,6 +41,20 @@ class TestCounting:
     def test_below_critical_destructive(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.2, a=1.0)
         assert count_frequency_maxima(model, window, 0.5 / model.delta) == 2
+
+    def test_each_resolution_counted_once(self, window, model_balanced, monkeypatch):
+        # a count that grows with the grid never stabilizes; each of n, 2n,
+        # ..., 16n is sampled and counted exactly once before the error
+        sizes = []
+
+        def fake_refined_maxima(f, grid, values):
+            sizes.append(len(grid))
+            return [0.0] * (len(grid) // 512)
+
+        monkeypatch.setattr(ridges, "_refined_maxima", fake_refined_maxima)
+        with pytest.raises(InconclusiveCountError, match="up to n = 8192 samples"):
+            count_frequency_maxima(model_balanced, window, 0.0)
+        assert sizes == [513, 1025, 2049, 4097, 8193]
 
     def test_band_coverage(self, window, model_balanced):
         with pytest.raises(BandCoverageError):
@@ -192,11 +207,25 @@ class TestCriticalGap:
         assert abs(math.log(s / 2.0) - 0.5 * (s - 1.0 / s)) < 1e-12
 
     def test_inversion_symmetry(self, window):
-        for a in (0.5, 2.0):
+        # x - sinh x = ln a is odd in x, so s(1/a) = 1/s(a), down to a = 1e-305
+        for a in (0.5, 2.0, 1e-300, 1e-305):
             d1, s1 = critical_gap_stft(a, window)
             d2, s2 = critical_gap_stft(1.0 / a, window)
             assert s2 == pytest.approx(1.0 / s1, rel=1e-9)
             assert d2 == pytest.approx(d1, rel=1e-12)
+
+    def test_smallest_amplitude(self, window):
+        # 5e-324 is the smallest positive double: ln a = -744.4
+        delta_crit, s = critical_gap_stft(5e-324, window)
+        assert 0.0 < delta_crit < math.inf and 1.0 < s < math.inf
+
+    @pytest.mark.parametrize("a", [1 - 1e-12, 1 + 1e-12, 1 - 1e-10, 1 + 1e-10])
+    def test_near_balanced_root(self, window, a):
+        # x - sinh x = -x^3/6 (1 + x^2/20 + ...), so ln s = -cbrt(6 ln a) up
+        # to a relative x^2/60, below 1.2e-8 here
+        _, s = critical_gap_stft(a, window)
+        leading = float(np.cbrt(6.0 * math.log(a)))
+        assert abs(math.log(s) + leading) <= 1e-6 * abs(leading)
 
 
 class TestBifurcations:
