@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -338,7 +339,10 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory (overrides output.dir)")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing fills a fresh
+    namespace each time, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="twotone",
         description="Interference numerics for two-component harmonic signals.",

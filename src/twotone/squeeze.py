@@ -145,38 +145,48 @@ def _dist2_to_hull(etahat: np.ndarray, sentinel: np.ndarray,
 
 def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
                     alpha: float) -> np.ndarray:
-    """sum_k weights_k exp(-|hat_k - xi|^2 / alpha) for each xi in xis.
+    """sum_k weights[r, k] exp(-|hat_k - xi|^2 / alpha) for each row r of the
+    (m, nodes) weight matrix and each xi in xis, as an (m, len(xis)) array.
 
-    A term is kept only while both of its Gaussian factors are normal
-    doubles: |Re hat_k - xi|^2 / alpha and |Im hat_k|^2 / alpha at most
-    -ln(2.2e-308) = 708.396... Every dropped term is below 2.2e-308 |w_k|, so
-    no sum above ~1e-292 moves, and the kernel never computes with subnormal
-    numbers, which take a slow path in exp and in the matrix-vector product.
+    The m rows are m quadrature rules on the same nodes (in the squeeze base
+    pass: the trapezoid rule and the rule of twice its step). They share one
+    sort and one exp per term, and each term enters one m-row
+    matrix-vector product. A term is kept only while both of its Gaussian
+    factors are normal doubles: |Re hat_k - xi|^2 / alpha and |Im hat_k|^2
+    / alpha at most -ln(2.2e-308) = 708.396... Every dropped term is below
+    2.2e-308 |w_k|, so no sum above ~1e-292 moves, and the kernel never
+    computes with subnormal numbers, which take a slow path in exp and in
+    the matrix-vector product.
     The nodes are sorted once by Re hat, and each xi sums over its own
     contiguous searchsorted window of half-width sqrt(708.396 alpha). The
     factor exp(-(Im hat_k)^2 / alpha) is folded into the weights, and nodes
-    whose factor is below the smallest normal double, or whose weight is 0,
-    sort past every window. Memory is O(nodes + xis).
+    whose factor is below the smallest normal double, or whose weights are
+    all 0, sort past every window. Memory is O(m (nodes + xis)).
     """
+    m = len(weights)
     fold = np.exp(-hat.imag ** 2 / alpha)
-    key = np.where((fold >= sys.float_info.min) & (weights != 0.0), hat.real, np.inf)
+    key = np.where((fold >= sys.float_info.min) & np.any(weights != 0.0, axis=0),
+                   hat.real, np.inf)
     order = np.argsort(key, kind="stable")
     re = key[order]
     # each node-sized temporary is dropped as soon as it is used, so this
     # set-up peaks below the evaluation of hat itself
     del key
     fold = fold[order]
-    folded = np.empty((2, len(order)))
-    np.take(weights.real, order, out=folded[0])
-    np.take(weights.imag, order, out=folded[1])
+    # rows re_0, im_0, re_1, im_1, ...: each product below is m complex sums
+    folded = np.empty((m, 2, len(order)))
+    np.take(weights.real, order, axis=1, out=folded[:, 0])
+    np.take(weights.imag, order, axis=1, out=folded[:, 1])
     del order
     folded *= fold
     del fold
+    folded = folded.reshape(2 * m, -1)
     reach = math.sqrt(_NORMAL_EXPONENT * alpha)
     starts = np.searchsorted(re, xis - reach, side="left")
     stops = np.searchsorted(re, xis + reach, side="right")
     buf = np.empty(int(np.max(stops - starts, initial=0)))
-    out = np.zeros(len(xis), dtype=complex)
+    out = np.zeros((len(xis), m), dtype=complex)
+    parts = out.view(float)
     for i, (xi, a, b) in enumerate(zip(xis.tolist(), starts.tolist(), stops.tolist())):
         if a < b:
             moll = buf[:b - a]
@@ -184,9 +194,8 @@ def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
             np.multiply(moll, moll, out=moll)
             moll /= -alpha
             np.exp(moll, out=moll)
-            s_re, s_im = folded[:, a:b] @ moll
-            out[i] = complex(s_re, s_im)
-    return out
+            np.matmul(folded[:, a:b], moll, out=parts[i])
+    return out.T
 
 
 def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
@@ -197,13 +206,18 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     integrand is analytic and flat at both ends, so the rule converges
     geometrically. A base pass of quadrature.n_nodes intervals finds the
     active nodes (reassignment value within e^-60 mollifier reach of the xi
-    hull); the refinement window spans them plus two base cells. Its base
-    trapezoid is level 0; each doubling evaluates only the midpoints,
-    T_{h/2} = T_h/2 + (h/2) sum f(midpoints), until the whole vector changes
-    by <= quadrature.rtol relative (floored by a tiny absolute term). The base
-    cells outside the window and the indicator far fields (each its own
-    n_nodes-interval trapezoid) are summed once. Sentinel reassignment values
-    contribute zero mass.
+    hull); the refinement window spans them plus two base cells, widened to
+    even base indices. The ladder of trapezoid rules on the window starts one
+    level below the base: the base pass sums two weight rows over the same
+    nodes, T_h (the base trapezoid) and T_2h (twice the T_h weights on the
+    even nodes, 0 on the odd ones), and each doubling evaluates only the
+    midpoints, T_{h/2} = T_h/2 + (h/2) sum f(midpoints). The ladder stops at
+    the first rule whose whole vector differs from the one before by <=
+    quadrature.rtol relative (floored by a tiny absolute term), so a section
+    whose T_h and T_2h already agree costs one kernel pass. The base cells
+    outside the window (one cell more for an odd n_nodes) and the indicator
+    far fields (each its own n_nodes-interval trapezoid) are summed together
+    once. Sentinel reassignment values contribute zero mass.
 
     Each pass sums, for every xi, only over the nodes with
     |Re eta_hat - xi| <= sqrt(708.396 alpha) and |Im eta_hat| within the same
@@ -215,60 +229,79 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     off-support tails.
 
     Raises SolverFailureError when max_doublings doublings of the active
-    region do not reach the tolerance. With max_doublings = 0 there is no
-    second resolution to compare against, so convergence is never shown and
-    the call always raises.
+    region do not reach the tolerance. With max_doublings = 0 the call
+    returns T_h where the base pass has converged and raises elsewhere, with
+    the change of T_h against T_2h as its residual.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     spec = config.quadrature
     n0, alpha = spec.n_nodes, config.alpha
     xi_lo, xi_hi = float(xis.min()), float(xis.max())
 
-    def integrate(eta, hat, sent, step, trapezoid=True):
-        # step times the sum over the nodes; a trapezoid halves both end nodes
-        weights = _weight_values(model, window, config, t, eta) * step
-        if trapezoid:
-            weights[[0, -1]] *= 0.5
-        weights[sent] = 0.0
-        return _mollified_sums(hat, weights, xis, alpha) / math.sqrt(math.pi * alpha)
+    def weights(eta, sent, step):
+        # step times the integrand at each node; sentinels carry no mass
+        w = _weight_values(model, window, config, t, eta) * step
+        w[sent] = 0.0
+        return w
 
-    outside = np.zeros(len(xis), dtype=complex)
+    def trapezoid(w):
+        w = w.copy()
+        w[[0, -1]] *= 0.5
+        return w
+
+    def sums(hat, rows):
+        return _mollified_sums(hat, rows, xis, alpha) / math.sqrt(math.pi * alpha)
+
+    def level(mid, step):
+        # one midpoint level; its node arrays are freed before the next one
+        hat, sent = _eta_hat(model, window, config, t, mid)
+        return sums(hat, weights(mid, sent, step)[None])[0]
+
+    out_hat, out_w = [], []  # every outside piece, summed together once
     for k, (lo, hi) in enumerate(_integration_pieces(model, window, config)):
         eta = np.linspace(lo, hi, n0 + 1)
         hat, sent = _eta_hat(model, window, config, t, eta)
-        step = eta[1] - eta[0]
+        w = weights(eta, sent, eta[1] - eta[0])
         i0 = i1 = n0  # a far field is all outside the refinement window
         if k == 0:  # the band: refine the sampled hits padded by two base cells
             active = np.flatnonzero(
                 _dist2_to_hull(hat, sent, xi_lo, xi_hi) <= _LOG_CUTOFF * alpha)
-            i0, i1 = 0, n0
+            # even ends, so that the even nodes carry the rule of step 2h
+            i0, i1 = 0, n0 - n0 % 2
             if active.size:
-                i0, i1 = max(int(active[0]) - 2, 0), min(int(active[-1]) + 2, n0)
-            a_lo, h, n = eta[i0], step, i1 - i0
-            inner = integrate(eta[i0:i1 + 1], hat[i0:i1 + 1], sent[i0:i1 + 1], step)
+                i0 = max(int(active[0]) - 2, 0) // 2 * 2
+                i1 = min((int(active[-1]) + 3) // 2 * 2, i1)
+            a_lo, h, n = eta[i0], eta[1] - eta[0], i1 - i0
+            rows = np.zeros((2, n + 1), dtype=complex)
+            rows[0] = trapezoid(w[i0:i1 + 1])
+            rows[1, ::2] = 2.0 * rows[0, ::2]
+            fine, coarse = sums(hat[i0:i1 + 1], rows)
         for j0, j1 in ((0, i0), (i1, n0)):
             if j1 > j0:
-                outside += integrate(eta[j0:j1 + 1], hat[j0:j1 + 1], sent[j0:j1 + 1], step)
+                out_hat.append(hat[j0:j1 + 1])
+                out_w.append(trapezoid(w[j0:j1 + 1]))
+    outside = sums(np.concatenate(out_hat), np.concatenate(out_w)[None])[0] if out_hat else 0.0
+    # the largest midpoint level sets the memory peak; the base arrays go first
+    del eta, hat, sent, w, rows, out_hat, out_w
 
     scale_floor = 1e-13 / math.sqrt(alpha)
-    total = outside + inner
-    change = scale = math.nan
-    for _ in range(spec.max_doublings):
-        mid = a_lo + h * (np.arange(n) + 0.5)
-        inner = inner / 2 + integrate(mid, *_eta_hat(model, window, config, t, mid), h / 2, False)
-        h, n = h / 2, 2 * n
-        new_total = outside + inner
-        change = float(np.max(np.abs(new_total - total)))
-        scale = max(float(np.max(np.abs(new_total))), scale_floor)
-        total = new_total
+    total, last = outside + fine, outside + coarse
+    doublings = 0
+    while True:
+        change = float(np.max(np.abs(total - last)))
+        scale = max(float(np.max(np.abs(total))), scale_floor)
         if change <= spec.rtol * scale:
             return total
-    raise SolverFailureError(
-        f"squeeze quadrature at t = {t} did not converge in {spec.max_doublings} "
-        f"doublings ({n} intervals): last change {change:.3e} > "
-        f"rtol * scale = {spec.rtol * scale:.3e}",
-        residuals=(change, spec.rtol * scale),
-    )
+        if doublings == spec.max_doublings:
+            raise SolverFailureError(
+                f"squeeze quadrature at t = {t} did not converge in {doublings} "
+                f"doublings ({n} intervals): last change {change:.3e} > "
+                f"rtol * scale = {spec.rtol * scale:.3e}",
+                residuals=(change, spec.rtol * scale),
+            )
+        fine = fine / 2 + level(a_lo + h * (np.arange(n) + 0.5), h / 2)
+        h, n, doublings = h / 2, 2 * n, doublings + 1
+        last, total = total, outside + fine
 
 
 def squeeze_transform(model: TwoHarmonicModel, window: GaussianWindow,
@@ -570,7 +603,8 @@ def critical_gap_sst(a: float, window: GaussianWindow) -> tuple[float, float, fl
     d(u^2)/dY = 0: the sign change of N'G - NG', which is bracketed on (1/4,
     1/2) for a > 1 because u^2 -> inf at both ends. For a < 1 the fold is
     its mirror, since u^2(1 - Y; 1/a) = u^2(Y; a). Then delta = u/(pi
-    sigma), r = a q1/p1 and xi_c = Y delta.
+    sigma), r = a q1/p1 and xi_c = Y delta at the fold, which for a < 1 is
+    r = a p2/q2 and xi_c = (1 - Y) delta in the Y of a > 1.
 
     Raises SolverFailureError when the fold is not resolved in floating
     point: it lies within 1e-12 of Y = 1/4 or 3/4 from about a = 1e107 and
@@ -608,9 +642,11 @@ def critical_gap_sst(a: float, window: GaussianWindow) -> tuple[float, float, fl
             f"floating point: |Y - Y_edge| = {y - 0.25:.3e}, u^2 = {u2!r}",
             residuals=(y - 0.25, u2),
         )
-    if a < 1.0:
-        y = 1.0 - y
     delta_c = math.sqrt(u2) / (math.pi * sigma)
+    if a < 1.0:
+        # r = a q1/p1 at the mirror 1 - Y, formed from Y itself: rounding 1 - Y
+        # would lose the small Y - 1/4
+        return delta_c, a * (y - 0.25) / (1.25 - y), (1.0 - y) * delta_c
     return delta_c, a * (0.75 - y) / (y + 0.25), y * delta_c
 
 

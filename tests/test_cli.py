@@ -16,6 +16,7 @@ from twotone import (
 )
 from twotone.cli import (
     main,
+    make_parser,
     parse_config_file,
     parse_overrides,
     write_grid_csv,
@@ -390,6 +391,19 @@ class TestCritical:
                             "--method", "stft", "--no-empirical"], capsys)
         assert code == 0
         assert 0.0 < json.loads(out)["delta_critical"] < math.inf
+
+    def test_reused_parser_leaks_no_flag(self, capsys):
+        # main builds its parser once per process; a flag given to one call
+        # must not carry over into the next
+        argv = ["critical", "--a", "1.3", "--sigma", "1.0", "--method", "stft"]
+        make_parser.cache_clear()
+        fresh = run(argv, capsys)
+        make_parser.cache_clear()
+        assert run(argv + ["--no-empirical"], capsys)[0] == 0
+        parser = make_parser()
+        assert run(argv, capsys) == fresh
+        assert make_parser() is parser
+        assert fresh[0] == 0 and json.loads(fresh[1])["empirical_bracket"] is not None
 
     def test_sst_unresolved_fold_exits_3(self, capsys):
         code, out, err = run(["critical", "--a", "1e300", "--sigma", repr(math.sqrt(2.0)),

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,14 +185,15 @@ class TestTransform:
 
     @staticmethod
     def _record_passes(monkeypatch):
-        """Node count of every _mollified_sums call and the eta of every
-        eta_s_values call that squeeze_cross_section makes, in order."""
+        """(weight rows, nodes) of every _mollified_sums call and the eta of
+        every eta_s_values call that squeeze_cross_section makes, in order."""
         sums, etas = [], []
         sum_fn, eta_fn = squeeze_module._mollified_sums, squeeze_module.eta_s_values
 
-        def sums_spy(hat, *args):
-            sums.append(len(hat))
-            return sum_fn(hat, *args)
+        def sums_spy(hat, weights, *args):
+            assert weights.shape[1] == len(hat)
+            sums.append(weights.shape)
+            return sum_fn(hat, weights, *args)
 
         def eta_spy(model, window, t, eta):
             etas.append(np.array(eta))
@@ -216,18 +218,32 @@ class TestTransform:
         n0 = config.quadrature.n_nodes
         sums, etas = self._record_passes(monkeypatch)
         squeeze_cross_section(model_a13, window, config, 0.0, np.linspace(0.9, 1.4, 11))
-        # the window is the whole band: the base trapezoid is level 0 and no
-        # piece lies outside; each doubling evaluates and sums only the
-        # n0, 2 n0, 4 n0, ... midpoints of the level before
+        # the window is the whole band and no piece lies outside; the base
+        # trapezoid T_h and the rule T_2h on its even nodes are two weight
+        # rows of one pass, and they agree, so no midpoint level is added
+        assert sums == [(2, n0 + 1)] and len(etas) == 1
+        assert len(etas[0]) == n0 + 1
+
+    def test_destructive_whole_grid_window_nests_each_level_once(self, window, model_a13,
+                                                                 monkeypatch):
+        config = SqueezeConfig(alpha=ALPHA, weighting="stft")
+        n0 = config.quadrature.n_nodes
+        sums, etas = self._record_passes(monkeypatch)
+        t = destructive_time(model_a13, 0)
+        squeeze_cross_section(model_a13, window, config, t, np.linspace(0.6, 1.7, 257))
+        # T_h and T_2h differ on the whole band; each doubling evaluates and
+        # sums only the n0, 2 n0, 4 n0, ... midpoints of the level before
         assert len(sums) >= 2 and len(etas) == len(sums)
-        assert sums == [n0 + 1] + [n0 << k for k in range(len(sums) - 1)]
+        assert sums == [(2, n0 + 1)] + [(1, n0 << k) for k in range(len(sums) - 1)]
         self._assert_nested(etas[0], etas[1:], etas[0][0], etas[0][-1])
 
     @pytest.mark.parametrize("R", [5.0, 50.0])
     def test_partial_window_sums_each_outside_piece_once(self, window, model_a13,
                                                          monkeypatch, R):
-        config = SqueezeConfig(alpha=ALPHA, weighting="indicator", R=R)
-        n0 = config.quadrature.n_nodes
+        # 512 base intervals, where the window is refined twice
+        n0 = 512
+        config = SqueezeConfig(alpha=ALPHA, weighting="indicator", R=R,
+                               quadrature=QuadratureSpec(n_nodes=n0))
         sums, etas = self._record_passes(monkeypatch)
         squeeze_cross_section(model_a13, window, config, 0.0, np.array([1.08, 1.15, 1.22]))
         # the band, then the far fields [-R, band] and [band, R], n0 + 1 base
@@ -236,15 +252,50 @@ class TestTransform:
         assert all(len(eta) == n0 + 1 for eta in etas[:3])
         assert far_left[0] == -R and far_left[-1] == band[0]
         assert far_right[0] == band[-1] and far_right[-1] == R
-        # level 0 on the window, the band's two outside pieces and the two far
-        # fields are each summed once; the pieces share only their end nodes
-        inner, left, right = sums[:3]
-        assert sums[3:5] == [n0 + 1, n0 + 1]
-        assert left > 1 and right > 1 and inner + left + right == n0 + 3
-        # the midpoint levels stay inside the window, nested on its base cells
-        n, levels = inner - 1, etas[3:]
-        assert len(levels) >= 1 and sums[5:] == [n << k for k in range(len(levels))]
-        self._assert_nested(band, levels, band[left - 1], band[n0 + 1 - right])
+        # the window's two rules in one sum, then the band's two outside
+        # pieces and both far fields together in one more; the pieces share
+        # only their end nodes
+        (rows, inner), (one, outer) = sums[:2]
+        n = inner - 1
+        assert rows == 2 and one == 1 and n % 2 == 0
+        assert outer == (n0 - n + 2) + 2 * (n0 + 1)
+        # the midpoint levels stay inside the window, which starts at an even
+        # base index, nested on its base cells
+        levels = etas[3:]
+        assert len(levels) >= 1 and sums[2:] == [(1, n << k) for k in range(len(levels))]
+        i0 = round((levels[0][0] - band[0]) / (band[1] - band[0]) - 0.5)
+        assert i0 % 2 == 0 and 0 < i0 < i0 + n < n0
+        self._assert_nested(band, levels, band[i0], band[i0 + n])
+
+    def test_converged_base_pass_is_one_kernel_pass(self, window, model_a13, monkeypatch):
+        # T_h is returned when it agrees with T_2h; it matches the value one
+        # doubling later, T_{h/2}, which a base pass of 2 n0 intervals gives
+        xis = np.linspace(0.9, 1.4, 101)
+        config = SqueezeConfig(alpha=ALPHA, weighting="stft")
+        n0 = config.quadrature.n_nodes
+        finer = SqueezeConfig(alpha=ALPHA, weighting="stft",
+                              quadrature=QuadratureSpec(n_nodes=2 * n0))
+        ref = squeeze_cross_section(model_a13, window, finer, 0.0, xis)
+        sums, etas = self._record_passes(monkeypatch)
+        vals = squeeze_cross_section(model_a13, window, config, 0.0, xis)
+        assert sums == [(2, n0 + 1)] and len(etas) == 1
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["constructive", "destructive"])
+    def test_odd_node_count_converges(self, window, model_a13, monkeypatch, kind):
+        # the window keeps an even width, and the band's last cell is summed
+        # once as an outside piece
+        n0 = 4095
+        config = SqueezeConfig(alpha=ALPHA, weighting="stft",
+                               quadrature=QuadratureSpec(n_nodes=n0))
+        t = 0.0 if kind == "constructive" else destructive_time(model_a13, 0)
+        xis = np.linspace(0.95, 1.35, 9)
+        sums, _ = self._record_passes(monkeypatch)
+        vals = squeeze_cross_section(model_a13, window, config, t, xis)
+        assert sums[:2] == [(2, n0), (1, 2)]
+        ref = np.array([oracle_quadrature_squeeze(model_a13, window, config, t, float(xi))
+                        for xi in xis])
+        assert np.max(np.abs(vals - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     # at R = 2.5 the band is clipped at R and only the left far field remains;
     # at R = 50 xi0 and xi1 take most of their mass from far-field nodes where
@@ -279,12 +330,21 @@ class TestTransform:
 
     @pytest.mark.parametrize("max_doublings", [0, 1])
     def test_starved_refinement_raises(self, window, model_a13, max_doublings):
+        # with no doubling the base pass still compares T_h with T_2h
         spec = QuadratureSpec(n_nodes=64, rtol=1e-15, max_doublings=max_doublings)
         config = SqueezeConfig(alpha=ALPHA, weighting="stft", quadrature=spec)
         with pytest.raises(SolverFailureError) as err:
             squeeze_cross_section(model_a13, window, config, 0.4, np.linspace(1.0, 1.3, 7))
         change, target = err.value.residuals
-        assert max_doublings == 0 or change > target
+        assert math.isfinite(change) and change > target > 0
+
+    def test_no_doubling_returns_a_converged_base_pass(self, window, model_a13):
+        xis = np.linspace(0.9, 1.4, 11)
+        config = SqueezeConfig(alpha=ALPHA, weighting="stft")
+        base_only = SqueezeConfig(alpha=ALPHA, weighting="stft",
+                                  quadrature=QuadratureSpec(max_doublings=0))
+        assert np.array_equal(squeeze_cross_section(model_a13, window, base_only, 0.0, xis),
+                              squeeze_cross_section(model_a13, window, config, 0.0, xis))
 
 
 def _dense_mollified_sums(hat, sent, w, gvals, xis, alpha):
@@ -320,16 +380,21 @@ class TestMollifiedSums:
             [lo - 15.2 * reach, hi + 15.2 * reach, lo - 21.5 * reach, hi + 21.5 * reach],
             [lo - 28 * reach, hi + 30 * reach],
         ])
-        ref = _dense_mollified_sums(hat, sent, w, gvals, xis, alpha)
+        # two weight rows; some nodes are weighted by the second row only
+        gvals = np.array([gvals, rng.normal(size=n) + 1j * rng.normal(size=n)])
+        gvals[0, rng.random(n) < 0.2] = 0.0
         weights = w * gvals
-        weights[sent] = 0.0
+        weights[:, sent] = 0.0
         got = _mollified_sums(hat, weights, xis, alpha)
-        assert np.array_equal(ref == 0, got == 0)
-        assert np.count_nonzero(ref == 0) == 2
-        tail = np.abs(ref[41:45])
-        assert np.all((tail > 1e-250) & (tail < 1e-80))
-        big = np.abs(ref) > 1e-280
-        assert np.all(np.abs(got[big] - ref[big]) <= 1e-12 * np.abs(ref[big]))
+        assert got.shape == (2, len(xis))
+        for row, g in zip(got, gvals):
+            ref = _dense_mollified_sums(hat, sent, w, g, xis, alpha)
+            assert np.array_equal(ref == 0, row == 0)
+            assert np.count_nonzero(ref == 0) == 2
+            tail = np.abs(ref[41:45])
+            assert np.all((tail > 1e-250) & (tail < 1e-80))
+            big = np.abs(ref) > 1e-280
+            assert np.all(np.abs(row[big] - ref[big]) <= 1e-12 * np.abs(ref[big]))
 
     def test_subnormal_terms_are_cut(self):
         # every term the dense sum adds at this xi is subnormal: the real
@@ -345,8 +410,8 @@ class TestMollifiedSums:
         gvals = np.ones(n, dtype=complex)
         ref = _dense_mollified_sums(hat, sent, w, gvals, np.array([xi]), alpha)
         assert 0.0 < abs(ref[0]) < 1e-300
-        got = _mollified_sums(hat, w * gvals, np.array([xi]), alpha)
-        assert got[0] == 0.0
+        got = _mollified_sums(hat, (w * gvals)[None], np.array([xi]), alpha)
+        assert got[0, 0] == 0.0
 
 
 class TestPushforward:
@@ -666,6 +731,25 @@ class TestCriticalGap:
         assert delta_c == pytest.approx(expected[0], rel=1e-12)
         assert r == pytest.approx(expected[1], abs=1e-8)
         assert xi_c == pytest.approx(expected[2], abs=1e-8)
+
+    @pytest.mark.parametrize("a", [1e-50, 1e-100])
+    def test_small_amplitude_ratio_is_exact_at_the_fold(self, window, monkeypatch, a):
+        # for a < 1 the fold is the mirror 1 - Y of the one found on (1/4, 1/2);
+        # r = a (Y - 1/4)/(5/4 - Y) there, which rounding 1 - Y would spoil
+        # as Y nears 1/4
+        folds = []
+
+        def bracket_spy(*args):
+            bracket = flip_bracket(*args)
+            folds.append(bracket[1])
+            return bracket
+
+        monkeypatch.setattr(squeeze_module, "flip_bracket", bracket_spy)
+        delta_c, r, xi_c = critical_gap_sst(a, window)
+        y = Fraction(folds[0])
+        exact = Fraction(a) * (y - Fraction(1, 4)) / (Fraction(5, 4) - y)
+        assert abs(Fraction(r) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+        assert xi_c == (1.0 - folds[0]) * delta_c
 
     @pytest.mark.parametrize("a", [1e-300, 1e300, 5e-324, 1.7e308])
     def test_unresolved_fold_raises(self, window, a):
