@@ -123,6 +123,9 @@ def build_config(args, extra: list[str]) -> ExperimentConfig:
         thetas = tuple(float(x) for x in str(merged["reassign.arc_thetas"]).split(",") if x)
     except ValueError as exc:
         raise ConfigError(f"bad value for 'reassign.arc_thetas': {exc}") from exc
+    for theta in thetas:
+        if not 0.0 < theta < math.pi:
+            raise ConfigError(f"each of 'reassign.arc_thetas' must lie in (0, pi), got {theta!r}")
     return ExperimentConfig(
         model=model, window=window, grid=grid, squeeze=sq_config, arc_thetas=thetas,
         outdir=Path(merged["output.dir"]), raw=merged,

@@ -84,8 +84,8 @@ class QuadratureSpec:
 
     half_width_sigmas: truncation half-width in units of sigma (Gaussian tail
     below 1e-27 at the default 8). n_nodes: the composite-Simpson interval
-    count of stft_numeric (rounded up to even), and the base trapezoid
-    interval count of each squeeze piece. rtol/max_doublings steer adaptive
+    count of stft_numeric and the base trapezoid interval count of the
+    squeeze band, both rounded up to even. rtol/max_doublings steer adaptive
     refinement where an operation uses it.
     """
 

@@ -83,21 +83,24 @@ def mobius_of(model: TwoHarmonicModel) -> MobiusMap:
 def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.ndarray:
     """Vectorized eta_s over broadcastable (t, eta); SENTINEL where V = 0.
 
-    Evaluated as xi1 - delta/(1 + q), with the extreme-exponent regions pinned
-    to the exact limits xi0 / xi1 so large gaps cannot overflow.
+    Evaluated as xi1 - delta/(1 + q), with the regions of extreme
+    ln |q| = ln a + 2 C delta (eta - xibar) pinned to the exact limits xi0 / xi1
+    so that neither large gaps nor extreme amplitudes can overflow; a = 0 is
+    pinned to xi0.
     """
     t = np.asarray(t, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    expo = 2.0 * window.C * model.delta * (eta - model.xibar)
-    expo, t = np.broadcast_arrays(expo, t)
-    out = np.empty(expo.shape, dtype=complex)
-    hi = expo > _EXP_CLIP
-    lo = (expo < -_EXP_CLIP) | (model.a == 0.0)
+    log_a = math.log(model.a) if model.a > 0 else -math.inf
+    log_q = log_a + 2.0 * window.C * model.delta * (eta - model.xibar)
+    log_q, t = np.broadcast_arrays(log_q, t)
+    out = np.empty(log_q.shape, dtype=complex)
+    hi = log_q > _EXP_CLIP
+    lo = log_q < -_EXP_CLIP
     mid = ~(hi | lo)
     out[hi] = model.xi1
     out[lo] = model.xi0
     if np.any(mid):
-        q = model.a * np.exp(2j * math.pi * model.delta * t[mid]) * np.exp(expo[mid])
+        q = np.exp(2j * math.pi * model.delta * t[mid]) * np.exp(log_q[mid])
         denom = 1.0 + q
         zero = np.abs(denom) <= 1e-14
         vals = np.empty(q.shape, dtype=complex)

@@ -33,7 +33,6 @@ from .ridges import _candidate_peaks, count_frequency_maxima, critical_gap_stft,
 
 WEIGHTINGS = ("stft", "indicator")
 REASSIGN_MODES = ("sync", "phase")
-_LOG_CUTOFF = 60.0  # e^{-60} ~ 9e-27: negligible next to every stated tolerance
 # exp(-x) is a normal double for x <= 708.396...; past that it is subnormal
 # (below 2.2e-308) and then 0.0 from x = 746 on
 _NORMAL_EXPONENT = -math.log(sys.float_info.min)
@@ -98,12 +97,14 @@ def default_indicator_radius(model: TwoHarmonicModel, window: GaussianWindow,
 
 def _integration_pieces(model: TwoHarmonicModel, window: GaussianWindow,
                         config: SqueezeConfig) -> tuple:
-    """The band, then for indicator weighting the far fields of [-R, R] on
-    either side of it. The band [xi0 - 10/(pi sigma), xi1 + 10/(pi sigma)]
-    puts the STFT weight below e^-100 at its ends; for indicator weighting it
-    widens until q = a e^{2 C delta (eta - xibar)}, or 1/q, is below e^-37,
-    so that the reassignment value is xi0 or xi1 to double precision across
-    each far field, and it is clipped to [-R, R]."""
+    """The band, refined as a whole, then for indicator weighting the far
+    fields of [-R, R] on either side of it, integrated in closed form. The
+    band [xi0 - 10/(pi sigma), xi1 + 10/(pi sigma)] puts the STFT weight
+    below e^-100 at its ends; for indicator weighting it widens until q = a
+    e^{2 C delta (eta - xibar)}, or 1/q, is below e^-37, so that the
+    reassignment value is xi0 or xi1 to double precision across each far
+    field, where the integrand is then constant, and it is clipped to
+    [-R, R]."""
     pad = 10.0 / (math.pi * window.sigma)
     lo, hi = model.xi0 - pad, model.xi1 + pad
     if config.weighting != "indicator":
@@ -115,32 +116,6 @@ def _integration_pieces(model: TwoHarmonicModel, window: GaussianWindow,
     R = config.R
     lo, hi = max(lo, -R), min(hi, R)
     return ((lo, hi),) + tuple((x0, x1) for x0, x1 in ((-R, lo), (hi, R)) if x0 < x1)
-
-
-def _eta_hat(model, window, config, t, eta):
-    vals = eta_s_values(model, window, t, eta)
-    sentinel = np.isneginf(vals.real)
-    if config.reassignment_mode == "phase":
-        vals = vals.real.astype(complex)
-    vals = np.where(sentinel, 0.0, vals)
-    return vals, sentinel
-
-
-def _weight_values(model, window, config, t, eta):
-    if config.weighting == "indicator":
-        return np.ones(np.shape(eta), dtype=complex)
-    return np.asarray(stft_closed_form(model, window, t, np.asarray(eta, float)), dtype=complex)
-
-
-def _dist2_to_hull(etahat: np.ndarray, sentinel: np.ndarray,
-                   xi_lo: float, xi_hi: float) -> np.ndarray:
-    """Squared distance from reassignment values to the [xi_lo, xi_hi] hull.
-    Conservative activity test: scattered xi sets only mark more cells."""
-    re = etahat.real
-    dx = np.maximum(np.maximum(xi_lo - re, re - xi_hi), 0.0)
-    d2 = dx ** 2 + etahat.imag ** 2
-    d2[sentinel] = np.inf
-    return d2
 
 
 def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
@@ -202,22 +177,20 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
                           config: SqueezeConfig, t: float, xis) -> np.ndarray:
     """S_G(t, xi) for an array of xi at fixed t.
 
-    Nested trapezoid refinement on the band of _integration_pieces, where the
-    integrand is analytic and flat at both ends, so the rule converges
-    geometrically. A base pass of quadrature.n_nodes intervals finds the
-    active nodes (reassignment value within e^-60 mollifier reach of the xi
-    hull); the refinement window spans them plus two base cells, widened to
-    even base indices. The ladder of trapezoid rules on the window starts one
-    level below the base: the base pass sums two weight rows over the same
-    nodes, T_h (the base trapezoid) and T_2h (twice the T_h weights on the
-    even nodes, 0 on the odd ones), and each doubling evaluates only the
-    midpoints, T_{h/2} = T_h/2 + (h/2) sum f(midpoints). The ladder stops at
-    the first rule whose whole vector differs from the one before by <=
-    quadrature.rtol relative (floored by a tiny absolute term), so a section
-    whose T_h and T_2h already agree costs one kernel pass. The base cells
-    outside the window (one cell more for an odd n_nodes) and the indicator
-    far fields (each its own n_nodes-interval trapezoid) are summed together
-    once. Sentinel reassignment values contribute zero mass.
+    Nested trapezoid refinement on the whole band of _integration_pieces,
+    where the integrand is analytic and flat at both ends, so the rule
+    converges geometrically. The ladder starts one level below the base: the
+    base pass of quadrature.n_nodes intervals (rounded up to even) sums two
+    weight rows over the same nodes, T_h (the trapezoid rule) and T_2h (twice
+    the T_h weights on the even nodes, 0 on the odd ones), and each doubling
+    evaluates only the midpoints, T_{h/2} = T_h/2 + (h/2) sum f(midpoints).
+    The ladder stops at the first rule whose whole vector differs from the
+    one before by <= quadrature.rtol relative (floored by a tiny absolute
+    term), so a section whose T_h and T_2h already agree costs one kernel
+    pass. On the indicator far fields the reassignment value is xi0 or xi1 to
+    double precision, so each field's integral is its length times the
+    integrand at its midpoint. Sentinel reassignment values contribute zero
+    mass.
 
     Each pass sums, for every xi, only over the nodes with
     |Re eta_hat - xi| <= sqrt(708.396 alpha) and |Im eta_hat| within the same
@@ -225,64 +198,46 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     still normal doubles. A dropped term is below 2.2e-308 times its weight,
     so no value above ~1e-292 moves; values below that may read 0.0 where
     the sum over all nodes would give a subnormal number. A smaller reach
-    (such as the e^-60 activity cutoff) would drop the exponentially small
-    off-support tails.
+    would drop the exponentially small off-support tails.
 
-    Raises SolverFailureError when max_doublings doublings of the active
-    region do not reach the tolerance. With max_doublings = 0 the call
+    Raises SolverFailureError when max_doublings doublings of the band do not
+    reach the tolerance. With max_doublings = 0 the call
     returns T_h where the base pass has converged and raises elsewhere, with
     the change of T_h against T_2h as its residual.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     spec = config.quadrature
-    n0, alpha = spec.n_nodes, config.alpha
-    xi_lo, xi_hi = float(xis.min()), float(xis.max())
+    n, alpha = spec.n_nodes + spec.n_nodes % 2, config.alpha
 
-    def weights(eta, sent, step):
-        # step times the integrand at each node; sentinels carry no mass
-        w = _weight_values(model, window, config, t, eta) * step
-        w[sent] = 0.0
-        return w
+    def sums(eta, steps):
+        # steps: the step weights of m rules, (m, nodes) or (m, 1), times the
+        # integrand; sentinel reassignment values carry no mass
+        hat = eta_s_values(model, window, t, eta)
+        sent = np.isneginf(hat.real)
+        if config.reassignment_mode == "phase":
+            hat = hat.real.astype(complex)
+        hat[sent] = 0.0
+        # the weights are built after hat, so they add nothing to its peak
+        w = np.broadcast_to(steps, (len(steps), len(eta))).astype(complex)
+        if config.weighting == "stft":
+            w *= stft_closed_form(model, window, t, eta)
+        w[:, sent] = 0.0
+        return _mollified_sums(hat, w, xis, alpha) / math.sqrt(math.pi * alpha)
 
-    def trapezoid(w):
-        w = w.copy()
-        w[[0, -1]] *= 0.5
-        return w
-
-    def sums(hat, rows):
-        return _mollified_sums(hat, rows, xis, alpha) / math.sqrt(math.pi * alpha)
-
-    def level(mid, step):
-        # one midpoint level; its node arrays are freed before the next one
-        hat, sent = _eta_hat(model, window, config, t, mid)
-        return sums(hat, weights(mid, sent, step)[None])[0]
-
-    out_hat, out_w = [], []  # every outside piece, summed together once
-    for k, (lo, hi) in enumerate(_integration_pieces(model, window, config)):
-        eta = np.linspace(lo, hi, n0 + 1)
-        hat, sent = _eta_hat(model, window, config, t, eta)
-        w = weights(eta, sent, eta[1] - eta[0])
-        i0 = i1 = n0  # a far field is all outside the refinement window
-        if k == 0:  # the band: refine the sampled hits padded by two base cells
-            active = np.flatnonzero(
-                _dist2_to_hull(hat, sent, xi_lo, xi_hi) <= _LOG_CUTOFF * alpha)
-            # even ends, so that the even nodes carry the rule of step 2h
-            i0, i1 = 0, n0 - n0 % 2
-            if active.size:
-                i0 = max(int(active[0]) - 2, 0) // 2 * 2
-                i1 = min((int(active[-1]) + 3) // 2 * 2, i1)
-            a_lo, h, n = eta[i0], eta[1] - eta[0], i1 - i0
-            rows = np.zeros((2, n + 1), dtype=complex)
-            rows[0] = trapezoid(w[i0:i1 + 1])
-            rows[1, ::2] = 2.0 * rows[0, ::2]
-            fine, coarse = sums(hat[i0:i1 + 1], rows)
-        for j0, j1 in ((0, i0), (i1, n0)):
-            if j1 > j0:
-                out_hat.append(hat[j0:j1 + 1])
-                out_w.append(trapezoid(w[j0:j1 + 1]))
-    outside = sums(np.concatenate(out_hat), np.concatenate(out_w)[None])[0] if out_hat else 0.0
+    (lo, hi), *far = _integration_pieces(model, window, config)
+    eta = np.linspace(lo, hi, n + 1)
+    h = eta[1] - eta[0]
+    steps = np.zeros((2, n + 1))
+    steps[0] = h
+    steps[1, ::2] = 2.0 * h
+    steps[:, [0, -1]] /= 2.0
+    fine, coarse = sums(eta, steps)
     # the largest midpoint level sets the memory peak; the base arrays go first
-    del eta, hat, sent, w, rows, out_hat, out_w
+    del eta, steps
+    # the integrand is constant on each far field: its length times the value
+    # at its midpoint
+    outside = sums(np.array([(x0 + x1) / 2 for x0, x1 in far]),
+                   [[x1 - x0 for x0, x1 in far]])[0] if far else 0.0
 
     scale_floor = 1e-13 / math.sqrt(alpha)
     total, last = outside + fine, outside + coarse
@@ -299,7 +254,7 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
                 f"rtol * scale = {spec.rtol * scale:.3e}",
                 residuals=(change, spec.rtol * scale),
             )
-        fine = fine / 2 + level(a_lo + h * (np.arange(n) + 0.5), h / 2)
+        fine = fine / 2 + sums(lo + h * (np.arange(n) + 0.5), [[h / 2]])[0]
         h, n, doublings = h / 2, 2 * n, doublings + 1
         last, total = total, outside + fine
 

@@ -192,6 +192,8 @@ class TestCommands:
         ["--squeeze.alpha=inf"],
         ["--grid.t_max=inf"],
         ["--grid.eta_min=-inf"],
+        ["--reassign.arc_thetas=4.0"],
+        ["--reassign.arc_thetas=0.5,nan"],
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, overrides):
         code, _, err = run(["squeeze", "--preset", "gap-small-balanced", "--out", str(tmp_path)]

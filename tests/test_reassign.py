@@ -49,6 +49,18 @@ class TestEtaS:
         val = eta_s(model_a13, window, 0.37, model_a13.xi0 - 50.0)
         assert val == model_a13.xi0 + 0j
 
+    @pytest.mark.parametrize("a", [1e-250, 1e250])
+    def test_extreme_amplitude_pins_on_log_q(self, window, a):
+        # |ln a| = 575.6: the component follows ln q = ln a + 2 C delta (eta -
+        # xibar), not the exponent without ln a, which passes +-500 here
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=a)
+        eta = model.xibar + (np.linspace(-60.0, 60.0, 121) - math.log(a)) / (
+            2 * window.C * model.delta)
+        log_q = math.log(a) + 2 * window.C * model.delta * (eta - model.xibar)
+        exact = model.xi0 + model.delta / (1.0 + np.exp(-log_q))
+        vals = eta_s_values(model, window, 0.0, eta)
+        assert np.max(np.abs(vals - exact)) <= 1e-13
+
     def test_finite_difference_oracle(self, window, model_a13):
         h = 1e-6
         for t, eta in ((0.21, 1.05), (0.9, 1.24), (1.9, 0.95)):

@@ -218,9 +218,9 @@ class TestTransform:
         n0 = config.quadrature.n_nodes
         sums, etas = self._record_passes(monkeypatch)
         squeeze_cross_section(model_a13, window, config, 0.0, np.linspace(0.9, 1.4, 11))
-        # the window is the whole band and no piece lies outside; the base
-        # trapezoid T_h and the rule T_2h on its even nodes are two weight
-        # rows of one pass, and they agree, so no midpoint level is added
+        # the base trapezoid T_h and the rule T_2h on its even nodes are two
+        # weight rows of one pass over the band, and they agree, so no
+        # midpoint level is added
         assert sums == [(2, n0 + 1)] and len(etas) == 1
         assert len(etas[0]) == n0 + 1
 
@@ -238,34 +238,35 @@ class TestTransform:
         self._assert_nested(etas[0], etas[1:], etas[0][0], etas[0][-1])
 
     @pytest.mark.parametrize("R", [5.0, 50.0])
-    def test_partial_window_sums_each_outside_piece_once(self, window, model_a13,
-                                                         monkeypatch, R):
-        # 512 base intervals, where the window is refined twice
+    def test_indicator_far_fields_are_one_closed_form_sum(self, window, model_a13,
+                                                          monkeypatch, R):
+        # 512 base intervals, where the band is refined
         n0 = 512
         config = SqueezeConfig(alpha=ALPHA, weighting="indicator", R=R,
                                quadrature=QuadratureSpec(n_nodes=n0))
         sums, etas = self._record_passes(monkeypatch)
+        weights = []
+        sum_fn = squeeze_module._mollified_sums
+
+        def weights_spy(hat, w, *args):
+            weights.append(w.copy())
+            return sum_fn(hat, w, *args)
+
+        monkeypatch.setattr(squeeze_module, "_mollified_sums", weights_spy)
         squeeze_cross_section(model_a13, window, config, 0.0, np.array([1.08, 1.15, 1.22]))
-        # the band, then the far fields [-R, band] and [band, R], n0 + 1 base
-        # nodes each, tile [-R, R]
-        band, far_left, far_right = etas[:3]
-        assert all(len(eta) == n0 + 1 for eta in etas[:3])
-        assert far_left[0] == -R and far_left[-1] == band[0]
-        assert far_right[0] == band[-1] and far_right[-1] == R
-        # the window's two rules in one sum, then the band's two outside
-        # pieces and both far fields together in one more; the pieces share
-        # only their end nodes
-        (rows, inner), (one, outer) = sums[:2]
-        n = inner - 1
-        assert rows == 2 and one == 1 and n % 2 == 0
-        assert outer == (n0 - n + 2) + 2 * (n0 + 1)
-        # the midpoint levels stay inside the window, which starts at an even
-        # base index, nested on its base cells
-        levels = etas[3:]
-        assert len(levels) >= 1 and sums[2:] == [(1, n << k) for k in range(len(levels))]
-        i0 = round((levels[0][0] - band[0]) / (band[1] - band[0]) - 0.5)
-        assert i0 % 2 == 0 and 0 < i0 < i0 + n < n0
-        self._assert_nested(band, levels, band[i0], band[i0 + n])
+        # the band's two rules in one sum over its n0 + 1 base nodes, then the
+        # far fields [-R, band] and [band, R] in one more: their midpoints,
+        # each weighted by its length
+        band, far = etas[:2]
+        lo, hi = band[0], band[-1]
+        assert -R < lo and hi < R
+        assert sums[:2] == [(2, n0 + 1), (1, 2)]
+        assert far.tolist() == [(-R + lo) / 2, (hi + R) / 2]
+        assert weights[1].tolist() == [[lo + R, R - hi]]
+        # the midpoint levels n0, 2 n0, ... are nested on the whole band
+        levels = etas[2:]
+        assert len(levels) >= 1 and sums[2:] == [(1, n0 << k) for k in range(len(levels))]
+        self._assert_nested(band, levels, lo, hi)
 
     def test_converged_base_pass_is_one_kernel_pass(self, window, model_a13, monkeypatch):
         # T_h is returned when it agrees with T_2h; it matches the value one
@@ -283,8 +284,8 @@ class TestTransform:
 
     @pytest.mark.parametrize("kind", ["constructive", "destructive"])
     def test_odd_node_count_converges(self, window, model_a13, monkeypatch, kind):
-        # the window keeps an even width, and the band's last cell is summed
-        # once as an outside piece
+        # an odd n_nodes is rounded up to even, so that the even nodes of the
+        # whole band carry the rule of twice the step
         n0 = 4095
         config = SqueezeConfig(alpha=ALPHA, weighting="stft",
                                quadrature=QuadratureSpec(n_nodes=n0))
@@ -292,7 +293,7 @@ class TestTransform:
         xis = np.linspace(0.95, 1.35, 9)
         sums, _ = self._record_passes(monkeypatch)
         vals = squeeze_cross_section(model_a13, window, config, t, xis)
-        assert sums[:2] == [(2, n0), (1, 2)]
+        assert sums[0] == (2, n0 + 2)
         ref = np.array([oracle_quadrature_squeeze(model_a13, window, config, t, float(xi))
                         for xi in xis])
         assert np.max(np.abs(vals - ref)) <= 1e-6 * np.max(np.abs(ref))
