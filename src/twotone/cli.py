@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance, reassign, ridges, squeeze
-from .errors import ConfigError, NotApplicableError, TwoToneError
+from .errors import ConfigError, ModelValidationError, NotApplicableError, TwoToneError
 from .gabor import TFGrid, stft_field
 from .model import GaussianWindow, TwoHarmonicModel, constructive_time, destructive_time
 from .phasefield import _phase_threshold, amplitude_weighted_phase, locate_zeros
@@ -299,10 +299,12 @@ def _critical_empirical_bracket(a: float, window: GaussianWindow, method: str,
 
 
 def cmd_critical(args) -> int:
-    for name, value in (("a", args.a), ("sigma", args.sigma)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"--{name} must be positive and finite, got {value!r}")
-    window = GaussianWindow(sigma=args.sigma)
+    if not 0.0 < args.a < math.inf:
+        raise ConfigError(f"--a must be positive and finite, got {args.a!r}")
+    try:
+        window = GaussianWindow(sigma=args.sigma)
+    except ModelValidationError as exc:
+        raise ConfigError(f"--sigma: {exc}") from exc
     if args.method == "stft":
         delta_crit, aux = ridges.critical_gap_stft(args.a, window)
         aux_name = "s"

@@ -65,8 +65,13 @@ class GaussianWindow:
     sigma: float
 
     def __post_init__(self):
-        if not (0 < self.sigma < math.inf):
-            raise ModelValidationError(f"sigma must be positive and finite, got {self.sigma}")
+        try:  # sigma ** 2 raises OverflowError past about 1.34e154
+            valid = 0 < self.sigma and math.isfinite(self.C)
+        except OverflowError:
+            valid = False
+        if not valid:
+            raise ModelValidationError(
+                f"sigma must be positive with pi^2 sigma^2 finite, got {self.sigma}")
 
     @property
     def C(self) -> float:

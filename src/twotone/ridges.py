@@ -22,7 +22,8 @@ from .errors import (
     PreconditionError,
     SolverFailureError,
 )
-from .gabor import ComplexField, _simpson_weights, spectrogram_decomposition, stft_closed_form
+from .gabor import (ComplexField, _simpson_weights, _v_terms, spectrogram_decomposition,
+                    stft_closed_form)
 from .model import GaussianWindow, TwoHarmonicModel, destructive_time, destructive_zero
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -77,17 +78,19 @@ def _candidate_peaks(values: np.ndarray) -> list[tuple[int, int]]:
     gap would otherwise split into spurious strict maxima. A maximal run is a
     peak when it has a neighbour on each side and both are strictly lower; a
     NaN sample is a run of its own and compares false, so it neither peaks nor
-    lets a neighbour peak.
+    lets a neighbour peak. A run's left end is a top, where a rise ends; its
+    right end is the first change point at or after the top, and the run peaks
+    when the sample after that end is lower.
     """
     v = values
-    if len(v) < 3:
-        return []
-    starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
-    ends = np.append(starts[1:] - 1, len(v) - 1)
-    run = v[starts]
-    mid = run[1:-1]
-    k = np.flatnonzero((run[:-2] < mid) & (run[2:] < mid)) + 1
-    return list(zip(starts[k].tolist(), ends[k].tolist()))
+    up = v[:-1] < v[1:]
+    tops = np.flatnonzero(up[:-1] & ~up[1:]) + 1
+    change = np.flatnonzero(v[1:] != v[:-1])
+    k = np.searchsorted(change, tops)
+    inside = k < len(change)  # a run that reaches the last sample has no right neighbour
+    tops, ends = tops[inside], change[k[inside]]
+    keep = v[ends] > v[ends + 1]
+    return list(zip(tops[keep].tolist(), ends[keep].tolist()))
 
 
 def _refined_maxima(f, grid: np.ndarray, values: np.ndarray,
@@ -126,10 +129,12 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
     """Strict interior local maxima of eta -> |V(t, eta)| on the band.
 
     Counts at n and 2n samples must agree (guards grid aliasing near
-    bifurcations). Maxima within 1e-8 of each other count once: only the
-    candidates whose brackets lie within 1e-8 of a neighbouring bracket can
-    merge, so only those are golden-refined (to 1e-10) before counting. The
-    band must cover the default ridge band.
+    bifurcations); up to four doublings are tried. Each doubling keeps the
+    samples it has and evaluates |V| only at its n new midpoints, so a count
+    that agrees at once costs n + 1 + n samples. Maxima within 1e-8 of each
+    other count once: only the candidates whose brackets lie within 1e-8 of a
+    neighbouring bracket can merge, so only those are golden-refined (to
+    1e-10) before counting. The band must cover the default ridge band.
     """
     lo_req, hi_req = default_band(model, window)
     if band is None:
@@ -142,20 +147,30 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
         raise ModelValidationError("n_samples must be >= 512")
 
     def modulus(eta):
-        return np.abs(stft_closed_form(model, window, t, np.asarray(eta, dtype=float)))
+        # |V| = |g0 + c g1| with c = a e^{2 pi i delta t}; at t = 0 c is real and
+        # the samples equal |stft_closed_form| bit for bit
+        _, rot1, g0, g1 = _v_terms(model, window, t, eta)
+        c = model.a * rot1
+        return np.abs(g0 + (c.real if c.imag == 0.0 else c) * g1)
 
-    def count_at(n):
-        grid = np.linspace(band[0], band[1], n + 1)
-        vals = modulus(grid)
+    def count(grid, vals):
         return len(_refined_maxima(lambda e: float(modulus(e)), grid, vals))
 
+    # linspace(lo, hi, 2n + 1)[::2] is linspace(lo, hi, n + 1) bit for bit, so
+    # each doubling keeps the samples it has and evaluates only the midpoints
     n = n_samples
-    count = count_at(n)
+    grid = np.linspace(band[0], band[1], n + 1)
+    vals = modulus(grid)
+    count_n = count(grid, vals)
     for _ in range(4):
-        finer = count_at(2 * n)
-        if finer == count:
-            return count
-        count, n = finer, 2 * n
+        grid = np.linspace(band[0], band[1], 2 * n + 1)
+        finer = np.empty(2 * n + 1)
+        finer[::2] = vals
+        finer[1::2] = modulus(grid[1::2])
+        vals, count_2n = finer, count(grid, finer)
+        if count_2n == count_n:
+            return count_n
+        count_n, n = count_2n, 2 * n
     raise InconclusiveCountError(
         f"maxima count did not stabilize up to n = {n} samples at t = {t}"
     )

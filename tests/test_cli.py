@@ -194,6 +194,8 @@ class TestCommands:
         ["--grid.eta_min=-inf"],
         ["--reassign.arc_thetas=4.0"],
         ["--reassign.arc_thetas=0.5,nan"],
+        ["--model.sigma=5e153"],
+        ["--model.sigma=1e200"],
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, overrides):
         code, _, err = run(["squeeze", "--preset", "gap-small-balanced", "--out", str(tmp_path)]
@@ -419,6 +421,8 @@ class TestCritical:
         ["--a", "nan", "--sigma", "1.0"],
         ["--a", "1", "--sigma", "-1"],
         ["--a", "1", "--sigma", "inf"],
+        ["--a", "1", "--sigma", "5e153"],
+        ["--a", "1", "--sigma", "1e200"],
     ])
     @pytest.mark.parametrize("method", ["stft", "sst"])
     def test_invalid_parameter_exits_2(self, capsys, args, method):

@@ -88,6 +88,16 @@ class TestEvaluate:
         assert abs(evaluate_two_harmonic(model, t)) == pytest.approx(1.0 + model.a, rel=1e-9)
 
 
+class TestGaussianWindow:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 5e153, 1e200])
+    def test_rejects_sigma_without_finite_spectral_factor(self, sigma):
+        with pytest.raises(ModelValidationError, match="sigma"):
+            GaussianWindow(sigma=sigma)
+
+    def test_accepts_large_sigma_with_finite_spectral_factor(self):
+        assert math.isfinite(GaussianWindow(sigma=4e153).C)
+
+
 class TestDistinguishedTimes:
     def test_values(self):
         model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.0)

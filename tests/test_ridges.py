@@ -56,6 +56,64 @@ class TestCounting:
             count_frequency_maxima(model_balanced, window, 0.0)
         assert sizes == [513, 1025, 2049, 4097, 8193]
 
+    @pytest.mark.parametrize("stable, evaluated", [
+        (True, [513, 512]),
+        (False, [513, 512, 1024, 2048, 4096]),
+    ])
+    def test_doublings_evaluate_only_new_midpoints(self, window, model_balanced, monkeypatch,
+                                                   stable, evaluated):
+        # each doubling keeps the samples it has: |V| is evaluated at the
+        # n + 1 base samples, then only at each level's new midpoints, and
+        # every level still counts on the whole linspace grid
+        band = default_band(model_balanced, window)
+        sizes, grids = [], []
+        v_terms = ridges._v_terms
+
+        def spy_v_terms(model, window, t, eta):
+            sizes.append(np.size(eta))
+            return v_terms(model, window, t, eta)
+
+        def fake_refined_maxima(f, grid, values):
+            grids.append(grid)
+            return [0.0] * (1 if stable else len(grid) // 512)
+
+        monkeypatch.setattr(ridges, "_v_terms", spy_v_terms)
+        monkeypatch.setattr(ridges, "_refined_maxima", fake_refined_maxima)
+        if stable:
+            assert count_frequency_maxima(model_balanced, window, 0.0) == 1
+        else:
+            with pytest.raises(InconclusiveCountError):
+                count_frequency_maxima(model_balanced, window, 0.0)
+        assert sizes == evaluated
+        for grid in grids:
+            assert np.array_equal(grid, np.linspace(band[0], band[1], len(grid)))
+
+    @pytest.mark.parametrize("sigma", [0.7, math.sqrt(2.0), 2.5])
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 1.0, 1.3, 40.0])
+    def test_samples_match_closed_form(self, monkeypatch, a, sigma):
+        # the counted samples are |stft_closed_form| bit for bit on the
+        # constructive slice t = 0, and within 4 ulp elsewhere
+        window = GaussianWindow(sigma=sigma)
+        model = TwoHarmonicModel(xi0=1.0, delta=critical_gap_stft(a, window)[0], a=a)
+        levels = []
+
+        def fake_refined_maxima(f, grid, values):
+            levels.append((grid, values))
+            return [0.0] * (len(grid) // 512)
+
+        monkeypatch.setattr(ridges, "_refined_maxima", fake_refined_maxima)
+        for t in (0.0, 0.4, 5.0 / 3.0):
+            levels.clear()
+            with pytest.raises(InconclusiveCountError):
+                count_frequency_maxima(model, window, t)
+            assert [len(grid) for grid, _ in levels] == [513, 1025, 2049, 4097, 8193]
+            for grid, values in levels:
+                ref = np.abs(stft_closed_form(model, window, t, grid))
+                if t == 0.0:
+                    assert np.array_equal(values, ref)
+                else:
+                    assert np.all(np.abs(values - ref) <= 4 * np.spacing(ref))
+
     def test_band_coverage(self, window, model_balanced):
         with pytest.raises(BandCoverageError):
             count_frequency_maxima(model_balanced, window, 0.0, band=(0.9, 1.4))
@@ -140,6 +198,16 @@ class TestCandidatePeaks:
             got = _candidate_peaks(v)
             assert got == _loop_candidate_peaks(v)
             assert all(type(i) is int for peak in got for i in peak)
+        inf, nan = math.inf, math.nan
+        for v in ([], [1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                  [2.0, 2.0, 2.0], [2.0] * 9, [0.0, inf, 0.0], [0.0, inf, inf, 0.0],
+                  [-inf, 0.0, -inf], [inf, 1.0, inf], [-inf, inf, -inf, inf],
+                  [0.0, 1.0, 1.0, nan], [nan, 1.0, 1.0, 0.0], [0.0, nan, 1.0, 1.0, 0.0],
+                  [0.0, 1.0, 1.0, nan, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0]):
+            assert _candidate_peaks(np.array(v)) == _loop_candidate_peaks(np.array(v)), v
+        for _ in range(500):
+            v = rng.choice([-inf, 0.0, 1.0, 2.0, inf, nan], size=int(rng.integers(0, 21)))
+            assert _candidate_peaks(v) == _loop_candidate_peaks(v)
         # one full-resolution |V| row at the critical gap (4096-sample count, doubled)
         delta_crit, _ = critical_gap_stft(1.0, window)
         model = TwoHarmonicModel(xi0=1.0, delta=delta_crit, a=1.0)
