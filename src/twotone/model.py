@@ -65,13 +65,17 @@ class GaussianWindow:
     sigma: float
 
     def __post_init__(self):
-        try:  # sigma ** 2 raises OverflowError past about 1.34e154
-            valid = 0 < self.sigma and math.isfinite(self.C)
+        # squaring raises OverflowError for sigma past about 1.34e154, and for
+        # the widest band pad 10/(pi sigma) of a sigma below about 2.374e-154
+        try:
+            valid = (0 < self.sigma and math.isfinite(self.C)
+                     and math.isfinite((10.0 / (math.pi * self.sigma)) ** 2))
         except OverflowError:
             valid = False
         if not valid:
             raise ModelValidationError(
-                f"sigma must be positive with pi^2 sigma^2 finite, got {self.sigma}")
+                "sigma must be positive with pi^2 sigma^2 and (10/(pi sigma))^2 finite, "
+                f"got {self.sigma}")
 
     @property
     def C(self) -> float:

@@ -22,8 +22,7 @@ from .errors import (
     PreconditionError,
     SolverFailureError,
 )
-from .gabor import (ComplexField, _simpson_weights, _v_terms, spectrogram_decomposition,
-                    stft_closed_form)
+from .gabor import ComplexField, _v_terms, spectrogram_decomposition, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_time, destructive_zero
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -259,21 +258,21 @@ def ellipse_residual(model: TwoHarmonicModel, window: GaussianWindow, k: int,
     """Arc-length integral of |d|V|^2/d eta| along the bubble ellipse.
 
     The derivative is exact (from the spectrogram decomposition); the arc
-    integral uses composite Simpson in the ellipse parameter.
+    integral is the periodic trapezoid rule, n_arc equal steps of the ellipse
+    parameter on [0, 2 pi).
     """
     if n_arc < 256:
         raise ModelValidationError("n_arc must be >= 256")
     ell = bubble_ellipse(model, window, k)
     ra, rb = ell.semi_axis_eta, ell.semi_axis_t
-    n = n_arc + (n_arc % 2)
-    u = np.linspace(0.0, 2 * math.pi, n + 1)
+    u = np.linspace(0.0, 2 * math.pi, n_arc, endpoint=False)
     eta = ell.center_eta + ra * np.cos(u)
     t = ell.center_t + rb * np.sin(u)
     g0, g1, cross = spectrogram_decomposition(model, window, t, eta)
     df_deta = -4 * window.C * ((eta - model.xi0) * g0 + (eta - model.xi1) * g1
                                + (eta - model.xibar) * cross)
     jac = np.sqrt((ra * np.sin(u)) ** 2 + (rb * np.cos(u)) ** 2)
-    return float((np.abs(df_deta) * jac) @ _simpson_weights(n + 1, u[1] - u[0]))
+    return float(np.sum(np.abs(df_deta) * jac) * (2 * math.pi / n_arc))
 
 
 def destructive_extrema(model: TwoHarmonicModel, window: GaussianWindow, k: int

@@ -29,7 +29,8 @@ from .errors import (
 from .gabor import ComplexField, QuadratureSpec, TFGrid, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_zero
 from .reassign import eta_s_values
-from .ridges import _candidate_peaks, count_frequency_maxima, critical_gap_stft, flip_bracket
+from .ridges import (_candidate_peaks, count_frequency_maxima, critical_gap_stft, default_band,
+                     flip_bracket)
 
 WEIGHTINGS = ("stft", "indicator")
 REASSIGN_MODES = ("sync", "phase")
@@ -64,7 +65,8 @@ class SqueezeConfig:
 
 
 def indicator_radius_floor(model: TwoHarmonicModel, window: GaussianWindow) -> float:
-    return max(abs(model.xi0), abs(model.xi1)) + 3.0 / (math.pi * window.sigma)
+    """max(|xi0|, |xi1|) + 3/(pi sigma): the radius of the ridge band."""
+    return max(map(abs, default_band(model, window)))
 
 
 def require_indicator_radius(model: TwoHarmonicModel, window: GaussianWindow, R: float) -> None:
@@ -326,30 +328,21 @@ def _map_gradient(model: TwoHarmonicModel, window: GaussianWindow, xi: float) ->
     return 2.0 * window.C * abs((xi - model.xi0) * (xi - model.xi1))
 
 
-def _theta_stft(model: TwoHarmonicModel, window: GaussianWindow,
-                kind: str, t: float, xi: float) -> complex:
-    """V(t, eta_*) / |d eta_s/d eta| at the unique preimage of xi."""
-    C = window.C
-    d = model.delta
-    if kind == "constructive":
-        u = (xi - model.xi0) / (model.xi1 - xi)
-        tail = 1.0 + u
-    else:
-        u = (xi - model.xi0) / (xi - model.xi1)
-        tail = 1.0 - u
-    if u <= 0:
-        raise SolverFailureError(f"no real preimage at xi = {xi} for {kind} time")
-    if model.a <= 0:
-        raise DegenerateAmplitudeError("STFT-weighted density requires a > 0")
-    log_u_a = math.log(u / model.a)
-    amp = (
-        math.exp(-C * d * d / 4.0)
-        * math.sqrt(model.a / u)
-        * math.exp(-log_u_a ** 2 / (4.0 * C * d * d))
-        * tail
-    )
-    phase = complex(math.cos(2 * math.pi * model.xi0 * t), math.sin(2 * math.pi * model.xi0 * t))
-    return phase * amp / _map_gradient(model, window, xi)
+def _preimage_offset(model: TwoHarmonicModel, window: GaussianWindow, kind: str,
+                     y: float, gamma: str) -> float:
+    """eta - eta_avg at the preimage eta of y under the real reassignment map
+    at t_k^+ or t_k^-: ln(sign (y - xi0)/(y - xi1))/(2 C delta), with sign =
+    -1 at constructive and +1 at destructive times. At y = xi1 the offset is
+    infinite; that raises like a non-positive log argument, naming the
+    endpoint gamma."""
+    den = y - model.xi1
+    if den == 0:
+        raise OutOfBranchError(f"zero divisor in {gamma}: xi on a segment boundary",
+                               gamma=gamma)
+    arg = (-1.0 if kind == "constructive" else 1.0) * (y - model.xi0) / den
+    if arg <= 0:
+        raise OutOfBranchError(f"log argument {arg:.6e} <= 0 in {gamma}", gamma=gamma)
+    return math.log(arg) / (2.0 * window.C * model.delta)
 
 
 @dataclass(frozen=True)
@@ -379,9 +372,18 @@ def _leading_order(model: TwoHarmonicModel, window: GaussianWindow, weighting: s
         return AsymptoticValue(value=0.0 + 0.0j, off_support=True, near_singularity=near)
     if near and (xi == model.xi0 or xi == model.xi1):
         return AsymptoticValue(value=complex(math.inf), near_singularity=True)
-    value = (complex(1.0 / _map_gradient(model, window, xi)) if weighting == "indicator"
-             else _theta_stft(model, window, kind, t, xi))
-    return AsymptoticValue(value=value, near_singularity=near)
+    if weighting == "indicator":
+        weight = 1.0
+    elif model.a > 0:
+        # V at the unique preimage of xi; at a tiny sigma the preimage is so far
+        # out that its square overflows, and V there is 0
+        with np.errstate(over="ignore"):
+            weight = stft_closed_form(model, window, t, destructive_zero(model, window)
+                                      + _preimage_offset(model, window, kind, xi, "eta"))
+    else:
+        raise DegenerateAmplitudeError("STFT-weighted density requires a > 0")
+    return AsymptoticValue(value=complex(weight / _map_gradient(model, window, xi)),
+                           near_singularity=near)
 
 
 def pushforward_density(model: TwoHarmonicModel, window: GaussianWindow,
@@ -445,19 +447,6 @@ def _segment_label(model: TwoHarmonicModel, cs: float, xi: float) -> str:
     return f"I{int(np.searchsorted(np.asarray(bounds), xi, side='right')) + 1}"
 
 
-def _log_or_raise(sign: float, delta: float, den: float, gamma: str) -> float:
-    """log(sign (1 + delta / den)) for the endpoint gamma. den = d +- C sqrt(alpha)
-    is 0 when xi sits on a segment boundary, where the endpoint is infinite;
-    that raises like a non-positive argument."""
-    if den == 0:
-        raise OutOfBranchError(f"zero divisor in {gamma}: xi on a segment boundary",
-                               gamma=gamma)
-    arg = sign * (1.0 + delta / den)
-    if arg <= 0:
-        raise OutOfBranchError(f"log argument {arg:.6e} <= 0 in {gamma}", gamma=gamma)
-    return math.log(arg)
-
-
 def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,
                        C: float, t: float, xi: float) -> PreimageIntervals:
     """Exact preimage case split with closed-form endpoints, per segment label.
@@ -473,23 +462,22 @@ def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: f
     if not (0.0 < C <= cap * (1 + 1e-12)):
         raise PreconditionError(f"C = {C} outside (0, {cap:.6f}] for a {kind} time")
     cs = C * sa
-    d = xi - model.xi1
-    two_cd = 2.0 * window.C * model.delta
     eta_avg = destructive_zero(model, window)
     label = _segment_label(model, cs, xi)
     seg = int(label[1])
 
     if kind != "intermediate":
-        # the destructive case mirrors the constructive one: the log argument
-        # and the roles of d +- cs flip sign, and the empty segments move
+        # c_left and c_right are the preimages of xi - cs and xi + cs at
+        # constructive times, where the map rises, and of xi + cs and xi - cs
+        # at destructive times, where it falls; the empty segments move
         sign = -1.0 if kind == "constructive" else 1.0
         if seg in ((1, 7) if kind == "constructive" else (3, 4, 5)):
             return PreimageIntervals(kind, label, (), eta_avg)
         c_l = c_r = None
         if seg != 2:
-            c_l = _log_or_raise(sign, model.delta, d + sign * cs, "c_left") / two_cd
+            c_l = _preimage_offset(model, window, kind, xi + sign * cs, "c_left")
         if seg != 6:
-            c_r = _log_or_raise(sign, model.delta, d - sign * cs, "c_right") / two_cd
+            c_r = _preimage_offset(model, window, kind, xi - sign * cs, "c_right")
         lo = -math.inf if c_l is None else eta_avg + c_l
         hi = math.inf if c_r is None else eta_avg + c_r
         return PreimageIntervals(kind, label, ((lo, hi),), eta_avg, c_left=c_l, c_right=c_r)
@@ -502,7 +490,7 @@ def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: f
     if den == 0 or num / den <= 0:
         raise OutOfBranchError(f"square-root argument {num:.6e} / {den:.6e} "
                                "not > 0 in c_star", gamma="c_star")
-    c_star = math.log(math.sqrt(num / den)) / two_cd
+    c_star = math.log(math.sqrt(num / den)) / (2.0 * window.C * model.delta)
     interval = (-math.inf, eta_avg + c_star) if seg == 2 else (eta_avg + c_star, math.inf)
     return PreimageIntervals(kind, label, (interval,), eta_avg, c_star=c_star)
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,8 @@ class TestCommands:
         ["--reassign.arc_thetas=0.5,nan"],
         ["--model.sigma=5e153"],
         ["--model.sigma=1e200"],
+        ["--model.sigma=1e-160"],
+        ["--model.sigma=1e-300"],
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, overrides):
         code, _, err = run(["squeeze", "--preset", "gap-small-balanced", "--out", str(tmp_path)]
@@ -396,6 +399,16 @@ class TestCritical:
         assert code == 0
         assert 0.0 < json.loads(out)["delta_critical"] < math.inf
 
+    def test_stft_smallest_sigma_keeps_its_bracket(self, capsys):
+        # (10/(pi sigma))^2 is still finite at 3e-154, so the window is
+        # accepted and the band the empirical count samples stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(["critical", "--a", "1", "--sigma", "3e-154",
+                                "--method", "stft"], capsys)
+        assert code == 0
+        assert json.loads(out)["empirical_bracket"] is not None
+
     def test_reused_parser_leaks_no_flag(self, capsys):
         # main builds its parser once per process; a flag given to one call
         # must not carry over into the next
@@ -423,6 +436,8 @@ class TestCritical:
         ["--a", "1", "--sigma", "inf"],
         ["--a", "1", "--sigma", "5e153"],
         ["--a", "1", "--sigma", "1e200"],
+        ["--a", "1", "--sigma", "1e-160"],
+        ["--a", "1", "--sigma", "1e-300"],
     ])
     @pytest.mark.parametrize("method", ["stft", "sst"])
     def test_invalid_parameter_exits_2(self, capsys, args, method):

@@ -1,8 +1,10 @@
-"""Import layering of the library modules.
+"""Import layering of the library modules, and no dead code in them.
 
 ridges sits below squeeze: squeeze imports ridges at module top for the
 maxima counts and the bisection, so ridges must not import squeeze back. No
 module defers an import into a function body, where a cycle would hide.
+Every undecorated top-level function or class is named somewhere in src/,
+tests/ or scripts/ besides its own definition.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "twotone"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "twotone"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -38,3 +41,32 @@ def test_no_function_level_import(path):
             for node in ast.walk(func):
                 assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
                     f"{path.name}:{node.lineno} imports inside {getattr(func, 'name', 'lambda')}")
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Every name the tree loads, reads as an attribute or imports, and every
+    string constant that is a bare identifier (an __all__ entry, say)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_every_top_level_definition_is_used():
+    used = set()
+    for path in sorted({*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                        *(ROOT / "scripts").glob("*.py")}):
+        used |= _referenced_names(ast.parse(path.read_text()))
+    unused = [f"{path.name}:{node.name}" for path in MODULES
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.decorator_list and node.name not in used]
+    assert not unused, f"top-level definitions named nowhere: {unused}"

@@ -89,7 +89,8 @@ class TestEvaluate:
 
 
 class TestGaussianWindow:
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 5e153, 1e200])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 5e153, 1e200,
+                                       1e-160, 1e-300])
     def test_rejects_sigma_without_finite_spectral_factor(self, sigma):
         with pytest.raises(ModelValidationError, match="sigma"):
             GaussianWindow(sigma=sigma)

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +13,12 @@ from twotone import (
     TwoHarmonicModel,
     asym_indicator,
     asym_sst,
+    constructive_time,
     critical_gap_density,
     critical_gap_sst,
     critical_gap_stft,
     destructive_time,
+    destructive_zero,
     erf_closed_form,
     preimage_intervals,
     pushforward_density,
@@ -38,6 +41,7 @@ from twotone.ridges import _candidate_peaks, flip_bracket
 from twotone.squeeze import (
     _NORMAL_EXPONENT,
     _mollified_sums,
+    _preimage_offset,
     classify_time,
     constructive_maxima,
     default_indicator_radius,
@@ -79,6 +83,14 @@ class TestConfig:
         radius = default_indicator_radius(model_balanced, window, 1e-4, [1.04, 1.9])
         assert radius == pytest.approx(math.exp(0.04 ** 2 / 2e-4), rel=1e-12)
         assert indicator_radius_floor(model_balanced, window) < radius < 1e4
+
+    @pytest.mark.parametrize("xi0", [1.0, -0.1, -1.3, -2.7, 0.0])
+    def test_band_floor_is_the_ridge_band_radius(self, window, xi0):
+        # the floor is the widest |end| of the ridge band, bit for bit the
+        # README's max(|xi0|, |xi1|) + 3/(pi sigma) for either sign of each
+        model = TwoHarmonicModel(xi0=xi0, delta=0.3, a=1.3)
+        floor = max(abs(model.xi0), abs(model.xi1)) + 3.0 / (math.pi * window.sigma)
+        assert indicator_radius_floor(model, window) == floor
 
     @pytest.mark.parametrize("alpha", [1e-3, 0.5])
     def test_default_radius_falls_back_when_every_xi_is_filtered(self, window,
@@ -478,6 +490,56 @@ class TestPushforward:
             asym_sst(m, window, 0.0, quarter, m.xibar)
         with pytest.raises(PreconditionError):
             asym_indicator(m, window, 1e-5, 50.0, quarter, m.xibar)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.3, 3.0])
+    @pytest.mark.parametrize("delta", [0.15, 0.3, 1.0])
+    def test_stft_density_matches_log_space_form(self, window, a, delta):
+        m = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
+        # the support outside 2e-3 delta of xi0 and xi1, and just outside that
+        # standoff, where the preimage is farthest from eta_avg
+        edge = 2.5e-3 * delta * np.array([-1.0, 1.0])
+        xis = np.concatenate([np.linspace(m.xi0 - delta, m.xi1 + delta, 241),
+                              m.xi0 + edge, m.xi1 + edge])
+        xis = xis[(np.abs(xis - m.xi0) > 2e-3 * delta) & (np.abs(xis - m.xi1) > 2e-3 * delta)]
+        for t in (0.0, destructive_time(m, 0), constructive_time(m, 2)):
+            kind = classify_time(m, t)
+            support = [float(xi) for xi in xis if (m.xi0 < xi < m.xi1) == (kind == "constructive")]
+            assert len(support) > 50
+            for xi in support:
+                ref = _log_space_density(m, window, kind, t, xi)
+                for got in (pushforward_density(m, window, "stft", t, xi),
+                            asym_sst(m, window, 1e-5, t, xi).value):
+                    assert abs(got - ref) <= 1e-13 * abs(ref), (t, xi)
+                eta = destructive_zero(m, window) + _preimage_offset(m, window, kind, xi, "eta")
+                hat = complex(eta_s_values(m, window, t, np.array([eta]))[0])
+                assert abs(hat - xi) <= 1e-13 * delta, (t, xi)
+
+    def test_stft_density_at_a_far_preimage_is_zero_without_warning(self):
+        # at sigma = 1e-100 the preimage of xi lies near -1.6e199, whose square
+        # overflows; V there is 0, as is e^{-ln(u/a)^2/(4 C delta^2)}
+        m = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = pushforward_density(m, GaussianWindow(sigma=1e-100), "stft", 0.0, 1.1)
+        assert value == 0.0
+
+
+def _log_space_density(model, window, kind, t, xi):
+    """V(t, eta_*) over |d eta_s/d eta| at the preimage eta_* of xi, expanded in
+    u = a e^{2 C delta (eta_* - xibar)} and ln(u/a):
+    V = e^{2 pi i xi0 t} e^{-C delta^2/4} sqrt(a/u) e^{-ln(u/a)^2/(4 C delta^2)} (1 +- u),
+    with + at constructive and - at destructive times."""
+    C, d = window.C, model.delta
+    if kind == "constructive":
+        u = (xi - model.xi0) / (model.xi1 - xi)
+        tail = 1.0 + u
+    else:
+        u = (xi - model.xi0) / (xi - model.xi1)
+        tail = 1.0 - u
+    amp = (math.exp(-C * d * d / 4.0) * math.sqrt(model.a / u)
+           * math.exp(-math.log(u / model.a) ** 2 / (4.0 * C * d * d)) * tail)
+    phase = complex(math.cos(2 * math.pi * model.xi0 * t), math.sin(2 * math.pi * model.xi0 * t))
+    return phase * amp / (2.0 * C * abs((xi - model.xi0) * (xi - model.xi1)))
 
 
 class TestAsymptotics:
