@@ -87,7 +87,9 @@ def criterion_2():
         lo, hi = 0.9 * delta_crit, 1.1 * delta_crit
         c_lo, c_hi = count(lo), count(hi)
         if not (c_lo == 1 and c_hi == 2):
-            raise AssertionError(f"flip bracket invalid: counts {c_lo}, {c_hi}")
+            passed = False
+            details.append(f"a={a}: flip bracket invalid: counts {c_lo}, {c_hi} at 0.9/1.1 crit")
+            continue
         lo, hi = ridges.flip_bracket(lambda d: count(d) >= 2, lo, hi, 14)
         flip = 0.5 * (lo + hi)
         rel = abs(delta_crit - flip) / delta_crit

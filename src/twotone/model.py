@@ -218,7 +218,7 @@ def freeze_ahm(signal: AHMSignal, t_star: float) -> tuple[TwoHarmonicModel, comp
     return TwoHarmonicModel(xi0=xi0, delta=xi1 - xi0, a=a1 / a0), scale
 
 
-def _bound_from_moments(signal: AHMSignal, t: float, t_star: float, moments) -> float:
+def _bound_from_moments(signal: AHMSignal, t_star: float, moments) -> float:
     """Shared evaluator: moments = (I1, I2, I3) upper bounds for the absolute
     window moments of |x - t_star|^m, already expanded in |t - t_star|."""
     if len(signal.components) != 2:
@@ -249,7 +249,7 @@ def ahm_stft_error_bound(
     i1 = tau + sigma / SQRT_PI
     i2 = tau ** 2 + 0.5 * sigma ** 2
     i3 = tau ** 3 + 3 * sigma / SQRT_PI * tau ** 2 + 1.5 * sigma ** 2 * tau + sigma ** 2 / SQRT_PI
-    return _bound_from_moments(signal, t, t_star, (i1, i2, i3))
+    return _bound_from_moments(signal, t_star, (i1, i2, i3))
 
 
 def ahm_stft_error_bound_dwindow(
@@ -270,4 +270,4 @@ def ahm_stft_error_bound_dwindow(
     i1 = m0 * tau + m1
     i2 = m0 * tau ** 2 + 2 * m1 * tau + m2
     i3 = m0 * tau ** 3 + 3 * m1 * tau ** 2 + 3 * m2 * tau + m3
-    return _bound_from_moments(signal, t, t_star, (i1, i2, i3))
+    return _bound_from_moments(signal, t_star, (i1, i2, i3))

@@ -51,8 +51,8 @@ def _dv(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
 
 
 def _newton_zero(model, window, t, eta, tol=1e-10, max_iter=50):
-    # iterate to step collapse rather than the first tolerance crossing so
-    # different seeds of one zero land within dedup distance of each other
+    # iterate to step collapse rather than the first tolerance crossing, so the
+    # refined zero does not depend on where the tolerance was first met
     for _ in range(max_iter):
         v, dv_dt, dv_de = _dv(model, window, t, eta)
         jac = np.array([[dv_dt.real, dv_de.real], [dv_dt.imag, dv_de.imag]])
@@ -84,67 +84,38 @@ def default_contour_rho(window: GaussianWindow) -> float:
 
 def locate_zeros(model: TwoHarmonicModel, window: GaussianWindow, region: TFGrid,
                  winding_samples: int = 256) -> list[ZeroPoint]:
-    """Zeros of V inside the region.
+    """Zeros of V inside the region, in ascending t.
 
-    Seeds at the analytic predictions (t_k^-, eta_avg) plus all grid cells
-    where both Re V and Im V change sign; each candidate is refined by 2-D
-    Newton with the exact Jacobian to |V| <= 1e-10 and deduplicated at 1e-8.
-    Non-converged candidates are logged and dropped. Winding numbers are
-    computed for every retained zero.
+    V vanishes exactly at the destructive times t_k^- on the line eta_avg and
+    nowhere else, so Newton is seeded only at each (t_k^-, eta_avg) in the
+    region and refined with the exact Jacobian to |V| <= 1e-10. Seeds that do
+    not converge, or converge where V is flat rather than crossing zero, are
+    logged and dropped. Winding numbers are computed for every retained zero.
     """
     if model.a == 0.0:
         return []
-    seeds = []
     eta_avg = destructive_zero(model, window)
+    if not region.eta_min <= eta_avg <= region.eta_max:
+        return []
+    rho = default_contour_rho(window)
+    out = []
     k_lo = math.floor(region.t_min * model.delta - 0.5)
     k_hi = math.ceil(region.t_max * model.delta - 0.5)
     for k in range(k_lo, k_hi + 1):
         t_k = destructive_time(model, k)
-        if region.t_min <= t_k <= region.t_max and region.eta_min <= eta_avg <= region.eta_max:
-            seeds.append((t_k, eta_avg))
-
-    tt = region.t_values()[:, None]
-    ee = region.eta_values()[None, :]
-    v = stft_closed_form(model, window, tt, ee)
-    re_sign = np.sign(v.real)
-    im_sign = np.sign(v.imag)
-
-    def _cell_has_flip(sign):
-        flip_t = sign[:-1, :-1] * sign[1:, :-1] <= 0
-        flip_e = sign[:-1, :-1] * sign[:-1, 1:] <= 0
-        flip_d = sign[:-1, :-1] * sign[1:, 1:] <= 0
-        return flip_t | flip_e | flip_d
-
-    cells = _cell_has_flip(re_sign) & _cell_has_flip(im_sign)
-    ti, ei = np.nonzero(cells)
-    t_vals, e_vals = region.t_values(), region.eta_values()
-    for i, j in zip(ti, ei):
-        seeds.append((0.5 * (t_vals[i] + t_vals[i + 1]), 0.5 * (e_vals[j] + e_vals[j + 1])))
-
-    found = []
-    for t0, e0 in seeds:
-        res = _newton_zero(model, window, t0, e0)
+        if not region.t_min <= t_k <= region.t_max:
+            continue
+        res = _newton_zero(model, window, t_k, eta_avg)
         if res is None:
-            logger.info("zero candidate at (%.6f, %.6f) did not converge; dropped", t0, e0)
+            logger.info("zero candidate at (%.6f, %.6f) did not converge; dropped", t_k, eta_avg)
             continue
         t_ref, e_ref, resid, grad = res
-        # spurious tail candidates satisfy |V| <= tol over whole neighborhoods;
-        # a simple zero is pinned by distance-to-zero ~ |V|/|grad V| collapsing
+        # a seed deep in a Gaussian tail meets |V| <= tol over a whole flat
+        # neighborhood; a simple zero is pinned by |V|/|grad V| collapsing
         if grad == 0.0 or resid > 1e-6 * grad * _length_scale(window):
             logger.info("candidate at (%.6f, %.6f) is not an isolated zero; dropped",
                         t_ref, e_ref)
             continue
-        if not (region.t_min - region.t_step <= t_ref <= region.t_max + region.t_step):
-            continue
-        if not (region.eta_min - region.eta_step <= e_ref <= region.eta_max + region.eta_step):
-            continue
-        if any(abs(t_ref - z[0]) < 1e-8 and abs(e_ref - z[1]) < 1e-8 for z in found):
-            continue
-        found.append((t_ref, e_ref, resid))
-    found.sort()
-    rho = default_contour_rho(window)
-    out = []
-    for t_ref, e_ref, resid in found:
         w = winding_number(model, window, (t_ref, e_ref), rho, n_samples=winding_samples)
         out.append(ZeroPoint(t0=float(t_ref), eta0=float(e_ref), winding=w,
                              refinement_residual=float(resid)))

@@ -45,3 +45,10 @@ def test_criterion(index):
 def test_criterion_5_detail_prints_plain_floats():
     # zero coordinates are Python floats, so no numpy repr leaks into the text
     assert "np." not in acceptance.criterion_5().detail
+
+
+def test_criterion_2_invalid_bracket_fails_without_raising(monkeypatch):
+    monkeypatch.setattr(acceptance.squeeze, "constructive_maxima", lambda *args: 1)
+    result = acceptance.CRITERIA[2]()
+    assert result.passed is False
+    assert "counts 1, 1" in result.detail

@@ -3,6 +3,8 @@
 ridges sits below squeeze: squeeze imports ridges at module top for the
 maxima counts and the bisection, so ridges must not import squeeze back. No
 module defers an import into a function body, where a cycle would hide.
+oracle checks the kernels independently, so it imports only model and errors
+from the package, and no library module imports it.
 Every undecorated top-level function or class is named somewhere in src/,
 tests/ or scripts/ besides its own definition.
 """
@@ -31,6 +33,18 @@ def _imported_modules(tree: ast.AST) -> set[str]:
 def test_ridges_does_not_import_squeeze():
     tree = ast.parse((SRC / "ridges.py").read_text())
     assert "squeeze" not in _imported_modules(tree)
+
+
+def test_oracle_imports_only_model_and_errors():
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    package = {path.stem for path in MODULES}
+    assert _imported_modules(tree) & package <= {"model", "errors"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "oracle.py"],
+                         ids=lambda p: p.name)
+def test_library_does_not_import_oracle(path):
+    assert "oracle" not in _imported_modules(ast.parse(path.read_text()))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from twotone import (
+    GaussianWindow,
     TFGrid,
     TwoHarmonicModel,
     amplitude_weighted_phase,
     destructive_time,
+    destructive_zero,
     locate_zeros,
     phase,
     stft_field,
     winding_number,
 )
 from twotone.errors import ContourThroughZeroError, PhaseUndefinedError
+from twotone import phasefield
 from twotone.phasefield import default_contour_rho
 
 
@@ -69,6 +72,43 @@ class TestLocateZeros:
                 if 0.0 <= destructive_time(model, k) <= t_max
             )
             assert len(locate_zeros(model, window, region)) == expected
+
+    def test_zero_past_t_max_not_reported(self, window, model_a13):
+        # t_0^- = 5/3 lies just past t_max; a grid cell at the edge used to
+        # converge onto it and report it
+        region = TFGrid(0.0, 1.6, 17, 0.5, 1.8, 61)
+        assert locate_zeros(model_a13, window, region) == []
+
+    def test_each_destructive_time_reported_once(self):
+        model = TwoHarmonicModel(xi0=1.575764463216729, delta=1.90230137957413,
+                                 a=0.7857282523426801)
+        window = GaussianWindow(sigma=1.3107902698777547)
+        region = TFGrid(-1.9401571827959045, 8.868725495067125, 51,
+                        1.2339203258606046, 3.155934662555059, 199)
+        eta_avg = destructive_zero(model, window)
+        times = [destructive_time(model, k) for k in range(-10, 30)
+                 if region.t_min <= destructive_time(model, k) <= region.t_max]
+        zeros = locate_zeros(model, window, region)
+        assert len(times) == 21
+        assert len(zeros) == len(times)
+        for z, t_k in zip(zeros, times):
+            assert abs(z.t0 - t_k) <= 1e-10
+            assert abs(z.eta0 - eta_avg) <= 1e-10
+
+    def test_underflowed_region_runs_no_newton(self, window, model_a13, monkeypatch):
+        # |V| underflows to 0 far above both components, so a sign-change
+        # search would flag every cell there
+        calls = []
+        newton = phasefield._newton_zero
+
+        def spy(*args, **kwargs):
+            calls.append(args[2:])
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(phasefield, "_newton_zero", spy)
+        region = TFGrid(0.0, 7.0, 257, 8.0, 10.0, 257)
+        assert locate_zeros(model_a13, window, region) == []
+        assert calls == []
 
 
 class TestWinding:
