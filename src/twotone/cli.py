@@ -266,16 +266,21 @@ def cmd_squeeze(config: ExperimentConfig) -> int:
                  if xis.size else xis)
         rows = []
         for xi, quad in zip(xis, quads):
-            if sq_config.weighting == "indicator":
-                asym = squeeze.asym_indicator(model, window, sq_config.alpha,
-                                              sq_config.R, t, float(xi))
-            else:
-                asym = squeeze.asym_sst(model, window, sq_config.alpha, t, float(xi))
+            # a limit that does not apply at this xi is written as nan
+            try:
+                if sq_config.weighting == "indicator":
+                    asym = squeeze.asym_indicator(model, window, sq_config.alpha,
+                                                  sq_config.R, t, float(xi))
+                else:
+                    asym = squeeze.asym_sst(model, window, sq_config.alpha, t, float(xi))
+                limit = abs(asym.value)
+            except TwoToneError:
+                limit = float("nan")
             try:
                 erf_val = squeeze.erf_closed_form(model, window, sq_config.alpha, t, float(xi))
             except TwoToneError:
                 erf_val = float("nan")
-            rows.append((xi, quad, abs(asym.value), erf_val))
+            rows.append((xi, quad, limit, erf_val))
         outputs[f"cross_section_{label}.csv"] = (
             ["xi", "abs_quadrature", "abs_density_limit", "abs_erf_form"], rows)
     _write_outputs(config, "squeeze", outputs)

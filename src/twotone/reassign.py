@@ -92,7 +92,8 @@ def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.
     eta = np.asarray(eta, dtype=float)
     log_a = math.log(model.a) if model.a > 0 else -math.inf
     log_q = log_a + 2.0 * window.C * model.delta * (eta - model.xibar)
-    log_q, t = np.broadcast_arrays(log_q, t)
+    # e^{2 pi i delta t} on t's own shape: once per t, not once per node
+    log_q, rot = np.broadcast_arrays(log_q, np.exp(2j * math.pi * model.delta * t))
     out = np.empty(log_q.shape, dtype=complex)
     hi = log_q > _EXP_CLIP
     lo = log_q < -_EXP_CLIP
@@ -100,7 +101,7 @@ def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.
     out[hi] = model.xi1
     out[lo] = model.xi0
     if np.any(mid):
-        q = np.exp(2j * math.pi * model.delta * t[mid]) * np.exp(log_q[mid])
+        q = rot[mid] * np.exp(log_q[mid])
         denom = 1.0 + q
         zero = np.abs(denom) <= 1e-14
         vals = np.empty(q.shape, dtype=complex)

@@ -37,6 +37,8 @@ REASSIGN_MODES = ("sync", "phase")
 # exp(-x) is a normal double for x <= 708.396...; past that it is subnormal
 # (below 2.2e-308) and then 0.0 from x = 746 on
 _NORMAL_EXPONENT = -math.log(sys.float_info.min)
+# the most terms one block of _mollified_sums evaluates: one 512 KB buffer
+_BLOCK_TERMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -127,18 +129,27 @@ def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
 
     The m rows are m quadrature rules on the same nodes (in the squeeze base
     pass: the trapezoid rule and the rule of twice its step). They share one
-    sort and one exp per term, and each term enters one m-row
-    matrix-vector product. A term is kept only while both of its Gaussian
-    factors are normal doubles: |Re hat_k - xi|^2 / alpha and |Im hat_k|^2
-    / alpha at most -ln(2.2e-308) = 708.396... Every dropped term is below
-    2.2e-308 |w_k|, so no sum above ~1e-292 moves, and the kernel never
-    computes with subnormal numbers, which take a slow path in exp and in
-    the matrix-vector product.
+    sort and one exp per term. A term is kept only while both of its
+    Gaussian factors are normal doubles: |Re hat_k - xi|^2 / alpha and
+    |Im hat_k|^2 / alpha at most -ln(2.2e-308) = 708.396... Every dropped
+    term is below 2.2e-308 |w_k|, so no sum above ~1e-292 moves, and the
+    kernel never computes with subnormal numbers, which take a slow path in
+    exp and in the matrix product.
     The nodes are sorted once by Re hat, and each xi sums over its own
     contiguous searchsorted window of half-width sqrt(708.396 alpha). The
     factor exp(-(Im hat_k)^2 / alpha) is folded into the weights, and nodes
     whose factor is below the smallest normal double, or whose weights are
-    all 0, sort past every window. Memory is O(m (nodes + xis)).
+    all 0, sort past every window.
+    The xi are taken in their given order in blocks of neighbours with
+    non-empty windows. A block grows while its rows times the union of their
+    windows stay within 2^16 terms and within 1.125 times the rows' own
+    terms. Each block takes one broadcast exponent, one exp and one
+    (rows, union) @ (union, 2m) matrix product. A row's entries outside its
+    own window are set to -inf, whose exp is exactly 0.0, so every other
+    argument to exp lies in [-708.4, 0] and each xi sums only its own
+    terms. A xi with an empty window reads 0.0. Memory is
+    O(m (nodes + xis)) plus one buffer of 2^16 terms, or of the widest
+    window when that is larger.
     """
     m = len(weights)
     fold = np.exp(-hat.imag ** 2 / alpha)
@@ -161,17 +172,36 @@ def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
     reach = math.sqrt(_NORMAL_EXPONENT * alpha)
     starts = np.searchsorted(re, xis - reach, side="left")
     stops = np.searchsorted(re, xis + reach, side="right")
-    buf = np.empty(int(np.max(stops - starts, initial=0)))
+    buf = np.empty(max(_BLOCK_TERMS, int(np.max(stops - starts, initial=0))))
+    starts, stops = starts.tolist(), stops.tolist()
     out = np.zeros((len(xis), m), dtype=complex)
     parts = out.view(float)
-    for i, (xi, a, b) in enumerate(zip(xis.tolist(), starts.tolist(), stops.tolist())):
-        if a < b:
-            moll = buf[:b - a]
-            np.subtract(re[a:b], xi, out=moll)
-            np.multiply(moll, moll, out=moll)
-            moll /= -alpha
-            np.exp(moll, out=moll)
-            np.matmul(folded[:, a:b], moll, out=parts[i])
+
+    def block(i, j, lo, hi):
+        # rows i..j-1 of out over the union [lo, hi) of their windows
+        moll = buf[:(j - i) * (hi - lo)].reshape(j - i, hi - lo)
+        np.subtract(re[lo:hi], xis[i:j, None], out=moll)
+        np.multiply(moll, moll, out=moll)
+        moll *= -1.0 / alpha
+        for row, a, b in zip(moll, starts[i:j], stops[i:j]):
+            row[:a - lo] = -np.inf
+            row[b - lo:] = -np.inf
+        np.exp(moll, out=moll)
+        np.matmul(moll, folded[:, lo:hi].T, out=parts[i:j])
+
+    i = lo = hi = own = 0
+    for j, (a, b) in enumerate(zip(starts, stops)):
+        if i < j:
+            if a < b:
+                union = (j + 1 - i) * (max(hi, b) - min(lo, a))
+                if union <= _BLOCK_TERMS and 8 * union <= 9 * (own + b - a):
+                    lo, hi, own = min(lo, a), max(hi, b), own + b - a
+                    continue
+            block(i, j, lo, hi)
+        # an empty window starts no block: its column stays 0
+        i, lo, hi, own = (j, a, b, b - a) if a < b else (j + 1, 0, 0, 0)
+    if i < len(xis):
+        block(i, len(xis), lo, hi)
     return out.T
 
 
@@ -200,7 +230,10 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     still normal doubles. A dropped term is below 2.2e-308 times its weight,
     so no value above ~1e-292 moves; values below that may read 0.0 where
     the sum over all nodes would give a subnormal number. A smaller reach
-    would drop the exponentially small off-support tails.
+    would drop the exponentially small off-support tails. Runs of
+    neighbouring xi share one exp and one matrix product per block of at
+    most 2^16 terms (_mollified_sums), each xi still summing only its own
+    window.
 
     Raises SolverFailureError when max_doublings doublings of the band do not
     reach the tolerance. With max_doublings = 0 the call

@@ -16,6 +16,7 @@ from twotone import (
     squeeze_transform,
 )
 from twotone.cli import (
+    build_config,
     main,
     make_parser,
     parse_config_file,
@@ -24,7 +25,7 @@ from twotone.cli import (
     write_table_csv,
 )
 from twotone import squeeze
-from twotone.errors import ConfigError, SolverFailureError
+from twotone.errors import ConfigError, SolverFailureError, TwoToneError
 from twotone.presets import PRESETS
 
 
@@ -327,6 +328,33 @@ class TestCommands:
                 (out / "cross_section_destructive.csv").read_text().splitlines()[1:]}
         assert rows[1.375] == "nan"
         assert rows[1.125] != "nan"
+
+    @pytest.mark.parametrize("override", ["--squeeze.r=1e6", "--squeeze.alpha=0.5"])
+    def test_squeeze_density_limit_nan_where_it_does_not_apply(self, tmp_path, capsys,
+                                                                override):
+        # R = 1e6 grows too fast for alpha = 1e-4 near xi0 and xi1; at
+        # alpha = 0.5 the radius the CLI chose itself grows too fast at most xi
+        argv = ["squeeze", "--preset", "gap-small-a13", "--out", str(tmp_path),
+                "--squeeze.weighting=indicator", override,
+                "--grid.n_t=3", "--grid.n_eta=17"]
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+        config = build_config(*make_parser().parse_known_args(argv))
+        model, window, sq = config.model, config.window, config.squeeze
+        raised = 0
+        for label, t in (("constructive", constructive_time(model, 0)),
+                         ("destructive", destructive_time(model, 0))):
+            lines = (tmp_path / f"cross_section_{label}.csv").read_text().splitlines()[1:]
+            for line in lines:
+                xi, _, limit, _ = line.split(",")
+                try:
+                    squeeze.asym_indicator(model, window, sq.alpha, sq.R, t, float(xi))
+                except TwoToneError:
+                    raised += 1
+                    assert limit == "nan"
+                else:
+                    assert limit != "nan"
+        assert raised > 0
 
     def test_squeeze_indicator_default_radius(self, tmp_path, capsys):
         out = tmp_path / "squeeze_ind"

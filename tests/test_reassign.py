@@ -85,6 +85,22 @@ class TestEtaS:
         outside = (minus.real[finite] < model_a13.xi0) | (minus.real[finite] > model_a13.xi1)
         assert np.all(outside)
 
+    def test_scalar_and_column_t_match_array_t_bitwise(self, window):
+        # e^{2 pi i delta t} is taken once per t and broadcast: the same bits
+        # as the evaluation with t spread over every node
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            model = TwoHarmonicModel(xi0=1.0, delta=rng.uniform(0.05, 1.0),
+                                     a=math.exp(rng.uniform(-3.0, 3.0)))
+            ts = rng.uniform(-10.0, 10.0, 3)
+            etas = model.xibar + rng.uniform(-2.0, 2.0, 7)
+            full = eta_s_values(model, window, np.repeat(ts[:, None], 7, axis=1),
+                                np.tile(etas, (3, 1)))
+            column = eta_s_values(model, window, ts[:, None], etas[None, :])
+            scalar = np.array([eta_s_values(model, window, t, etas) for t in ts])
+            assert np.array_equal(column.view(float), full.view(float))
+            assert np.array_equal(scalar.view(float), full.view(float))
+
     def test_monotone_at_constructive_time(self, window, model_a13):
         etas = np.linspace(model_a13.xibar - 1.5, model_a13.xibar + 1.5, 600)
         vals = eta_s_values(model_a13, window, 0.0, etas).real

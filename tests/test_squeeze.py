@@ -39,6 +39,7 @@ from twotone.oracle import oracle_quadrature_squeeze
 from twotone.reassign import eta_s_values
 from twotone.ridges import _candidate_peaks, flip_bracket
 from twotone.squeeze import (
+    _BLOCK_TERMS,
     _NORMAL_EXPONENT,
     _mollified_sums,
     _preimage_offset,
@@ -425,6 +426,112 @@ class TestMollifiedSums:
         assert 0.0 < abs(ref[0]) < 1e-300
         got = _mollified_sums(hat, (w * gvals)[None], np.array([xi]), alpha)
         assert got[0, 0] == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_identical_windows_longer_than_one_block(self, monkeypatch, m):
+        # every xi's window is all 3,000 nodes: 40 such rows are 120,000 terms
+        rng = np.random.default_rng(5)
+        alpha, n = 1e-4, 3000
+        hat = rng.uniform(1.0, 1.01, n) + 1j * rng.normal(0.0, 3 * math.sqrt(alpha), n)
+        weights = _positive_weights(rng, m, n)
+        xis = np.linspace(1.0, 1.01, 40)
+        calls = _KernelCalls()
+        monkeypatch.setattr(squeeze_module, "np", calls)
+        got = _mollified_sums(hat, weights, xis, alpha)
+        assert len(calls.blocks) > 1 and sum(rows for rows, _ in calls.blocks) == len(xis)
+        assert all(rows * union <= _BLOCK_TERMS for rows, union in calls.blocks)
+        _assert_matches_dense(got, hat, weights, xis, alpha)
+
+    @staticmethod
+    def _clusters(rng, m, alpha):
+        """Nodes in three clusters farther apart than two reaches, and xi
+        sliding across them, so that some windows between them are empty."""
+        hat = np.concatenate([rng.uniform(lo, lo + 0.1, 700) for lo in (1.0, 1.4, 1.9)])
+        hat = hat + 1j * rng.normal(0.0, 3 * math.sqrt(alpha), len(hat))
+        return hat, _positive_weights(rng, m, len(hat)), np.linspace(0.8, 2.2, 400)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_sliding_windows_with_empty_windows_between(self, monkeypatch, m):
+        alpha = 1e-5
+        hat, weights, xis = self._clusters(np.random.default_rng(6), m, alpha)
+        calls = _KernelCalls()
+        monkeypatch.setattr(squeeze_module, "np", calls)
+        got = _mollified_sums(hat, weights, xis, alpha)
+        assert np.count_nonzero(got[0] == 0.0) > 50
+        assert max(rows for rows, _ in calls.blocks) > 1
+        _assert_matches_dense(got, hat, weights, xis, alpha)
+        # -inf masks every term outside a row's own window; every other
+        # argument keeps both Gaussian factors normal
+        assert -708.4 <= calls.lo and calls.hi <= 0.0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_non_monotone_xi_order(self, m):
+        alpha = 1e-5
+        rng = np.random.default_rng(7)
+        hat, weights, xis = self._clusters(rng, m, alpha)
+        perm = rng.permutation(len(xis))
+        got = _mollified_sums(hat, weights, xis[perm], alpha)
+        _assert_matches_dense(got, hat, weights, xis[perm], alpha)
+        # permuting xis permutes the columns
+        sorted_got = _mollified_sums(hat, weights, xis, alpha)[:, perm]
+        assert np.array_equal(got == 0, sorted_got == 0)
+        assert np.all(np.abs(got - sorted_got) <= 1e-12 * np.abs(sorted_got))
+
+    def test_xi_past_its_reach_is_zero_beside_a_block(self):
+        # the xi in the middle has its nearest nodes at exponents 710-745: the
+        # dense sum is subnormal there, the kernel's exactly 0.0, although
+        # its neighbours on both sides have terms and sum in blocks
+        alpha, xi = 1e-4, 1.0
+        offsets = np.sqrt(np.array([710.0, 720.0, 735.0, 745.0]) * alpha)
+        hat = np.concatenate([xi - offsets, xi + offsets]).astype(complex)
+        weights = np.ones((2, len(hat)), dtype=complex)
+        step = 0.01 * math.sqrt(alpha)
+        xis = np.concatenate([xi - offsets[0] - step * np.arange(1, 4)[::-1], [xi],
+                              xi + offsets[0] + step * np.arange(1, 4)])
+        got = _mollified_sums(hat, weights, xis, alpha)
+        ref = _dense_mollified_sums(hat, np.zeros(len(hat), dtype=bool), np.ones(len(hat)),
+                                    weights[0], xis, alpha)
+        assert 0.0 < abs(ref[3]) < 1e-300
+        assert np.all(got[:, 3] == 0.0)
+        assert np.all(np.abs(np.delete(got, 3, axis=1)) > 0.1)
+
+
+class _KernelCalls:
+    """numpy as squeeze sees it, recording the blocks of _mollified_sums: the
+    shape of each (rows, union) matrix product and the range of every finite
+    exp argument."""
+
+    def __init__(self):
+        self.blocks, self.lo, self.hi = [], math.inf, -math.inf
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, **kwargs):
+        finite = np.asarray(x)[np.isfinite(x)]
+        if finite.size:
+            self.lo, self.hi = min(self.lo, finite.min()), max(self.hi, finite.max())
+        return np.exp(x, **kwargs)
+
+    def matmul(self, a, b, **kwargs):
+        self.blocks.append(a.shape)
+        return np.matmul(a, b, **kwargs)
+
+
+def _positive_weights(rng, m, n):
+    # real and imaginary parts positive, so no sum cancels
+    return rng.uniform(0.5, 1.5, (m, n)) + 1j * rng.uniform(0.5, 1.5, (m, n))
+
+
+def _assert_matches_dense(got, hat, weights, xis, alpha):
+    assert got.shape == (len(weights), len(xis))
+    for row, g in zip(got, weights):
+        ref = _dense_mollified_sums(hat, np.zeros(len(hat), dtype=bool), np.ones(len(hat)),
+                                    g, xis, alpha)
+        big = np.abs(ref) > 1e-280
+        assert np.all(np.abs(row[big] - ref[big]) <= 1e-12 * np.abs(ref[big]))
+        # only terms below the smallest normal double are dropped
+        assert np.all(np.abs(row[~big]) <= 2e-280)
 
 
 class TestPushforward:
