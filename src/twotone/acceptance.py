@@ -323,12 +323,12 @@ def criterion_11():
                        for x in xis] for xi_c, amp in ((model.xi0, 1.0), (model.xi1, model.a)))
             yield squeeze_cross_section(model, WINDOW, cfg, t, xis), np.array(s0), np.array(s1)
 
-    def sup_residual_pair(a: float, delta: float = 0.05):
+    def sup_residual_pair(a: float):
         """Amplitude-limit probe at a small gap: the stated a values sit inside
         the linear regime there (the half-sided mass deficit near a component
         frequency decays like a^(1/2) e^{-ln^2(kappa/a)/(4 C delta^2)} and is
         o(a) only once |ln a| clears ~2 C delta^2)."""
-        model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
+        model = TwoHarmonicModel(xi0=1.0, delta=0.05, a=a)
         rows = list(sections(model, (0.2, destructive_time(model, 0)), 121))
         return (max(float(np.max(np.abs(vals - s0))) for vals, s0, _ in rows),
                 max(float(np.max(np.abs(vals - s1))) for vals, _, s1 in rows))

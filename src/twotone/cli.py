@@ -229,8 +229,8 @@ def cmd_zeros(config: ExperimentConfig) -> int:
 
 def cmd_reassign(config: ExperimentConfig) -> int:
     model, window, grid = config.model, config.window, config.grid
-    sync = reassign.reassign_field(model, window, grid, mode="SYNC")
-    values = np.where(np.isneginf(sync.values.real), np.nan + 0j, sync.values)
+    field = reassign.reassign_field(model, window, grid)
+    values = np.where(np.isneginf(field.values.real), np.nan + 0j, field.values)
     arc_rows = []
     for theta in config.arc_thetas:
         center, radius = reassign.arc_circle(model, theta)

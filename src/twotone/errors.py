@@ -17,10 +17,6 @@ class DegenerateAmplitudeError(TwoToneError):
     """Reference amplitude vanishes where a ratio is needed."""
 
 
-class BandCoverageError(TwoToneError):
-    """Requested frequency band does not cover the required region."""
-
-
 class SolverFailureError(TwoToneError):
     def __init__(self, message, residuals=None):
         super().__init__(message)

@@ -82,20 +82,18 @@ class ComplexField:
 class QuadratureSpec:
     """Controls for direct quadratures.
 
-    half_width_sigmas: truncation half-width in units of sigma (Gaussian tail
-    below 1e-27 at the default 8). n_nodes: the trapezoid interval count of
-    stft_numeric and the base trapezoid interval count of the squeeze band,
-    which rounds it up to even. rtol/max_doublings steer adaptive refinement
-    where an operation uses it.
+    n_nodes: the trapezoid interval count of stft_numeric (on |x - t| <= 8
+    sigma) and the base trapezoid interval count of the squeeze band, which
+    rounds it up to even. rtol/max_doublings steer adaptive refinement where
+    an operation uses it.
     """
 
-    half_width_sigmas: float = 8.0
     n_nodes: int = 4096
     rtol: float = 1e-8
     max_doublings: int = 9
 
     def __post_init__(self):
-        if self.half_width_sigmas <= 0 or self.n_nodes < 2:
+        if self.n_nodes < 2:
             raise ModelValidationError("invalid quadrature spec")
 
 
@@ -143,15 +141,15 @@ def stft_numeric(
     deriv_window: bool = False,
 ) -> complex:
     """V(t, eta) by the trapezoid rule with n_nodes intervals on |x - t| <= W,
-    W = half_width_sigmas * sigma. The window is below e^-64 at both ends, so
-    for a smooth signal the error falls faster than any power of n_nodes.
+    W = 8 sigma. The window is below e^-64 at both ends, so for a smooth
+    signal the error falls faster than any power of n_nodes.
 
     With deriv_window=True the window is Dh = h' (needed by reassignment
     proximity checks). Default spec reproduces the closed form to <= 1e-8.
     """
     quad = quad or QuadratureSpec()
     f = _signal_callable(signal)
-    w = quad.half_width_sigmas * window.sigma
+    w = 8.0 * window.sigma
     x = np.linspace(t - w, t + w, quad.n_nodes + 1)
     fx = np.asarray(f(x), dtype=complex)
     bad = ~np.isfinite(fx)

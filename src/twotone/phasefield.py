@@ -50,10 +50,10 @@ def _dv(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
     return v, dv_dt, dv_de
 
 
-def _newton_zero(model, window, t, eta, tol=1e-10, max_iter=50):
+def _newton_zero(model, window, t, eta):
     # iterate to step collapse rather than the first tolerance crossing, so the
     # refined zero does not depend on where the tolerance was first met
-    for _ in range(max_iter):
+    for _ in range(50):
         v, dv_dt, dv_de = _dv(model, window, t, eta)
         jac = np.array([[dv_dt.real, dv_de.real], [dv_dt.imag, dv_de.imag]])
         rhs = -np.array([v.real, v.imag])
@@ -67,7 +67,7 @@ def _newton_zero(model, window, t, eta, tol=1e-10, max_iter=50):
     v, dv_dt, dv_de = _dv(model, window, t, eta)
     grad = max(abs(dv_dt), abs(dv_de))
     resid = abs(v)
-    if resid <= tol and grad > 0 and resid <= 1e-8 * grad:
+    if resid <= 1e-10 and grad > 0 and resid <= 1e-8 * grad:
         return t, eta, resid, grad
     return None
 
@@ -82,8 +82,8 @@ def default_contour_rho(window: GaussianWindow) -> float:
     return 0.05 * _length_scale(window)
 
 
-def locate_zeros(model: TwoHarmonicModel, window: GaussianWindow, region: TFGrid,
-                 winding_samples: int = 256) -> list[ZeroPoint]:
+def locate_zeros(model: TwoHarmonicModel, window: GaussianWindow,
+                 region: TFGrid) -> list[ZeroPoint]:
     """Zeros of V inside the region, in ascending t.
 
     V vanishes exactly at the destructive times t_k^- on the line eta_avg and
@@ -116,7 +116,7 @@ def locate_zeros(model: TwoHarmonicModel, window: GaussianWindow, region: TFGrid
             logger.info("candidate at (%.6f, %.6f) is not an isolated zero; dropped",
                         t_ref, e_ref)
             continue
-        w = winding_number(model, window, (t_ref, e_ref), rho, n_samples=winding_samples)
+        w = winding_number(model, window, (t_ref, e_ref), rho)
         out.append(ZeroPoint(t0=float(t_ref), eta0=float(e_ref), winding=w,
                              refinement_residual=float(resid)))
     return out

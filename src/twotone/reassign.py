@@ -20,7 +20,7 @@ from .errors import (
     NotApplicableError,
     PhaseUndefinedError,
 )
-from .gabor import ComplexField, QuadratureSpec, TFGrid, spectrogram_decomposition, stft_numeric
+from .gabor import ComplexField, TFGrid, spectrogram_decomposition, stft_numeric
 from .model import (
     AHMSignal,
     GaussianWindow,
@@ -142,15 +142,9 @@ def imag_correction(model: TwoHarmonicModel, window: GaussianWindow, t: float, e
     return num / den
 
 
-def reassign_field(model: TwoHarmonicModel, window: GaussianWindow, grid: TFGrid,
-                   mode: str = "SYNC") -> ComplexField:
-    """eta_s over the grid as a REASSIGN field, SENTINEL at zeros of V; PHASE
-    mode keeps the real parts only (the sentinel's real part is -inf)."""
-    if mode not in ("PHASE", "SYNC"):
-        raise ModelValidationError(f"unknown reassignment mode {mode!r}")
+def reassign_field(model: TwoHarmonicModel, window: GaussianWindow, grid: TFGrid) -> ComplexField:
+    """eta_s over the grid as a REASSIGN field, SENTINEL at zeros of V."""
     vals = eta_s_values(model, window, grid.t_values()[:, None], grid.eta_values()[None, :])
-    if mode == "PHASE":
-        vals = vals.real.astype(complex)
     return ComplexField(grid=grid, values=vals, tag="REASSIGN")
 
 
@@ -163,13 +157,18 @@ def attraction_bound_check(model: TwoHarmonicModel, window: GaussianWindow,
     w = a e^{pi^2 sigma^2 delta (eta - xibar)}, |eta_s - xi0| <= 2 delta w
     whenever w <= 1/2, for every t; w is returned as the premise field.
 
-    Outside the premise the check is not applicable and raises. The holds flag
-    carries an absolute rounding floor: far below xibar the bound shrinks
-    beneath the eps-level noise of the reassignment value itself.
+    Outside the premise the check is not applicable and raises. The premise is
+    decided on the exponent, x <= ln(1/(2a)), before e^x is taken, so an eta
+    far above xibar raises rather than overflowing. The holds flag carries an
+    absolute rounding floor: far below xibar the bound shrinks beneath the
+    eps-level noise of the reassignment value itself.
     """
-    w = model.a * math.exp(window.C * model.delta * (eta - model.xibar))
-    if w > 0.5:
-        raise NotApplicableError(f"premise a e^(pi^2 sigma^2 delta (eta-xibar)) = {w:.6f} > 1/2")
+    x = window.C * model.delta * (eta - model.xibar)
+    x_max = -math.log(2.0 * model.a) if model.a > 0 else math.inf
+    if x > x_max:
+        raise NotApplicableError(
+            f"premise a e^(pi^2 sigma^2 delta (eta-xibar)) > 1/2: exponent {x:.6f} > {x_max:.6f}")
+    w = model.a * math.exp(x)
     bound = 2.0 * model.delta * w
     val = eta_s(model, window, t, eta)
     if is_sentinel(val):
@@ -213,12 +212,11 @@ def ahm_reassign_error_bound(signal: AHMSignal, window: GaussianWindow,
     return c_eta * signal.epsilon ** (1.0 - 2.0 * beta)
 
 
-def eta_s_numeric(signal, window: GaussianWindow, t: float, eta: float,
-                  quad: QuadratureSpec | None = None) -> complex:
+def eta_s_numeric(signal, window: GaussianWindow, t: float, eta: float) -> complex:
     """Reassignment value of an arbitrary signal via direct quadrature:
     eta - (1/2 pi i) V^(Dh)/V^(h). Used to validate the proximity bound."""
-    v_h = stft_numeric(signal, window, t, eta, quad=quad)
-    v_dh = stft_numeric(signal, window, t, eta, quad=quad, deriv_window=True)
+    v_h = stft_numeric(signal, window, t, eta)
+    v_dh = stft_numeric(signal, window, t, eta, deriv_window=True)
     if abs(v_h) == 0.0:
         raise PhaseUndefinedError(f"numeric V(t={t}, eta={eta}) = 0")
     return eta - v_dh / (2j * math.pi * v_h)

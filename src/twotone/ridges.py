@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BandCoverageError,
     DegenerateAmplitudeError,
     HypothesisViolationError,
     InconclusiveCountError,
@@ -26,6 +25,7 @@ from .gabor import ComplexField, _v_terms, spectrogram_decomposition, stft_close
 from .model import GaussianWindow, TwoHarmonicModel, destructive_time, destructive_zero
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MERGE_TOL = 1e-8  # frequency maxima closer than this count once
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,14 @@ def default_band(model: TwoHarmonicModel, window: GaussianWindow) -> tuple[float
     return (model.xi0 - pad, model.xi1 + pad)
 
 
-def golden_max(f, lo: float, hi: float, xtol: float = 1e-10) -> float:
-    """Golden-section maximizer of a unimodal scalar function on [lo, hi]."""
+def golden_max(f, lo: float, hi: float) -> float:
+    """Golden-section maximizer of a unimodal scalar function on [lo, hi], to a
+    bracket of width 1e-10."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol:
+    while b - a > 1e-10:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -92,30 +93,29 @@ def _candidate_peaks(values: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(tops[keep].tolist(), ends[keep].tolist()))
 
 
-def _refined_maxima(f, grid: np.ndarray, values: np.ndarray,
-                    xtol: float = 1e-10, merge_tol: float = 1e-8) -> list[float]:
+def _refined_maxima(f, grid: np.ndarray, values: np.ndarray) -> list[float]:
     """Maxima of f at the candidate peaks of values on the increasing grid,
-    merged where they lie within merge_tol of each other.
+    merged where they lie within _MERGE_TOL of each other.
 
     A golden result never leaves its bracket [grid[left - 1], grid[right + 1]],
     and brackets follow each other along the grid, touching at most at their
     ends, so the results come out in order. A candidate whose bracket lies at
-    least merge_tol from both neighbouring brackets cannot merge; it stays at
+    least _MERGE_TOL from both neighbouring brackets cannot merge; it stays at
     its bracket midpoint. Only the others are golden-refined, which gives the
     count that refining every candidate gives.
     """
     peaks = np.array(_candidate_peaks(values), dtype=int).reshape(-1, 2)
     lo, hi = grid[peaks[:, 0] - 1], grid[peaks[:, 1] + 1]
-    close = lo[1:] - hi[:-1] < merge_tol
+    close = lo[1:] - hi[:-1] < _MERGE_TOL
     near = np.zeros(len(peaks), dtype=bool)
     near[1:] |= close
     near[:-1] |= close
     out = (0.5 * (lo + hi)).tolist()
     for k in np.flatnonzero(near):
-        out[k] = golden_max(f, lo[k], hi[k], xtol=xtol)
+        out[k] = golden_max(f, lo[k], hi[k])
     merged: list[float] = []
     for x in out:
-        if merged and abs(x - merged[-1]) < merge_tol:
+        if merged and abs(x - merged[-1]) < _MERGE_TOL:
             merged[-1] = 0.5 * (merged[-1] + x)
         else:
             merged.append(x)
@@ -123,9 +123,8 @@ def _refined_maxima(f, grid: np.ndarray, values: np.ndarray,
 
 
 def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: float,
-                           band: tuple[float, float] | None = None,
                            n_samples: int = 512) -> int:
-    """Strict interior local maxima of eta -> |V(t, eta)| on the band.
+    """Strict interior local maxima of eta -> |V(t, eta)| on default_band.
 
     Counts at n and 2n samples must agree (guards grid aliasing near
     bifurcations); up to four doublings are tried. Each doubling keeps the
@@ -133,15 +132,9 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
     that agrees at once costs n + 1 + n samples. Maxima within 1e-8 of each
     other count once: only the candidates whose brackets lie within 1e-8 of a
     neighbouring bracket can merge, so only those are golden-refined (to
-    1e-10) before counting. The band must cover the default ridge band.
+    1e-10) before counting.
     """
-    lo_req, hi_req = default_band(model, window)
-    if band is None:
-        band = (lo_req, hi_req)
-    if band[0] > lo_req or band[1] < hi_req:
-        raise BandCoverageError(
-            f"band {band} must cover [{lo_req:.6f}, {hi_req:.6f}]"
-        )
+    band = default_band(model, window)
     if n_samples < 512:
         raise ModelValidationError("n_samples must be >= 512")
 

@@ -335,12 +335,12 @@ def constructive_maxima(a: float, window: GaussianWindow, method: str, delta: fl
 # distinguished times and densities
 
 
-def classify_time(model: TwoHarmonicModel, t: float, tol: float = 1e-9) -> str:
+def classify_time(model: TwoHarmonicModel, t: float) -> str:
     """'constructive', 'destructive', or 'intermediate' (quarter-period) time."""
     frac = (t * model.delta) % 1.0
     for target, kind in ((0.0, "constructive"), (1.0, "constructive"),
                          (0.5, "destructive"), (0.25, "intermediate")):
-        if abs(frac - target) <= tol:
+        if abs(frac - target) <= 1e-9:
             return kind
     raise PreconditionError(
         f"t = {t} is none of the distinguished times (phase fraction {frac:.3e})"

@@ -290,6 +290,16 @@ class TestCommands:
         assert len(audit) > 1
         assert all(line.endswith(",1") for line in audit[1:])
 
+    def test_reassign_grid_above_the_premise_writes_an_empty_audit(self, tmp_path, capsys):
+        # every audited eta lies in [xibar, 200], where a e^{C delta (eta - xibar)}
+        # either exceeds 1/2 or overflows a float: no row applies
+        out = tmp_path / "reassign"
+        code, _, _ = run(["reassign", "--out", str(out), "--grid.eta_min=200",
+                          "--grid.eta_max=300", "--grid.n_t=5", "--grid.n_eta=9"], capsys)
+        assert code == 0
+        audit = (out / "attraction_audit.csv").read_bytes()
+        assert audit == b"t,eta,premise,bound,actual,holds\r\n"
+
     def test_squeeze_outputs(self, tmp_path, capsys):
         out = tmp_path / "squeeze"
         code, _, _ = run(["squeeze", "--preset", "gap-small-balanced", "--out", str(out),

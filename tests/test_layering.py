@@ -6,7 +6,9 @@ module defers an import into a function body, where a cycle would hide.
 oracle checks the kernels independently, so it imports only model and errors
 from the package, and no library module imports it.
 Every undecorated top-level function or class is named somewhere in src/,
-tests/ or scripts/ besides its own definition.
+tests/ or scripts/ besides its own definition, and every defaulted parameter
+of a top-level function is passed somewhere there: a default no caller
+overrides is a constant.
 """
 
 import ast
@@ -74,13 +76,54 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def _caller_files():
+    return sorted({*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                   *(ROOT / "scripts").glob("*.py")})
+
+
 def test_every_top_level_definition_is_used():
     used = set()
-    for path in sorted({*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-                        *(ROOT / "scripts").glob("*.py")}):
+    for path in _caller_files():
         used |= _referenced_names(ast.parse(path.read_text()))
     unused = [f"{path.name}:{node.name}" for path in MODULES
               for node in ast.parse(path.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not node.decorator_list and node.name not in used]
     assert not unused, f"top-level definitions named nowhere: {unused}"
+
+
+def _defaulted_parameters(func: ast.FunctionDef) -> list:
+    """(position, name) of each parameter of func that has a default; a
+    keyword-only parameter has position None."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            + [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def _passed_arguments(tree: ast.AST) -> set:
+    """(callee name, keyword) and (callee name, position) of every argument
+    a call in the tree passes; the callee is named by its last component."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        passed.update((name, kw.arg) for kw in node.keywords if kw.arg is not None)
+        positional = [arg for arg in node.args if not isinstance(arg, ast.Starred)]
+        passed.update((name, i) for i in range(len(positional)))
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed():
+    passed = set()
+    for path in _caller_files():
+        passed |= _passed_arguments(ast.parse(path.read_text()))
+    unset = [f"{path.name}:{node.name}({name}=)" for path in MODULES
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for position, name in _defaulted_parameters(node)
+             if (node.name, name) not in passed and (node.name, position) not in passed]
+    assert not unset, f"defaulted parameters no caller passes: {unset}"

@@ -134,6 +134,19 @@ class TestWinding:
         assert winding_number(model_a13, window, zero, rho, n_samples=512) == base
         assert winding_number(model_a13, window, zero, rho / 2, n_samples=256) == base
 
+    @pytest.mark.parametrize("eps, expected", [(5e-5, 1), (1e-5, 1), (1e-6, 1), (-1e-6, 0)])
+    def test_zero_between_chord_and_arc(self, window, model_a13, eps, expected):
+        # the zero sits halfway between two of the 256 samples, at radius
+        # (1 - eps) rho: for 0 < eps < 1 - cos(pi/256) = 7.5e-5 it is inside the
+        # arc but outside the chord, so only bisecting that segment counts it
+        n = 256
+        rho = default_contour_rho(window)
+        t_z, eta_z = destructive_time(model_a13, 0), destructive_zero(model_a13, window)
+        theta, r = math.pi + math.pi / n, (1.0 - eps) * rho
+        center = (t_z - window.sigma * r * math.cos(theta),
+                  eta_z + r * math.sin(theta) / (math.pi * window.sigma))
+        assert winding_number(model_a13, window, center, rho, n_samples=n) == expected
+
     def test_contour_through_zero_rejected(self, window, model_a13):
         region = TFGrid(0.0, 3.0, 81, 0.8, 1.5, 81)
         zero = locate_zeros(model_a13, window, region)[0]

@@ -6,7 +6,6 @@ import pytest
 
 from twotone import (
     INF_POINT,
-    SENTINEL,
     ComplexField,
     MobiusMap,
     TFGrid,
@@ -27,7 +26,6 @@ from twotone import (
 )
 from twotone.errors import (
     DomainError,
-    ModelValidationError,
     NotApplicableError,
     PhaseUndefinedError,
 )
@@ -170,6 +168,12 @@ class TestAttraction:
         with pytest.raises(NotApplicableError):
             attraction_bound_check(model, window, 0.3, model.xi0)
 
+    def test_premise_decided_before_the_exponential(self, window, model_a13):
+        # at eta = 200 the premise value a e^{C delta (eta - xibar)} is far
+        # past the float range; the premise fails, so the check raises
+        with pytest.raises(NotApplicableError):
+            attraction_bound_check(model_a13, window, 0.0, 200.0)
+
     def test_holds_over_a_period(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.15, a=1.0)
         eta = model.xibar - 0.5
@@ -219,35 +223,18 @@ class TestArcCircle:
 
 
 class TestReassignField:
-    def test_modes(self, window, model_a13):
-        grid = TFGrid(0.0, 2.0, 16, 0.7, 1.6, 16)
-        sync = reassign_field(model_a13, window, grid, mode="SYNC")
-        phase_mode = reassign_field(model_a13, window, grid, mode="PHASE")
-        finite = np.isfinite(phase_mode.values.real)
-        assert np.all(phase_mode.values.imag[finite] == 0.0)
-        assert np.allclose(phase_mode.values.real[finite], sync.values.real[finite])
-
     def test_sentinel_alignment(self, window, model_a13):
         eta_avg = model_a13.xibar - math.log(model_a13.a) / (2 * window.C * model_a13.delta)
         t0 = destructive_time(model_a13, 0)
         grid = TFGrid(t0 - 1e-9, t0 + 1e-9, 3, eta_avg - 1e-9, eta_avg + 1e-9, 3)
-        field = reassign_field(model_a13, window, grid, mode="SYNC")
+        field = reassign_field(model_a13, window, grid)
         assert np.isneginf(field.values.real).any()
-        phase_mode = reassign_field(model_a13, window, grid, mode="PHASE")
-        sent = np.isneginf(field.values.real)
-        # the real part of the sentinel is -inf, so PHASE mode keeps it as is
-        assert np.all(phase_mode.values[sent] == SENTINEL)
 
     def test_is_a_reassign_field(self, window, model_a13):
         grid = TFGrid(0.0, 2.0, 8, 0.7, 1.6, 8)
-        for mode in ("SYNC", "PHASE"):
-            field = reassign_field(model_a13, window, grid, mode=mode)
-            assert isinstance(field, ComplexField) and field.tag == "REASSIGN"
-            assert field.grid == grid and field.values.shape == (8, 8)
-
-    def test_unknown_mode_rejected(self, window, model_a13):
-        with pytest.raises(ModelValidationError, match="'sync'"):
-            reassign_field(model_a13, window, TFGrid(0.0, 2.0, 4, 0.7, 1.6, 4), mode="sync")
+        field = reassign_field(model_a13, window, grid)
+        assert isinstance(field, ComplexField) and field.tag == "REASSIGN"
+        assert field.grid == grid and field.values.shape == (8, 8)
 
 
 class TestAhmReassignBound:

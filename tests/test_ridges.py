@@ -18,7 +18,6 @@ from twotone import (
     stft_field,
 )
 from twotone.errors import (
-    BandCoverageError,
     DegenerateAmplitudeError,
     HypothesisViolationError,
     InconclusiveCountError,
@@ -113,10 +112,6 @@ class TestCounting:
                     assert np.array_equal(values, ref)
                 else:
                     assert np.all(np.abs(values - ref) <= 4 * np.spacing(ref))
-
-    def test_band_coverage(self, window, model_balanced):
-        with pytest.raises(BandCoverageError):
-            count_frequency_maxima(model_balanced, window, 0.0, band=(0.9, 1.4))
 
     def test_period_sweep_above_critical(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.5, a=1.0)
