@@ -6,6 +6,9 @@ any key can be overridden on the command line as --section.key=value. Outputs
 are CSV plus a JSON metadata sidecar; reruns with identical configuration are
 byte-identical. Every CSV is UTF-8 with \\r\\n line ends and no quoting, floats
 in repr's shortest round-trip decimals and integers and flags as integers.
+Grid cells are formatted a block of rows at a time by a numpy kernel that
+certifies each cell's shortest decimal or hands the cell to repr, so the
+bytes are repr's either way.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure.
@@ -140,10 +143,209 @@ def _write_lines(path: Path, header: list[str], lines) -> None:
             fh.write(line + "\r\n")
 
 
+# Grid cells are written by a numpy kernel that gives, for a block of rows at
+# once, the bytes repr gives cell by cell. Each cell's shortest round-trip
+# digits come from integer and double-double arithmetic that certifies its
+# result (Loitsch, PLDI 2010; Adams, PLDI 2018); a cell it cannot certify is
+# written by repr.
+_GRID_BLOCK_ROWS = 16
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
+_MARGIN = 1e-9        # closest a certified decision may come to a boundary, in scaled units
+_LOG10_2 = math.log10(2.0)
+_U64 = np.dtype("<u8")
+_DECPT_RANGE = 300    # |decpt| bound of the layout tables; certified cells reach 282
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+_STEPS = np.array([1.0, 10.0, 100.0])
+
+
+@functools.cache
+def _pow10_parts(q: int) -> tuple:
+    """10^q as hi + lo, two doubles that together carry it to about 2^-106
+    relative, and Dekker's halves of hi. Built from Python integers, whose true
+    division rounds correctly."""
+    num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    lo = (num * d - n * den) / (den * d)
+    big = _SPLIT * hi
+    hi_head = big - (big - hi)
+    return hi, lo, hi_head, hi - hi_head
+
+
+def _shortest_decimals(a: np.ndarray) -> tuple:
+    """Shortest round-trip decimals of the doubles a >= 0, as repr chooses them.
+
+    Returns (c, decpt, nd, ok). The int64 c lies in [10^16, 10^17) and holds
+    the nd significant digits followed by zeros; the decimal is 0.d1...d_nd
+    times 10^decpt. ok is False where the result is not certified: a outside
+    [1e-280, 1e280] (so zero, subnormals, inf and nan), a power of two, whose
+    rounding interval is not symmetric, and any decision closer than _MARGIN
+    to a boundary. Near 1e16 the ends of the rounding interval are exact in
+    the scaled units, so every double in [1e16, 1e17) goes to repr, about half
+    of those in the decades on either side, and a share falling about
+    fivefold per decade beyond (1e-4 at 1e10 and at 1e22).
+
+    With e10 = floor((e2 - 1) log10 2) <= log10 a, y = a 10^(16 - e10) lies in
+    [10^16, 2 10^17). Dekker's product gives y as p + s exactly enough (numpy
+    has no fused multiply-add), and y is split as base + z with base a multiple
+    of 100. Half an ulp of a is h in the same units, 0.55 < h < 22.3, and every
+    decimal in z +- h reads back as a. The shortest is a multiple of the
+    largest power of ten with a multiple inside, and repr takes the one
+    closest to z; inside a width below 100 that is the nearest multiple of 1,
+    10 or 100, and a multiple of 100 may carry more zeros.
+    """
+    ok = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(ok, a, 1.5)
+    mant, e2 = np.frexp(a)
+    ok &= mant != 0.5
+    e10 = np.floor((e2 - 1) * _LOG10_2).astype(np.int64)
+    e10_min = int(e10.min())
+    col = e10 - e10_min
+    table = np.zeros((4, int(col.max()) + 1))
+    for k in np.flatnonzero(np.bincount(col)):
+        table[:, k] = _pow10_parts(16 - e10_min - int(k))
+    scale, scale_lo, scale_head, scale_tail = (row.take(col) for row in table)
+    p = a * scale
+    big = a * _SPLIT
+    a_head = big - (big - a)
+    a_tail = a - a_head
+    s = (((a_head * scale_head - p) + a_head * scale_tail + a_tail * scale_head)
+         + a_tail * scale_tail + a * scale_lo)
+    p_int = p.astype(np.int64)
+    base = p_int // 100 * 100
+    z = (p_int - base) + s
+    h = np.ldexp(scale, e2 - 54)
+    low, high = z - h, z + h
+    ok &= (np.abs(low - np.rint(low)) > _MARGIN) & (np.abs(high - np.rint(high)) > _MARGIN)
+    has100 = ((low < 0.0) & (high > 0.0)) | ((low < 100.0) & (high > 100.0))
+    has10 = 10.0 * np.floor(high * 0.1) > low
+    zeros = has10 + has100.astype(np.int64)
+    step = _STEPS.take(zeros)
+    v = z / step
+    nearest = np.rint(v)
+    ok &= np.abs(v - nearest) < 0.5 - _MARGIN  # not a tie between two multiples
+    c = base + (nearest * step).astype(np.int64)
+    rows = np.flatnonzero(has100)
+    tail = c[rows] // 100
+    for k in (8, 4, 2, 1):  # up to 15 more zeros, counted in binary
+        whole = tail % 10 ** k == 0
+        tail = np.where(whole, tail // 10 ** k, tail)
+        zeros[rows] += k * whole
+    decpt = 1 + e10
+    over = c >= 10 ** 17
+    c[over] //= 10
+    decpt += over
+    zeros -= over
+    ok &= c >= 10 ** 16
+    return c, decpt, 17 - zeros, ok
+
+
+def _digits8(v: np.ndarray) -> np.ndarray:
+    """The 8 ASCII digits of each uint64 v < 10^8 as one word, most
+    significant in the lowest byte: halves, quarters and eighths are split
+    in parallel lanes, with w // 100 = (w 10486) >> 20 for w < 10^4 and
+    w // 10 = (w 103) >> 10 for w < 100."""
+    u = np.uint64
+    hi = v // u(10000)
+    x = hi | ((v - hi * u(10000)) << u(32))
+    hi = ((x * u(10486)) >> u(20)) & u(0x0000007F0000007F)
+    x = hi | ((x - hi * u(100)) << u(16))
+    hi = ((x * u(103)) >> u(10)) & u(0x000F000F000F000F)
+    return hi | ((x - hi * u(10)) << u(8)) | _ASCII_ZEROS
+
+
+@functools.cache
+def _layout_tables() -> tuple:
+    """Lookup tables of the cell layout in _format_rows, built on first use.
+
+    form[decpt + _DECPT_RANGE] is decpt + 3 for the positional forms,
+    decpt in [-3, 16], and 20 for the exponent form, and exponent[...] holds
+    the exponent's bytes "e-05", "e+16", "e+308" in bytes 24-28 of a cell.
+    masks[:, 17 form + nd - 1] are nine words: three that keep the digits
+    before the point, three that keep the digits moved one byte up after it,
+    and three of fixed characters, the point and the "0.000" prefix.
+    """
+    decpts = range(-_DECPT_RANGE, _DECPT_RANGE + 1)
+    form = np.array([d + 3 if -3 <= d <= 16 else 20 for d in decpts])
+    exponent = np.array([0 if -3 <= d <= 16 else int.from_bytes(f"e{d - 1:+03d}".encode(), "little")
+                         for d in decpts], _U64)
+    masks = np.zeros((9, 21 * 17), _U64)
+    for f in range(21):
+        for nd in range(1, 18):
+            if f == 20:
+                kept, point, prefix = nd, 7 if nd > 1 else 24, b""
+            elif f >= 4:  # d.dd, dd.d and dd0.0: zeros up to the point and one after it
+                kept, point, prefix = max(nd, f - 2), f + 3, b""
+            else:         # 0.ddd to 0.000ddd
+                kept, point, prefix = nd, 24, b"0." + b"0" * (3 - f)
+            before = sum(0xFF << 8 * i for i in range(6, min(6 + kept, point)))
+            after = sum(0xFF << 8 * i for i in range(point + 1, 7 + kept))
+            dot = 0x2E << 8 * point if point < 24 else 0
+            chars = int.from_bytes(b"\0" + prefix, "little") | dot
+            masks[:, 17 * f + nd - 1] = [v >> 64 * k & 2 ** 64 - 1
+                                         for v in (before, after, chars) for k in range(3)]
+    return form, exponent, masks
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of a 2-D block of doubles, each row
+    ",".join(map(repr, row)) + "\\r\\n", byte for byte.
+
+    Each cell is laid out in 32 bytes, four little-endian words, and the NUL
+    bytes between its parts are deleted at the end: byte 0 the sign, bytes
+    1-5 the "0." and zeros of 0 >= decpt >= -3, bytes 6-23 the digits and the
+    point, bytes 24-28 the exponent, bytes 29-30 the separator. repr writes
+    d.ddde+XX when decpt <= -4 or decpt > 16, and positional notation
+    otherwise. Every array is one value per cell, so numpy runs each step
+    over contiguous memory.
+    """
+    u = np.uint64
+    x = block.ravel()
+    a = np.abs(x)
+    c, decpt, nd, ok = _shortest_decimals(a)
+    zero = a == 0.0
+    c[zero], decpt[zero], nd[zero] = 0, 1, 1
+    ok |= zero
+    form, exponent, masks = _layout_tables()
+    at = decpt + _DECPT_RANGE
+    layout = form.take(at) * 17 + (nd - 1)
+    cu = c.astype(_U64)
+    halves = np.empty((2, x.size), _U64)
+    halves[0] = cu // u(10 ** 9)
+    rest = cu - halves[0] * u(10 ** 9)
+    halves[1] = rest // u(10)
+    last = rest - halves[1] * u(10) + u(48)
+    d0, d1 = _digits8(halves)
+    # the 17 digits from byte 6, and the same digits from byte 7
+    words = (d0 << u(48), (d0 >> u(16)) | (d1 << u(48)), (d1 >> u(16)) | (last << u(48)))
+    moved = (d0 << u(56), (d0 >> u(8)) | (d1 << u(56)), (d1 >> u(8)) | (last << u(56)))
+    out = np.empty((4, x.size), _U64)
+    for i in range(3):
+        out[i] = ((words[i] & masks[i].take(layout)) | (moved[i] & masks[3 + i].take(layout))
+                  | masks[6 + i].take(layout))
+    out[0] |= np.signbit(x) * u(0x2D)
+    sep = np.full(x.size, u(0x2C << 40))
+    sep[block.shape[1] - 1::block.shape[1]] = u(0x0A0D << 40)
+    out[3] = exponent.take(at) | sep
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        text = np.array([repr(v) for v in x[bad].tolist()], dtype="S24")
+        out[:3, bad] = text.view(_U64).reshape(bad.size, 3).T
+        out[3, bad] = sep[bad]
+    return out.T.tobytes().translate(None, b"\0")
+
+
 def write_grid_csv(path: Path, grid: TFGrid, values: np.ndarray, quantity: str) -> None:
     header = [f"t\\eta ({quantity})"] + list(map(repr, grid.eta_values().tolist()))
-    rows = zip(grid.t_values().tolist(), values)
-    _write_lines(path, header, (",".join(map(repr, [t] + row.tolist())) for t, row in rows))
+    t = grid.t_values()
+    block = np.empty((_GRID_BLOCK_ROWS, 1 + values.shape[1]))
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, len(t), _GRID_BLOCK_ROWS):
+            rows = block[:len(t) - start]
+            rows[:, 0] = t[start:start + _GRID_BLOCK_ROWS]
+            rows[:, 1:] = values[start:start + _GRID_BLOCK_ROWS]
+            fh.write(_format_rows(rows))
 
 
 def _cell(v) -> str:

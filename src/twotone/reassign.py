@@ -155,19 +155,22 @@ def attraction_bound_check(model: TwoHarmonicModel, window: GaussianWindow,
                            t: float, eta: float) -> AttractionCheck:
     """Quantitative pull toward xi0: with the premise value
     w = a e^{pi^2 sigma^2 delta (eta - xibar)}, |eta_s - xi0| <= 2 delta w
-    whenever w <= 1/2, for every t; w is returned as the premise field.
+    whenever w <= 1/2 and eta <= xibar, for every t; w is returned as the
+    premise field. Above xibar w no longer bounds |q| = a e^{2 pi^2 sigma^2
+    delta (eta - xibar)}, and the bound fails for small a.
 
     Outside the premise the check is not applicable and raises. The premise is
-    decided on the exponent, x <= ln(1/(2a)), before e^x is taken, so an eta
-    far above xibar raises rather than overflowing. The holds flag carries an
-    absolute rounding floor: far below xibar the bound shrinks beneath the
+    decided on the exponent, x <= min(0, ln(1/(2a))), before e^x is taken, so
+    an eta above xibar raises rather than overflowing. The holds flag carries
+    an absolute rounding floor: far below xibar the bound shrinks beneath the
     eps-level noise of the reassignment value itself.
     """
     x = window.C * model.delta * (eta - model.xibar)
-    x_max = -math.log(2.0 * model.a) if model.a > 0 else math.inf
+    x_max = min(0.0, -math.log(2.0 * model.a)) if model.a > 0 else 0.0
     if x > x_max:
         raise NotApplicableError(
-            f"premise a e^(pi^2 sigma^2 delta (eta-xibar)) > 1/2: exponent {x:.6f} > {x_max:.6f}")
+            f"premise a e^(pi^2 sigma^2 delta (eta-xibar)) <= 1/2 with eta <= xibar fails: "
+            f"exponent {x:.6f} > {x_max:.6f}")
     w = model.a * math.exp(x)
     bound = 2.0 * model.delta * w
     val = eta_s(model, window, t, eta)

@@ -16,6 +16,7 @@ from twotone import (
     squeeze_transform,
 )
 from twotone.cli import (
+    _shortest_decimals,
     build_config,
     main,
     make_parser,
@@ -83,9 +84,36 @@ def reference_cell(v):
     return repr(float(v))
 
 
+def edge_doubles(rng):
+    """About 300k doubles where a shortest-decimal formatter can go wrong."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    # short decimals over the whole exponent range, and as many in [1e-6, 1e6]
+    digits = rng.integers(-10 ** 7, 10 ** 7, 40_000).tolist()
+    powers = np.concatenate([rng.integers(-330, 302, 20_000), rng.integers(-13, 0, 20_000)])
+    short = np.array([float(f"{m}e{k}") for m, k in zip(digits, powers.tolist())])
+    # the switches to exponent form at decpt -4 and 17; integers and halves near
+    # 2^53; quarters in [2^50, 2^51), halfway between two 17-digit decimals
+    quarters = rng.integers(2 ** 50, 2 ** 51, 5_000)
+    switch = np.concatenate([rng.uniform(1e-5, 2e-4, 10_000), rng.uniform(1e15, 2e17, 10_000),
+                             rng.integers(0, 2 ** 54, 10_000) + 0.5,
+                             quarters + 0.25, quarters + 0.75])
+    centres = np.concatenate([tens, -tens, twos, -twos, short, switch,
+                              [1e-4, 1e-5, 1e16, 1e-280, 1e280, 1e-300, 1e300]])
+    above = np.nextafter(centres, math.inf)
+    below = np.nextafter(centres, -math.inf)
+    bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    subnormal = rng.integers(1, 2 ** 52, 5_000, dtype=np.int64).view(np.float64)
+    every = np.concatenate([centres, above, below, bits, subnormal, -subnormal, [-0.0, 0.0]])
+    return rng.permutation(every)
+
+
 class TestWriters:
     SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-5, 9.999999999999998e15,
-               1e16, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, -2.5]
+               1e16, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, -2.5,
+               0.0, 1e-4, 9.999999999999999e-05, -1e-300, 1e300, 1e-280, 1e280,
+               2.2250738585072014e-308, 2.225073858507201e-308, 2.0 ** 1023,
+               0.30000000000000004, 1.2345678901234568e17]
 
     def check_grid(self, tmp_path, values):
         grid = TFGrid(t_min=0.0, t_max=0.7, n_t=values.shape[0],
@@ -98,9 +126,28 @@ class TestWriters:
                                                                     expected)
 
     def test_grid_special_values(self, tmp_path):
-        values = np.array(self.SPECIAL * 3).reshape(6, 6)
+        values = np.array(self.SPECIAL * 3).reshape(6, 12)
         values[3:] = values[3:, ::-1]
         self.check_grid(tmp_path, values)
+
+    def test_grid_matches_repr_on_edge_doubles(self, tmp_path):
+        values = edge_doubles(np.random.default_rng(20))
+        values = values[:values.size // 250 * 250].reshape(-1, 250)
+        assert values.size > 290_000
+        write_grid_csv(tmp_path / "grid.csv", TFGrid(0.0, 1.0, values.shape[0], 0.0, 1.0, 250),
+                       values, "x")
+        lines = (tmp_path / "grid.csv").read_bytes().split(b"\r\n")[1:-1]
+        cells = [line.split(b",", 1)[1] for line in lines]
+        assert cells == [",".join(map(repr, row)).encode() for row in values.tolist()]
+
+    def test_kernel_certifies_ordinary_doubles(self):
+        # ordinary values take the numpy path, not repr: a kernel that certified
+        # nothing would still write the right bytes. Near 1e16 the rounding
+        # interval's ends are exact in the scaled units, and repr decides there.
+        rng = np.random.default_rng(21)
+        x = np.exp(np.concatenate([rng.uniform(math.log(1e-270), math.log(1e7), 40_000),
+                                   rng.uniform(math.log(1e26), math.log(1e270), 10_000)]))
+        assert _shortest_decimals(x)[3].all()
 
     def test_float32_grid(self, tmp_path):
         # float32 cells widen to the exact double: 0.1f is 0.10000000149011612
@@ -299,6 +346,20 @@ class TestCommands:
         assert code == 0
         audit = (out / "attraction_audit.csv").read_bytes()
         assert audit == b"t,eta,premise,bound,actual,holds\r\n"
+
+    def test_reassign_audit_above_xibar_writes_only_rows_that_hold(self, tmp_path, capsys):
+        # the audit runs from eta_min = 2.5 down to xibar = 1.15; for a = 1e-6 the
+        # premise w = a e^{C delta (eta - xibar)} <= 1/2 holds up to eta ~ 3.4, but
+        # w bounds |eta_s - xi0| only at eta <= xibar, so only the xibar rows apply
+        out = tmp_path / "reassign"
+        code, _, _ = run(["reassign", "--model.a=1e-6", "--grid.eta_min=2.5",
+                          "--grid.eta_max=3", "--grid.n_t=3", "--grid.n_eta=3",
+                          "--out", str(out)], capsys)
+        assert code == 0
+        audit = (out / "attraction_audit.csv").read_text().strip().splitlines()
+        rows = [line.split(",") for line in audit[1:]]
+        assert len(rows) == 13
+        assert all(float(row[1]) <= 1.15 and row[5] == "1" for row in rows)
 
     def test_squeeze_outputs(self, tmp_path, capsys):
         out = tmp_path / "squeeze"

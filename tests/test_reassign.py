@@ -174,6 +174,16 @@ class TestAttraction:
         with pytest.raises(NotApplicableError):
             attraction_bound_check(model_a13, window, 0.0, 200.0)
 
+    @pytest.mark.parametrize("a, eta", [(1e-6, 2.5), (0.3, 1.16), (1e-310, 121.2)])
+    def test_premise_stops_at_xibar(self, window, a, eta):
+        # for a < 1/2, w = a e^{C delta (eta - xibar)} <= 1/2 reaches above xibar,
+        # where w no longer bounds |eta_s - xi0|; at a = 1e-6, eta = 2.5 the bound
+        # is 0.0018 against 0.27. At a = 1e-310 the exponent passes 709.8 inside w <= 1/2.
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=a)
+        with pytest.raises(NotApplicableError):
+            attraction_bound_check(model, window, 0.0, eta)
+        assert attraction_bound_check(model, window, 0.0, model.xibar).holds
+
     def test_holds_over_a_period(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.15, a=1.0)
         eta = model.xibar - 0.5
