@@ -192,7 +192,8 @@ def _shortest_decimals(a: np.ndarray) -> tuple:
     decimal in z +- h reads back as a. The shortest is a multiple of the
     largest power of ten with a multiple inside, and repr takes the one
     closest to z; inside a width below 100 that is the nearest multiple of 1,
-    10 or 100, and a multiple of 100 may carry more zeros.
+    10 or 100, and a multiple of 100 may carry more zeros. c >= 10^16 because
+    y >= 10^16: when z - h reaches below it, 10^16 itself is the multiple.
     """
     ok = (a >= 1e-280) & (a <= 1e280)
     a = np.where(ok, a, 1.5)
@@ -236,7 +237,6 @@ def _shortest_decimals(a: np.ndarray) -> tuple:
     c[over] //= 10
     decpt += over
     zeros -= over
-    ok &= c >= 10 ** 16
     return c, decpt, 17 - zeros, ok
 
 
