@@ -37,7 +37,6 @@ from .reassign import (
     arc_circle,
     attraction_bound_check,
     ahm_reassign_error_bound,
-    eta_p,
     eta_s,
     eta_s_values,
     is_sentinel,
@@ -56,7 +55,6 @@ from .ridges import (
     extract_ridges,
 )
 from .squeeze import (
-    AsymptoticValue,
     PreimageIntervals,
     SqueezeConfig,
     asym_indicator,

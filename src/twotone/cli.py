@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance, reassign, ridges, squeeze
-from .errors import ConfigError, ModelValidationError, NotApplicableError, TwoToneError
+from .errors import ConfigError, ModelValidationError, TwoToneError
 from .gabor import TFGrid, stft_field
 from .model import GaussianWindow, TwoHarmonicModel, constructive_time, destructive_time
 from .phasefield import _phase_threshold, amplitude_weighted_phase, locate_zeros
@@ -437,14 +437,13 @@ def cmd_reassign(config: ExperimentConfig) -> int:
     for theta in config.arc_thetas:
         center, radius = reassign.arc_circle(model, theta)
         arc_rows.append((theta, center.real, center.imag, radius))
-    audit_rows = []
-    for t in np.linspace(grid.t_min, grid.t_max, 13):
-        for eta in np.linspace(grid.eta_min, model.xibar, 17):
-            try:
-                chk = reassign.attraction_bound_check(model, window, float(t), float(eta))
-            except NotApplicableError:
-                continue
-            audit_rows.append((t, eta, chk.premise, chk.bound, chk.actual, int(chk.holds)))
+    ts, etas = np.meshgrid(np.linspace(grid.t_min, grid.t_max, 13),
+                           np.linspace(grid.eta_min, model.xibar, 17), indexing="ij")
+    chk = reassign.attraction_bound_check(model, window, ts, etas)
+    # a point outside the premise, where the check reads nan, writes no row
+    applies = ~np.isnan(chk.premise)
+    audit_rows = zip(*(column[applies] for column in
+                       (ts, etas, chk.premise, chk.bound, chk.actual, chk.holds)))
     _write_outputs(config, "reassign", {
         "eta_s_re.csv": values.real,
         "eta_s_im.csv": values.imag,
@@ -460,29 +459,27 @@ def cmd_squeeze(config: ExperimentConfig) -> int:
     sq_config = config.squeeze
     outputs = {"abs_s.csv": np.abs(squeeze.squeeze_field(model, window, sq_config, grid).values)}
     standoff = 2e-3 * model.delta
+    xis = grid.eta_values()
+    xis = xis[(np.abs(xis - model.xi0) > standoff) & (np.abs(xis - model.xi1) > standoff)]
     for label, t in (("constructive", constructive_time(model, 0)),
                      ("destructive", destructive_time(model, 0))):
-        xis = np.array([x for x in grid.eta_values()
-                        if abs(x - model.xi0) > standoff and abs(x - model.xi1) > standoff])
         quads = (np.abs(squeeze.squeeze_cross_section(model, window, sq_config, t, xis))
                  if xis.size else xis)
-        rows = []
-        for xi, quad in zip(xis, quads):
-            # a limit that does not apply at this xi is written as nan
+        # a limit that does not apply at a xi reads nan
+        if sq_config.weighting == "indicator":
+            limits = squeeze.asym_indicator(model, window, sq_config.alpha, sq_config.R, t, xis)
+        elif model.a > 0:
+            limits = squeeze.asym_sst(model, window, sq_config.alpha, t, xis)
+        else:  # the STFT-weighted limit needs a > 0
+            limits = np.full(xis.shape, np.nan)
+        erf_vals = []
+        for xi in xis:
             try:
-                if sq_config.weighting == "indicator":
-                    asym = squeeze.asym_indicator(model, window, sq_config.alpha,
-                                                  sq_config.R, t, float(xi))
-                else:
-                    asym = squeeze.asym_sst(model, window, sq_config.alpha, t, float(xi))
-                limit = abs(asym.value)
+                erf_vals.append(squeeze.erf_closed_form(model, window, sq_config.alpha, t,
+                                                        float(xi)))
             except TwoToneError:
-                limit = float("nan")
-            try:
-                erf_val = squeeze.erf_closed_form(model, window, sq_config.alpha, t, float(xi))
-            except TwoToneError:
-                erf_val = float("nan")
-            rows.append((xi, quad, limit, erf_val))
+                erf_vals.append(float("nan"))
+        rows = zip(xis, quads, np.abs(limits), erf_vals)
         outputs[f"cross_section_{label}.csv"] = (
             ["xi", "abs_quadrature", "abs_density_limit", "abs_erf_form"], rows)
     _write_outputs(config, "squeeze", outputs)

@@ -35,10 +35,6 @@ class PhaseUndefinedError(TwoToneError):
     """Phase requested at a (near-)zero of the transform."""
 
 
-class NotApplicableError(TwoToneError):
-    """Quantitative bound premise not satisfied at the requested point."""
-
-
 class DomainError(TwoToneError):
     """Scalar argument outside its mathematical domain."""
 
@@ -51,10 +47,6 @@ class OutOfBranchError(TwoToneError):
     def __init__(self, message, gamma=None):
         super().__init__(message)
         self.gamma = gamma
-
-
-class SingularityError(TwoToneError):
-    """Density evaluation too close to a non-integrable singularity."""
 
 
 class ContourThroughZeroError(TwoToneError):

@@ -38,6 +38,10 @@ class TFGrid:
         bounds = (self.t_min, self.t_max, self.eta_min, self.eta_max)
         if not all(map(math.isfinite, bounds)):
             raise ModelValidationError(f"grid bounds must be finite, got {bounds}")
+        spans = (self.t_max - self.t_min, self.eta_max - self.eta_min)
+        if not all(map(math.isfinite, spans)):
+            raise ModelValidationError(f"grid spans t_max - t_min and eta_max - eta_min "
+                                       f"must be finite, got {spans}")
         if not (self.t_min < self.t_max and self.eta_min < self.eta_max):
             raise ModelValidationError("grid ranges must be nonempty")
         if self.n_t < 2 or self.n_eta < 2:

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ModelValidationError,
-    NotApplicableError,
-    PhaseUndefinedError,
-)
+from .errors import DomainError, ModelValidationError, PhaseUndefinedError
 from .gabor import ComplexField, TFGrid, spectrogram_decomposition, stft_numeric
 from .model import (
     AHMSignal,
@@ -122,14 +117,6 @@ def eta_s(model: TwoHarmonicModel, window: GaussianWindow, t: float, eta: float)
     return complex(eta_s_values(model, window, float(t), float(eta)))
 
 
-def eta_p(model: TwoHarmonicModel, window: GaussianWindow, t: float, eta: float) -> float:
-    """Phase reassignment rule; equals Re(eta_s) wherever V != 0."""
-    val = eta_s(model, window, t, eta)
-    if is_sentinel(val):
-        raise PhaseUndefinedError(f"V(t={t}, eta={eta}) = 0: phase rule undefined")
-    return val.real
-
-
 def imag_correction(model: TwoHarmonicModel, window: GaussianWindow, t: float, eta: float) -> float:
     """Closed form of Im(eta_s): the purely imaginary offset between the two
     reassignment rules,
@@ -152,31 +139,32 @@ AttractionCheck = namedtuple("AttractionCheck", ["bound", "actual", "holds", "pr
 
 
 def attraction_bound_check(model: TwoHarmonicModel, window: GaussianWindow,
-                           t: float, eta: float) -> AttractionCheck:
-    """Quantitative pull toward xi0: with the premise value
-    w = a e^{pi^2 sigma^2 delta (eta - xibar)}, |eta_s - xi0| <= 2 delta w
-    whenever w <= 1/2 and eta <= xibar, for every t; w is returned as the
-    premise field. Above xibar w no longer bounds |q| = a e^{2 pi^2 sigma^2
-    delta (eta - xibar)}, and the bound fails for small a.
+                           t, eta) -> AttractionCheck:
+    """Quantitative pull toward xi0 over broadcastable (t, eta): with the
+    premise value w = a e^{pi^2 sigma^2 delta (eta - xibar)}, |eta_s - xi0| <=
+    2 delta w whenever w <= 1/2 and eta <= xibar, for every t; w is returned
+    as the premise field. Above xibar w no longer bounds |q| = a e^{2 pi^2
+    sigma^2 delta (eta - xibar)}, and the bound fails for small a.
 
-    Outside the premise the check is not applicable and raises. The premise is
-    decided on the exponent, x <= min(0, ln(1/(2a))), before e^x is taken, so
-    an eta above xibar raises rather than overflowing. The holds flag carries
-    an absolute rounding floor: far below xibar the bound shrinks beneath the
+    Each field is an array of the broadcast shape. Where the premise fails
+    the check does not apply: premise, bound and actual are nan and holds is
+    False. The premise is decided on the exponent, x <= min(0, ln(1/(2a))),
+    and e^x is taken only inside it, so no eta overflows. V has no zero
+    inside the premise: its one zero on a line t = const lies at eta_avg,
+    where x = -(ln a)/2 > min(0, ln(1/(2a))). The holds flag carries an
+    absolute rounding floor: far below xibar the bound shrinks beneath the
     eps-level noise of the reassignment value itself.
     """
-    x = window.C * model.delta * (eta - model.xibar)
+    t, eta = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(eta, dtype=float))
+    # an x that overflows to -inf lies inside the premise, where w is 0, and
+    # one at +inf outside it
+    with np.errstate(over="ignore"):
+        x = window.C * model.delta * (eta - model.xibar)
     x_max = min(0.0, -math.log(2.0 * model.a)) if model.a > 0 else 0.0
-    if x > x_max:
-        raise NotApplicableError(
-            f"premise a e^(pi^2 sigma^2 delta (eta-xibar)) <= 1/2 with eta <= xibar fails: "
-            f"exponent {x:.6f} > {x_max:.6f}")
-    w = model.a * math.exp(x)
+    w = model.a * np.exp(np.where(x <= x_max, x, np.nan))
     bound = 2.0 * model.delta * w
-    val = eta_s(model, window, t, eta)
-    if is_sentinel(val):
-        raise PhaseUndefinedError("zero of V inside the attraction premise region")
-    actual = abs(val - model.xi0)
+    d = eta_s_values(model, window, t, eta) - model.xi0
+    actual = np.where(np.isnan(w), np.nan, np.hypot(d.real, d.imag))
     atol = 1e-13 * (1.0 + abs(model.xi0) + abs(model.xi1))
     return AttractionCheck(bound=bound, actual=actual,
                            holds=actual <= bound * (1 + 1e-12) + atol, premise=w)

@@ -23,7 +23,6 @@ from .errors import (
     ModelValidationError,
     OutOfBranchError,
     PreconditionError,
-    SingularityError,
     SolverFailureError,
 )
 from .gabor import ComplexField, QuadratureSpec, TFGrid, stft_closed_form
@@ -347,114 +346,93 @@ def classify_time(model: TwoHarmonicModel, t: float) -> str:
     )
 
 
-def _near_singularity(model: TwoHarmonicModel, xi: float) -> bool:
-    standoff = 1e-3 * model.delta
-    return abs(xi - model.xi0) < standoff or abs(xi - model.xi1) < standoff
-
-
-def _on_support(model: TwoHarmonicModel, kind: str, xi: float) -> bool:
-    inside = model.xi0 < xi < model.xi1
-    return inside if kind == "constructive" else not inside
-
-
-def _map_gradient(model: TwoHarmonicModel, window: GaussianWindow, xi: float) -> float:
+def _map_gradient(model: TwoHarmonicModel, window: GaussianWindow, xi):
     """|d eta_s/d eta| = 2C |(xi - xi0)(xi - xi1)| at the preimage of xi."""
-    return 2.0 * window.C * abs((xi - model.xi0) * (xi - model.xi1))
+    return 2.0 * window.C * np.abs((xi - model.xi0) * (xi - model.xi1))
 
 
-def _preimage_offset(model: TwoHarmonicModel, window: GaussianWindow, kind: str,
-                     y: float, gamma: str) -> float:
-    """eta - eta_avg at the preimage eta of y under the real reassignment map
-    at t_k^+ or t_k^-: ln(sign (y - xi0)/(y - xi1))/(2 C delta), with sign =
-    -1 at constructive and +1 at destructive times. At y = xi1 the offset is
-    infinite; that raises like a non-positive log argument, naming the
-    endpoint gamma."""
-    den = y - model.xi1
-    if den == 0:
-        raise OutOfBranchError(f"zero divisor in {gamma}: xi on a segment boundary",
-                               gamma=gamma)
-    arg = (-1.0 if kind == "constructive" else 1.0) * (y - model.xi0) / den
-    if arg <= 0:
-        raise OutOfBranchError(f"log argument {arg:.6e} <= 0 in {gamma}", gamma=gamma)
-    return math.log(arg) / (2.0 * window.C * model.delta)
-
-
-@dataclass(frozen=True)
-class AsymptoticValue:
-    """Leading-order value with classification tags; off_support values carry
-    an exponentially small remainder rather than a polynomial one."""
-
-    value: complex
-    off_support: bool = False
-    near_singularity: bool = False
+def _preimage_offset(model: TwoHarmonicModel, window: GaussianWindow, kind: str, y):
+    """eta - eta_avg at the preimage eta of each y under the real reassignment
+    map at t_k^+ or t_k^-: ln(sign (y - xi0)/(y - xi1))/(2 C delta), with sign
+    = -1 at constructive and +1 at destructive times. Each y must have a
+    preimage: it lies on the support, off xi0 and xi1, where the log argument
+    is positive."""
+    sign = -1.0 if kind == "constructive" else 1.0
+    return np.log(sign * (y - model.xi0) / (y - model.xi1)) / (2.0 * window.C * model.delta)
 
 
 def _leading_order(model: TwoHarmonicModel, window: GaussianWindow, weighting: str,
-                   t: float, xi: float, standoff_raises: bool) -> AsymptoticValue:
-    """Indicator or STFT density at a distinguished time, tagged: 0 off the
-    support, inf exactly at xi0/xi1. Inside the 1e-3*delta standoff it raises
-    when standoff_raises, and is tagged near_singularity otherwise."""
+                   t: float, xi) -> np.ndarray:
+    """Indicator or STFT density at a distinguished time for each xi, as a
+    complex array: 0 off the support, inf at xi0 and xi1 where they are on it.
+    The time and, for STFT weighting, a > 0 are checked once for all xi."""
     kind = classify_time(model, t)
     if kind == "intermediate":
         raise PreconditionError("leading-order forms exist at t_k^+ / t_k^- only")
-    near = _near_singularity(model, xi)
-    if near and standoff_raises:
-        raise SingularityError(
-            f"xi = {xi} is within {1e-3 * model.delta:.3e} of a component frequency"
-        )
-    if not _on_support(model, kind, xi):
-        return AsymptoticValue(value=0.0 + 0.0j, off_support=True, near_singularity=near)
-    if near and (xi == model.xi0 or xi == model.xi1):
-        return AsymptoticValue(value=complex(math.inf), near_singularity=True)
-    if weighting == "indicator":
-        weight = 1.0
-    elif model.a > 0:
-        # V at the unique preimage of xi; at a tiny sigma the preimage is so far
-        # out that its square overflows, and V there is 0
+    if weighting == "stft" and not model.a > 0:
+        raise DegenerateAmplitudeError("STFT-weighted density requires a > 0")
+    xi = np.asarray(xi, dtype=float)
+    inside = (model.xi0 < xi) & (xi < model.xi1)
+    support = inside if kind == "constructive" else ~inside
+    out = np.where(support, complex(math.inf), 0j)
+    live = support & (xi != model.xi0) & (xi != model.xi1)
+    y = xi[live]
+    weight = 1.0
+    if weighting == "stft":
+        # V at the unique preimage of each xi; at a tiny sigma the preimage is
+        # so far out that its square overflows, and V there is 0
         with np.errstate(over="ignore"):
             weight = stft_closed_form(model, window, t, destructive_zero(model, window)
-                                      + _preimage_offset(model, window, kind, xi, "eta"))
-    else:
-        raise DegenerateAmplitudeError("STFT-weighted density requires a > 0")
-    return AsymptoticValue(value=complex(weight / _map_gradient(model, window, xi)),
-                           near_singularity=near)
+                                      + _preimage_offset(model, window, kind, y))
+    out[live] = weight / _map_gradient(model, window, y)
+    return out
 
 
 def pushforward_density(model: TwoHarmonicModel, window: GaussianWindow,
-                        weighting: str, t: float, xi: float) -> complex:
-    """Density of the reassignment-mapped weight measure at a distinguished time.
+                        weighting: str, t: float, xi) -> np.ndarray:
+    """Density of the reassignment-mapped weight measure at a distinguished
+    time, for each xi.
 
     Indicator weighting: 1/(2 pi^2 sigma^2 |xi - xi0| |xi - xi1|) on the
     support ((xi0, xi1) at constructive times, its complement at destructive
     times), 0 off support. STFT weighting: V at the preimage over the map
-    gradient. Diverges at xi0/xi1; evaluation inside the 1e-3*delta standoff
-    raises.
+    gradient. Diverges at xi0/xi1; within the 1e-3*delta standoff of either
+    it reads nan.
     """
     if weighting not in WEIGHTINGS:
         raise ModelValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    return _leading_order(model, window, weighting, t, xi, standoff_raises=True).value
+    xi = np.asarray(xi, dtype=float)
+    out = _leading_order(model, window, weighting, t, xi)
+    out[np.minimum(np.abs(xi - model.xi0), np.abs(xi - model.xi1)) < 1e-3 * model.delta] = np.nan
+    return out
 
 
 def asym_indicator(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,
-                   R: float, t: float, xi: float) -> AsymptoticValue:
-    """Small-alpha limit of the indicator-weighted squeeze at t_k^+/-.
+                   R: float, t: float, xi) -> np.ndarray:
+    """Small-alpha limit of the indicator-weighted squeeze at t_k^+/- for
+    each xi: the indicator density, inf at xi0/xi1 on the support.
 
     R must stay exponentially subcritical: R <= 1/alpha or
-    ln R <= min((xi-xi0)^2, (xi-xi1)^2)/(2 alpha).
+    ln R <= min((xi-xi0)^2, (xi-xi1)^2)/(2 alpha). The limit reads nan at
+    each xi where it does not.
     """
     require_indicator_radius(model, window, R)
-    c = min((xi - model.xi0) ** 2, (xi - model.xi1) ** 2)
-    if R > 1.0 / alpha and (c <= 0 or math.log(R) > c / (2.0 * alpha)):
-        raise PreconditionError(f"R = {R} grows too fast for alpha = {alpha} at xi = {xi}")
-    return _leading_order(model, window, "indicator", t, xi, standoff_raises=False)
+    out = _leading_order(model, window, "indicator", t, xi)
+    if R > 1.0 / alpha:
+        xi = np.asarray(xi, dtype=float)
+        c = np.minimum((xi - model.xi0) ** 2, (xi - model.xi1) ** 2)
+        out[(c <= 0) | (math.log(R) > c / (2.0 * alpha))] = np.nan
+    return out
 
 
 def asym_sst(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,
-             t: float, xi: float) -> AsymptoticValue:
-    """Small-alpha limit of the STFT-weighted squeeze at t_k^+/- (error O(alpha))."""
+             t: float, xi) -> np.ndarray:
+    """Small-alpha limit of the STFT-weighted squeeze at t_k^+/- for each xi
+    (error O(alpha)): the STFT-weighted density, inf at xi0/xi1 on the
+    support."""
     if not alpha > 0:
         raise PreconditionError("alpha must be positive")
-    return _leading_order(model, window, "stft", t, xi, standoff_raises=False)
+    return _leading_order(model, window, "stft", t, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +485,21 @@ def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: f
         sign = -1.0 if kind == "constructive" else 1.0
         if seg in ((1, 7) if kind == "constructive" else (3, 4, 5)):
             return PreimageIntervals(kind, label, (), eta_avg)
+
+        def offset(y, gamma):
+            # xi on a segment boundary puts y = xi +- cs on xi0 or xi1, which
+            # has no preimage
+            if not (model.xi0 < y < model.xi1 if kind == "constructive"
+                    else y < model.xi0 or y > model.xi1):
+                raise OutOfBranchError(f"{gamma}: {y!r} has no preimage at a {kind} time",
+                                       gamma=gamma)
+            return float(_preimage_offset(model, window, kind, y))
+
         c_l = c_r = None
         if seg != 2:
-            c_l = _preimage_offset(model, window, kind, xi + sign * cs, "c_left")
+            c_l = offset(xi + sign * cs, "c_left")
         if seg != 6:
-            c_r = _preimage_offset(model, window, kind, xi - sign * cs, "c_right")
+            c_r = offset(xi - sign * cs, "c_right")
         lo = -math.inf if c_l is None else eta_avg + c_l
         hi = math.inf if c_r is None else eta_avg + c_r
         return PreimageIntervals(kind, label, ((lo, hi),), eta_avg, c_left=c_l, c_right=c_r)
@@ -535,8 +523,8 @@ def erf_closed_form(model: TwoHarmonicModel, window: GaussianWindow, alpha: floa
     with the alpha^{-1/2} and 1/(2 pi sigma) normalization of the derivation.
 
     Integrates both Gaussian components of V over the preimage intervals of
-    preimage_intervals (default C = delta/(4 sqrt alpha)); log arguments
-    outside their branch raise with the offending endpoint, c_left or c_right.
+    preimage_intervals (default C = delta/(4 sqrt alpha)); an endpoint
+    without a preimage raises, naming it, c_left or c_right.
     """
     if model.a <= 0:
         raise DegenerateAmplitudeError("closed form requires a > 0")

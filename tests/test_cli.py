@@ -26,7 +26,7 @@ from twotone.cli import (
     write_table_csv,
 )
 from twotone import squeeze
-from twotone.errors import ConfigError, SolverFailureError, TwoToneError
+from twotone.errors import ConfigError, SolverFailureError
 from twotone.presets import PRESETS
 
 
@@ -247,6 +247,9 @@ class TestCommands:
         ["--model.sigma=1e200"],
         ["--model.sigma=1e-160"],
         ["--model.sigma=1e-300"],
+        # finite bounds whose span t_max - t_min or eta_max - eta_min is not
+        ["--grid.eta_min=-1e308", "--grid.eta_max=1e308"],
+        ["--grid.t_min=-1e308", "--grid.t_max=1e308"],
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, overrides):
         code, _, err = run(["squeeze", "--preset", "gap-small-balanced", "--out", str(tmp_path)]
@@ -412,20 +415,19 @@ class TestCommands:
         assert code == 0, err
         config = build_config(*make_parser().parse_known_args(argv))
         model, window, sq = config.model, config.window, config.squeeze
-        raised = 0
+        too_fast = 0
         for label, t in (("constructive", constructive_time(model, 0)),
                          ("destructive", destructive_time(model, 0))):
             lines = (tmp_path / f"cross_section_{label}.csv").read_text().splitlines()[1:]
-            for line in lines:
-                xi, _, limit, _ = line.split(",")
-                try:
-                    squeeze.asym_indicator(model, window, sq.alpha, sq.R, t, float(xi))
-                except TwoToneError:
-                    raised += 1
-                    assert limit == "nan"
-                else:
-                    assert limit != "nan"
-        assert raised > 0
+            xis = np.array([float(line.split(",")[0]) for line in lines])
+            written = np.array([line.split(",")[2] == "nan" for line in lines])
+            c = np.minimum((xis - model.xi0) ** 2, (xis - model.xi1) ** 2)
+            expected = (sq.R > 1.0 / sq.alpha) & ((c <= 0) | (math.log(sq.R) > c / (2 * sq.alpha)))
+            limits = squeeze.asym_indicator(model, window, sq.alpha, sq.R, t, xis)
+            assert np.array_equal(written, expected)
+            assert np.array_equal(np.isnan(limits), expected)
+            too_fast += int(expected.sum())
+        assert too_fast > 0
 
     def test_squeeze_indicator_default_radius(self, tmp_path, capsys):
         out = tmp_path / "squeeze_ind"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from twotone import (
     attraction_bound_check,
     constructive_time,
     destructive_time,
-    eta_p,
     eta_s,
     eta_s_values,
     is_sentinel,
@@ -24,11 +24,7 @@ from twotone import (
     reassign_field,
     stft_closed_form,
 )
-from twotone.errors import (
-    DomainError,
-    NotApplicableError,
-    PhaseUndefinedError,
-)
+from twotone.errors import DomainError
 from twotone.reassign import eta_s_numeric, imag_correction, mobius_of
 from tests.test_model import quadratic_signal
 
@@ -107,10 +103,15 @@ class TestEtaS:
 
 class TestEtaP:
     def test_equals_real_part(self, window, model_a13):
-        for t in np.linspace(0.05, 2.9, 9):
-            for eta in np.linspace(0.7, 1.6, 9):
-                full = eta_s(model_a13, window, float(t), float(eta))
-                assert eta_p(model_a13, window, float(t), float(eta)) == full.real
+        # the phase rule (1/2 pi) d/dt arg V, by a central difference of step h
+        # whose error is O(h^2), is Re eta_s
+        h = 1e-5
+        ts = np.linspace(0.05, 2.9, 9)[:, None]
+        etas = np.linspace(0.7, 1.6, 9)
+        turn = (stft_closed_form(model_a13, window, ts + h, etas)
+                / stft_closed_form(model_a13, window, ts - h, etas))
+        full = eta_s_values(model_a13, window, ts, etas)
+        assert np.max(np.abs(np.angle(turn) / (4 * math.pi * h) - full.real)) <= 1e-6
 
     def test_imag_vanishes_at_constructive_times(self, window, model_a13):
         for k in (0, 1, 2):
@@ -124,11 +125,6 @@ class TestEtaP:
                 direct = eta_s(model_a13, window, t, eta).imag
                 formula = imag_correction(model_a13, window, t, eta)
                 assert direct == pytest.approx(formula, abs=1e-10)
-
-    def test_undefined_at_zero(self, window, model_a13):
-        eta_avg = model_a13.xibar - math.log(model_a13.a) / (2 * window.C * model_a13.delta)
-        with pytest.raises(PhaseUndefinedError):
-            eta_p(model_a13, window, destructive_time(model_a13, 0), eta_avg)
 
 
 class TestMobius:
@@ -162,17 +158,21 @@ class TestMobius:
 
 
 class TestAttraction:
-    def test_premise_violation_raises(self, window):
+    def test_premise_violation_reads_nan(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.15, a=1.0)
         # at eta = xi0 the premise value is ~0.80 > 1/2
-        with pytest.raises(NotApplicableError):
-            attraction_bound_check(model, window, 0.3, model.xi0)
+        chk = attraction_bound_check(model, window, 0.3, model.xi0)
+        assert np.isnan(chk.premise) and np.isnan(chk.bound) and np.isnan(chk.actual)
+        assert not chk.holds
 
     def test_premise_decided_before_the_exponential(self, window, model_a13):
         # at eta = 200 the premise value a e^{C delta (eta - xibar)} is far
-        # past the float range; the premise fails, so the check raises
-        with pytest.raises(NotApplicableError):
-            attraction_bound_check(model_a13, window, 0.0, 200.0)
+        # past the float range; the premise fails, so the check reads nan
+        # without an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chk = attraction_bound_check(model_a13, window, 0.0, 200.0)
+        assert np.isnan(chk.premise) and not chk.holds
 
     @pytest.mark.parametrize("a, eta", [(1e-6, 2.5), (0.3, 1.16), (1e-310, 121.2)])
     def test_premise_stops_at_xibar(self, window, a, eta):
@@ -180,16 +180,33 @@ class TestAttraction:
         # where w no longer bounds |eta_s - xi0|; at a = 1e-6, eta = 2.5 the bound
         # is 0.0018 against 0.27. At a = 1e-310 the exponent passes 709.8 inside w <= 1/2.
         model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=a)
-        with pytest.raises(NotApplicableError):
-            attraction_bound_check(model, window, 0.0, eta)
+        assert np.isnan(attraction_bound_check(model, window, 0.0, eta).premise)
         assert attraction_bound_check(model, window, 0.0, model.xibar).holds
+        # one call on a mixed array: nan exactly at the cells outside the premise
+        etas = np.array([model.xibar - 1.0, eta, model.xibar, model.xibar + 1e-9, eta])
+        ts = np.array([[0.0], [0.7]])
+        chk = attraction_bound_check(model, window, ts, etas)
+        outside = np.broadcast_to(etas > model.xibar, (2, 5))
+        assert chk.premise.shape == (2, 5)
+        for field in (chk.premise, chk.bound, chk.actual):
+            assert np.array_equal(np.isnan(field), outside)
+        assert np.array_equal(chk.holds, ~outside)
+
+    def test_zero_of_v_lies_outside_the_premise(self, window):
+        # V vanishes on a line t = const only at eta_avg, where the exponent
+        # x = -(ln a)/2 exceeds min(0, ln(1/(2a))) for every a > 0
+        for a in (1e-9, 0.3, 0.5, 1.0, 1.3, 1e9):
+            model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=a)
+            t_minus = destructive_time(model, 0)
+            eta_avg = model.xibar - math.log(a) / (2 * window.C * model.delta)
+            assert is_sentinel(eta_s(model, window, t_minus, eta_avg))
+            assert np.isnan(attraction_bound_check(model, window, t_minus, eta_avg).premise)
 
     def test_holds_over_a_period(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.15, a=1.0)
         eta = model.xibar - 0.5
-        for t in np.linspace(0.0, 1.0 / model.delta, 25):
-            chk = attraction_bound_check(model, window, float(t), eta)
-            assert chk.holds
+        chk = attraction_bound_check(model, window, np.linspace(0.0, 1.0 / model.delta, 25), eta)
+        assert chk.holds.shape == (25,) and np.all(chk.holds)
 
     def test_small_amplitude_limit(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1e-9)
@@ -198,11 +215,11 @@ class TestAttraction:
 
     def test_premise_is_returned(self, window, model_a13):
         # w = a e^{pi^2 sigma^2 delta (eta - xibar)}, and the bound is 2 delta w
-        for eta in (model_a13.xibar - 0.5, model_a13.xi0 - 0.2, model_a13.xibar - 2.0):
-            chk = attraction_bound_check(model_a13, window, 0.7, eta)
-            w = model_a13.a * math.exp(window.C * model_a13.delta * (eta - model_a13.xibar))
-            assert chk.premise == pytest.approx(w, rel=1e-14)
-            assert chk.bound == pytest.approx(2 * model_a13.delta * w, rel=1e-14)
+        etas = np.array([model_a13.xibar - 0.5, model_a13.xi0 - 0.2, model_a13.xibar - 2.0])
+        chk = attraction_bound_check(model_a13, window, 0.7, etas)
+        w = model_a13.a * np.exp(window.C * model_a13.delta * (etas - model_a13.xibar))
+        assert chk.premise == pytest.approx(w, rel=1e-14)
+        assert chk.bound == pytest.approx(2 * model_a13.delta * w, rel=1e-14)
 
 
 class TestArcCircle:

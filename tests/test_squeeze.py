@@ -32,7 +32,6 @@ from twotone.errors import (
     ModelValidationError,
     OutOfBranchError,
     PreconditionError,
-    SingularityError,
     SolverFailureError,
 )
 from twotone.oracle import oracle_quadrature_squeeze
@@ -118,7 +117,7 @@ class TestConfig:
         assert radius <= 1.0 / alpha
         xi = model_balanced.xi0 + 2 * math.sqrt(alpha)
         assert math.log(radius) > (xi - model_balanced.xi0) ** 2 / (2 * alpha)
-        assert asym_indicator(model_balanced, window, alpha, radius, 0.0, xi).value != 0
+        assert asym_indicator(model_balanced, window, alpha, radius, 0.0, xi) != 0
 
     def test_radius_only_checked_for_indicator_weighting(self):
         assert SqueezeConfig(alpha=1e-4, weighting="stft", R=math.inf).R == math.inf
@@ -549,9 +548,11 @@ class TestPushforward:
                                    model_balanced.xibar) == 0.0
 
     def test_singularity_standoff(self, window, model_balanced):
-        with pytest.raises(SingularityError):
-            pushforward_density(model_balanced, window, "indicator", 0.0,
-                                model_balanced.xi0 + 1e-5)
+        # nan within 1e-3 delta of xi0 and xi1, on and off the support
+        m = model_balanced
+        xis = np.array([m.xi0 - 1e-5, m.xi0, m.xi0 + 1e-5, m.xi0 + 1e-3, m.xi1, m.xi1 + 1e-5])
+        dens = pushforward_density(m, window, "indicator", 0.0, xis)
+        assert np.array_equal(np.isnan(dens), [True, True, True, False, True, True])
 
     def test_stft_weighted_center(self, window, model_balanced):
         val = pushforward_density(model_balanced, window, "stft", 0.0, model_balanced.xibar)
@@ -563,10 +564,11 @@ class TestPushforward:
     def test_small_alpha_indicator_cross_check(self, window, model_balanced):
         alpha = 1e-6
         config = SqueezeConfig(alpha=alpha, weighting="indicator", R=50.0)
-        for xi in (1.08, model_balanced.xibar, 1.26):
+        xis = np.array([1.08, model_balanced.xibar, 1.26])
+        dens = np.abs(pushforward_density(model_balanced, window, "indicator", 0.0, xis))
+        for xi, expected in zip(xis, dens):
             quad = abs(squeeze_transform(model_balanced, window, config, 0.0, float(xi)))
-            dens = abs(pushforward_density(model_balanced, window, "indicator", 0.0, float(xi)))
-            assert quad == pytest.approx(dens, rel=5e-3)
+            assert quad == pytest.approx(expected, rel=5e-3)
 
     def test_requires_distinguished_time(self, window, model_balanced):
         with pytest.raises(PreconditionError):
@@ -575,7 +577,8 @@ class TestPushforward:
             classify_time(model_balanced, 0.123)
 
     def test_guard_order(self, window, model_balanced):
-        # weighting, then the time, then the standoff, then the support
+        # the weighting, then the time raise for the whole array; then per xi
+        # the standoff reads nan, then the support decides 0 or the density
         m = model_balanced
         quarter = 0.25 / m.delta
         with pytest.raises(ModelValidationError):
@@ -583,16 +586,21 @@ class TestPushforward:
         with pytest.raises(PreconditionError):
             pushforward_density(m, window, "stft", quarter, m.xi0)
         # xi0 - 1e-5 is off the constructive support but inside the standoff
-        with pytest.raises(SingularityError):
-            pushforward_density(m, window, "stft", 0.0, m.xi0 - 1e-5)
-        for value in (asym_sst(m, window, 1e-5, 0.0, m.xi0 - 1e-5),
-                      asym_indicator(m, window, 1e-5, 50.0, 0.0, m.xi0 - 1e-5)):
-            assert value.off_support and value.near_singularity and value.value == 0.0
-        # exactly at a component frequency on the destructive support
+        xis = np.array([m.xi0 - 1e-5, m.xi0 - 0.1, m.xibar])
+        dens = pushforward_density(m, window, "stft", 0.0, xis)
+        assert np.isnan(dens[0]) and dens[1] == 0.0 and np.isfinite(dens[2]) and dens[2] != 0
+        # the limits keep no standoff: 0 off the support, inf exactly at a
+        # component frequency on the destructive support
+        for values in (asym_sst(m, window, 1e-5, 0.0, xis),
+                       asym_indicator(m, window, 1e-5, 50.0, 0.0, xis)):
+            assert values[0] == 0.0 and values[1] == 0.0 and 0.0 < abs(values[2]) < math.inf
+        assert asym_sst(m, window, 1e-5, 0.0, xis)[2] == dens[2]
         t_minus = destructive_time(m, 0)
-        for value in (asym_sst(m, window, 1e-5, t_minus, m.xi0),
-                      asym_indicator(m, window, 1e-5, 50.0, t_minus, m.xi1)):
-            assert value.value == complex(math.inf) and value.near_singularity
+        ends = np.array([m.xi0, m.xi1])
+        for values in (asym_sst(m, window, 1e-5, t_minus, ends),
+                       asym_indicator(m, window, 1e-5, 50.0, t_minus, ends)):
+            assert np.all(values == complex(math.inf))
+        assert np.all(asym_sst(m, window, 1e-5, 0.0, ends) == 0.0)
         with pytest.raises(PreconditionError):
             asym_sst(m, window, 0.0, quarter, m.xibar)
         with pytest.raises(PreconditionError):
@@ -612,12 +620,13 @@ class TestPushforward:
             kind = classify_time(m, t)
             support = [float(xi) for xi in xis if (m.xi0 < xi < m.xi1) == (kind == "constructive")]
             assert len(support) > 50
-            for xi in support:
+            whole = pushforward_density(m, window, "stft", t, np.array(support))
+            for xi, from_array in zip(support, whole):
                 ref = _log_space_density(m, window, kind, t, xi)
                 for got in (pushforward_density(m, window, "stft", t, xi),
-                            asym_sst(m, window, 1e-5, t, xi).value):
+                            asym_sst(m, window, 1e-5, t, xi), from_array):
                     assert abs(got - ref) <= 1e-13 * abs(ref), (t, xi)
-                eta = destructive_zero(m, window) + _preimage_offset(m, window, kind, xi, "eta")
+                eta = destructive_zero(m, window) + _preimage_offset(m, window, kind, xi)
                 hat = complex(eta_s_values(m, window, t, np.array([eta]))[0])
                 assert abs(hat - xi) <= 1e-13 * delta, (t, xi)
 
@@ -653,12 +662,11 @@ class TestAsymptotics:
     def test_indicator_match(self, window, model_balanced):
         alpha = 1e-5
         config = SqueezeConfig(alpha=alpha, weighting="indicator", R=50.0)
-        for xi in np.linspace(model_balanced.xi0 + model_balanced.delta / 4,
-                              model_balanced.xi1 - model_balanced.delta / 4, 7):
-            approx = asym_indicator(model_balanced, window, alpha, 50.0, 0.0, float(xi))
-            quad = abs(squeeze_transform(model_balanced, window, config, 0.0, float(xi)))
-            assert abs(approx.value) == pytest.approx(quad, rel=0.05)
-            assert not approx.off_support
+        xis = np.linspace(model_balanced.xi0 + model_balanced.delta / 4,
+                          model_balanced.xi1 - model_balanced.delta / 4, 7)
+        approx = np.abs(asym_indicator(model_balanced, window, alpha, 50.0, 0.0, xis))
+        quad = np.abs(squeeze_cross_section(model_balanced, window, config, 0.0, xis))
+        assert approx == pytest.approx(quad, rel=0.05)
 
     def test_off_support_decay(self, window, model_balanced):
         xi = model_balanced.xi0 - 0.2
@@ -668,16 +676,13 @@ class TestAsymptotics:
             vals.append(abs(squeeze_transform(model_balanced, window, config, 0.0, xi)))
         assert vals[0] > 0.0
         assert vals[0] >= 10.0 * vals[1]
-        tagged = asym_indicator(model_balanced, window, 1e-4, 50.0, 0.0, xi)
-        assert tagged.off_support and tagged.value == 0.0
+        assert asym_indicator(model_balanced, window, 1e-4, 50.0, 0.0, xi) == 0.0
 
     def test_indicator_symmetry(self, window, model_balanced):
-        for x in (0.02, 0.05, 0.1):
-            left = asym_indicator(model_balanced, window, 1e-5, 50.0, 0.0,
-                                  model_balanced.xibar - x)
-            right = asym_indicator(model_balanced, window, 1e-5, 50.0, 0.0,
-                                   model_balanced.xibar + x)
-            assert abs(left.value) == pytest.approx(abs(right.value), rel=1e-12)
+        x = np.array([0.02, 0.05, 0.1])
+        left = asym_indicator(model_balanced, window, 1e-5, 50.0, 0.0, model_balanced.xibar - x)
+        right = asym_indicator(model_balanced, window, 1e-5, 50.0, 0.0, model_balanced.xibar + x)
+        assert np.abs(left) == pytest.approx(np.abs(right), rel=1e-12)
 
     def test_radius_preconditions(self, window, model_balanced):
         with pytest.raises(PreconditionError):
@@ -686,22 +691,20 @@ class TestAsymptotics:
     def test_sst_match(self, window, model_balanced):
         alpha = 1e-5
         config = SqueezeConfig(alpha=alpha, weighting="stft")
-        for xi in np.linspace(model_balanced.xi0 + model_balanced.delta / 4,
-                              model_balanced.xi1 - model_balanced.delta / 4, 7):
-            approx = asym_sst(model_balanced, window, alpha, 0.0, float(xi))
-            quad = squeeze_transform(model_balanced, window, config, 0.0, float(xi))
-            assert abs(approx.value - quad) <= 0.05 * abs(quad)
+        xis = np.linspace(model_balanced.xi0 + model_balanced.delta / 4,
+                          model_balanced.xi1 - model_balanced.delta / 4, 7)
+        approx = asym_sst(model_balanced, window, alpha, 0.0, xis)
+        quad = squeeze_cross_section(model_balanced, window, config, 0.0, xis)
+        assert np.all(np.abs(approx - quad) <= 0.05 * np.abs(quad))
 
     def test_weighting_contrast_at_small_gap(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.15, a=1.0)
         xs = np.linspace(model.xi0 + 0.005, model.xi1 - 0.005, 301)
-        sst_curve = np.array([abs(asym_sst(model, window, 1e-5, 0.0, float(x)).value)
-                              for x in xs])
+        sst_curve = np.abs(asym_sst(model, window, 1e-5, 0.0, xs))
         interior_max = np.sum((sst_curve[1:-1] > sst_curve[:-2])
                               & (sst_curve[1:-1] > sst_curve[2:]))
         assert interior_max == 1
-        ind_curve = np.array([abs(asym_indicator(model, window, 1e-5, 50.0, 0.0, float(x)).value)
-                              for x in xs])
+        ind_curve = np.abs(asym_indicator(model, window, 1e-5, 50.0, 0.0, xs))
         center = ind_curve[len(xs) // 2]
         assert ind_curve[0] > 5 * center and ind_curve[-1] > 5 * center
         assert np.argmin(ind_curve) == len(xs) // 2
@@ -952,8 +955,7 @@ class TestCriticalGapDensity:
         def count(delta):
             model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
             xis = np.linspace(model.xi0 + 2e-3 * delta, model.xi1 - 2e-3 * delta, 20001)
-            vals = np.array([abs(pushforward_density(model, window, "stft", 0.0, float(x)))
-                             for x in xis])
+            vals = np.abs(pushforward_density(model, window, "stft", 0.0, xis))
             return len(_candidate_peaks(vals))
 
         assert count(0.999 * delta_c) == 1
@@ -971,8 +973,7 @@ class TestCriticalGapDensity:
         def count(delta):
             model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
             xis = model.xi0 + delta / (1.0 + np.exp(-s))
-            vals = np.array([abs(pushforward_density(model, window, "stft", 0.0, float(x)))
-                             for x in xis])
+            vals = np.abs(pushforward_density(model, window, "stft", 0.0, xis))
             return len(_candidate_peaks(vals))
 
         lo, hi = 0.999 * delta_c, 1.001 * delta_c
@@ -1025,7 +1026,7 @@ class TestLaplaceConsistency:
         for alpha in (1e-4, 2.5e-5):
             config = SqueezeConfig(alpha=alpha, weighting="stft")
             quad = squeeze_transform(model_balanced, window, config, 0.0, xi)
-            lead = asym_sst(model_balanced, window, alpha, 0.0, xi).value
+            lead = asym_sst(model_balanced, window, alpha, 0.0, xi)
             errs[alpha] = abs(quad - lead)
         assert errs[2.5e-5] <= 0.3 * errs[1e-4]
 
@@ -1035,7 +1036,7 @@ class TestLaplaceConsistency:
         for alpha in (1e-4, 2.5e-5):
             config = SqueezeConfig(alpha=alpha, weighting="indicator", R=50.0)
             quad = abs(squeeze_transform(model_balanced, window, config, 0.0, xi))
-            lead = abs(asym_indicator(model_balanced, window, alpha, 50.0, 0.0, xi).value)
+            lead = abs(asym_indicator(model_balanced, window, alpha, 50.0, 0.0, xi))
             errs[alpha] = abs(quad - lead)
         assert errs[2.5e-5] <= 0.3 * errs[1e-4]
 
@@ -1058,7 +1059,7 @@ class TestOtherWindows:
         config = SqueezeConfig(alpha=1e-5, weighting="stft")
         xi = model.xibar + 0.1 * model.delta
         quad = squeeze_transform(model, window, config, 0.0, xi)
-        lead = asym_sst(model, window, 1e-5, 0.0, xi).value
+        lead = asym_sst(model, window, 1e-5, 0.0, xi)
         assert abs(quad - lead) <= 0.05 * abs(quad)
 
         t_minus = destructive_time(model, 0)
