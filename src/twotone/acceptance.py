@@ -183,11 +183,9 @@ def criterion_6():
             / stft_closed_form(model, WINDOW, sub_t - h, sub_eta))
     sub = vals[::16, ::16].real
     re_dev = float(np.max(np.abs(np.angle(turn) / (4 * math.pi * h) - sub)[~np.isneginf(sub)]))
-    imag_dev = 0.0
-    for k in (0, 1, 3):
-        for t in (constructive_time(model, k), destructive_time(model, k)):
-            row = reassign.eta_s_values(model, WINDOW, t, etas)
-            imag_dev = max(imag_dev, float(np.max(np.abs(row.imag[np.isfinite(row.real)]))))
+    t_k = [[f(model, k)] for k in (0, 1, 3) for f in (constructive_time, destructive_time)]
+    rows = reassign.eta_s_values(model, WINDOW, np.array(t_k), etas)
+    imag_dev = float(np.max(np.abs(rows.imag[np.isfinite(rows.real)])))
     arc_dev = 0.0
     for theta in (0.5, 1.0, 2.0):
         center, radius = reassign.arc_circle(model, theta)
@@ -312,9 +310,9 @@ def criterion_11():
         cfg = SqueezeConfig(alpha=alpha, weighting="stft")
         xis = np.linspace(model.xi0 - 0.3, model.xi1 + 0.3, n)
         for t in ts:
-            s0, s1 = ([squeeze.squeeze_single_component(xi_c, amp, WINDOW, alpha, t, x)
-                       for x in xis] for xi_c, amp in ((model.xi0, 1.0), (model.xi1, model.a)))
-            yield squeeze_cross_section(model, WINDOW, cfg, t, xis), np.array(s0), np.array(s1)
+            s0, s1 = (squeeze.squeeze_single_component(xi_c, amp, WINDOW, alpha, t, xis)
+                      for xi_c, amp in ((model.xi0, 1.0), (model.xi1, model.a)))
+            yield squeeze_cross_section(model, WINDOW, cfg, t, xis), s0, s1
 
     def sup_residual_pair(a: float):
         """Amplitude-limit probe at a small gap: the stated a values sit inside
@@ -383,37 +381,34 @@ def criterion_12():
     model, scale = freeze_ahm(signal, t_star)
     t_probe = t_star + np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     eta_probe = np.array([0.8, 1.0, 1.125, 1.25, 1.45])
+    bounds = [ahm_stft_error_bound(signal, WINDOW, float(t), t_star) for t in t_probe]
     worst_margin = -math.inf
     stft_ok = True
-    for t in t_probe:
-        bound = ahm_stft_error_bound(signal, WINDOW, float(t), t_star)
-        for eta in eta_probe:
-            v_f = stft_numeric(signal, WINDOW, float(t), float(eta))
-            v_ref = scale * stft_closed_form(model, WINDOW, float(t) - t_star, float(eta))
-            err = abs(v_f - v_ref)
-            worst_margin = max(worst_margin, err - bound)
-            stft_ok = stft_ok and err <= bound
+    for t, bound in zip(t_probe, bounds):
+        v_f = stft_numeric(signal, WINDOW, float(t), eta_probe)
+        err = np.abs(v_f - scale * stft_closed_form(model, WINDOW, float(t) - t_star, eta_probe))
+        worst_margin = max(worst_margin, float(np.max(err - bound)))
+        stft_ok = stft_ok and bool(np.all(err <= bound))
 
     beta = 0.25
     eps = signal.epsilon
-    c_h = max(ahm_stft_error_bound(signal, WINDOW, float(t), t_star) for t in t_probe) / eps
+    c_h = max(bounds) / eps
     c_dh = max(ahm_stft_error_bound_dwindow(signal, WINDOW, float(t), t_star)
                for t in t_probe) / eps
     bound_r = reassign.ahm_reassign_error_bound(signal, WINDOW, 0.0, t_star, beta, c_h, c_dh)
     floor = eps ** beta
+    eta_r = np.array([0.95, 1.0, 1.05, 1.2, 1.25, 1.3])
     reassign_ok = True
     tested = 0
     worst_dev = 0.0
     for t in t_probe:
-        for eta in (0.95, 1.0, 1.05, 1.2, 1.25, 1.3):
-            if abs(stft_closed_form(model, WINDOW, float(t) - t_star, eta)) < floor:
-                continue
-            tested += 1
-            num = reassign.eta_s_numeric(signal, WINDOW, float(t), float(eta))
-            ref = reassign.eta_s(model, WINDOW, float(t) - t_star, float(eta))
-            dev = abs(num - ref)
-            worst_dev = max(worst_dev, dev)
-            reassign_ok = reassign_ok and dev <= bound_r
+        t_frozen = float(t) - t_star
+        eta = eta_r[np.abs(stft_closed_form(model, WINDOW, t_frozen, eta_r)) >= floor]
+        dev = np.abs(reassign.eta_s_numeric(signal, WINDOW, float(t), eta)
+                     - reassign.eta_s_values(model, WINDOW, t_frozen, eta))
+        tested += eta.size
+        worst_dev = max(worst_dev, float(np.max(dev, initial=0.0)))
+        reassign_ok = reassign_ok and bool(np.all(dev <= bound_r))
     passed = stft_ok and reassign_ok and tested > 0
     detail = (f"stft bound margin max(err-bound) = {worst_margin:.3e}; reassignment dev "
               f"{worst_dev:.3e} <= {bound_r:.3e} at {tested} points")

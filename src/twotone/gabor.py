@@ -113,10 +113,7 @@ def stft_closed_form(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
     """Exact V(t, eta) for the two-harmonic model. Broadcasts over t and eta."""
     rot0, rot1, g0, g1 = _v_terms(model, window, np.asarray(t, dtype=float),
                                   np.asarray(eta, dtype=float))
-    out = rot0 * (g0 + model.a * rot1 * g1)
-    if np.isscalar(t) and np.isscalar(eta):
-        return complex(out)
-    return out
+    return rot0 * (g0 + model.a * rot1 * g1)
 
 
 def stft_field(model: TwoHarmonicModel, window: GaussianWindow, grid: TFGrid) -> ComplexField:
@@ -140,13 +137,15 @@ def stft_numeric(
     signal: Union[TwoHarmonicModel, AHMSignal, Callable],
     window: GaussianWindow,
     t: float,
-    eta: float,
+    eta,
     quad: QuadratureSpec | None = None,
     deriv_window: bool = False,
-) -> complex:
+):
     """V(t, eta) by the trapezoid rule with n_nodes intervals on |x - t| <= W,
     W = 8 sigma. The window is below e^-64 at both ends, so for a smooth
-    signal the error falls faster than any power of n_nodes.
+    signal the error falls faster than any power of n_nodes. eta may be an
+    array: every eta integrates against one sampling of the signal, and the
+    result has eta's shape.
 
     With deriv_window=True the window is Dh = h' (needed by reassignment
     proximity checks). Default spec reproduces the closed form to <= 1e-8.
@@ -162,8 +161,9 @@ def stft_numeric(
     if isinstance(signal, AHMSignal) and len(signal.components) >= 2:
         signal.validate_separation(x[:: max(1, quad.n_nodes // 64)])
     win = window.dh(x - t) if deriv_window else window.h(x - t)
+    eta = np.asarray(eta, dtype=float)[..., None]
     integrand = fx * win * np.exp(-2j * math.pi * eta * (x - t))
-    return complex((integrand.sum() - (integrand[0] + integrand[-1]) / 2) * (x[1] - x[0]))
+    return (integrand.sum(-1) - (integrand[..., 0] + integrand[..., -1]) / 2) * (x[1] - x[0])
 
 
 def spectrogram_decomposition(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
@@ -171,16 +171,14 @@ def spectrogram_decomposition(model: TwoHarmonicModel, window: GaussianWindow, t
     g0 = e^{-2C(eta-xi0)^2}, g1 = a^2 e^{-2C(eta-xi1)^2},
     cross = 2a e^{-C((eta-xi0)^2 + (eta-xi1)^2)} cos(2 pi delta t); sum = |V|^2.
     """
-    t_arr = np.asarray(t, dtype=float)
-    eta_arr = np.asarray(eta, dtype=float)
+    t = np.asarray(t, dtype=float)
+    eta = np.asarray(eta, dtype=float)
     C = window.C
-    d0 = (eta_arr - model.xi0) ** 2
-    d1 = (eta_arr - model.xi1) ** 2
+    d0 = (eta - model.xi0) ** 2
+    d1 = (eta - model.xi1) ** 2
     g0 = np.exp(-2 * C * d0)
     g1 = model.a ** 2 * np.exp(-2 * C * d1)
-    cross = 2 * model.a * np.exp(-C * (d0 + d1)) * np.cos(2 * math.pi * model.delta * t_arr)
-    if np.isscalar(t) and np.isscalar(eta):
-        return float(g0), float(g1), float(cross)
+    cross = 2 * model.a * np.exp(-C * (d0 + d1)) * np.cos(2 * math.pi * model.delta * t)
     return g0, g1, cross
 
 
@@ -206,19 +204,16 @@ def bargmann_consistency(model: TwoHarmonicModel, window: GaussianWindow, t, eta
     z = t/sigma - i pi sigma eta. Exponents are combined before exp to avoid
     overflow on large grids.
     """
-    t_arr = np.asarray(t, dtype=float)
-    eta_arr = np.asarray(eta, dtype=float)
+    t = np.asarray(t, dtype=float)
+    eta = np.asarray(eta, dtype=float)
     s = window.sigma
-    z = t_arr / s - 1j * math.pi * s * eta_arr
+    z = t / s - 1j * math.pi * s * eta
     pre = (
-        -0.5 * ((t_arr / s) ** 2 + (math.pi * s * eta_arr) ** 2)
-        + 1j * math.pi * t_arr * eta_arr
+        -0.5 * ((t / s) ** 2 + (math.pi * s * eta) ** 2)
+        + 1j * math.pi * t * eta
         - 0.5 * z ** 2
     )
     rec = np.exp(pre + (z + 1j * math.pi * s * model.xi0) ** 2) + model.a * np.exp(
         pre + (z + 1j * math.pi * s * model.xi1) ** 2
     )
-    resid = np.abs(rec - stft_closed_form(model, window, t_arr, eta_arr))
-    if np.isscalar(t) and np.isscalar(eta):
-        return float(resid)
-    return resid
+    return np.abs(rec - stft_closed_form(model, window, t, eta))

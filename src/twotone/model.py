@@ -152,11 +152,8 @@ class AHMSignal:
 
 def evaluate_two_harmonic(model: TwoHarmonicModel, t):
     """f(t) = e^{2 pi i xi0 t} + a e^{2 pi i xi1 t}."""
-    t_arr = np.asarray(t, dtype=float)
-    val = np.exp(2j * math.pi * model.xi0 * t_arr) + model.a * np.exp(
-        2j * math.pi * model.xi1 * t_arr
-    )
-    return complex(val) if np.isscalar(t) or t_arr.ndim == 0 else val
+    t = np.asarray(t, dtype=float)
+    return np.exp(2j * math.pi * model.xi0 * t) + model.a * np.exp(2j * math.pi * model.xi1 * t)
 
 
 def constructive_time(model: TwoHarmonicModel, k: int) -> float:

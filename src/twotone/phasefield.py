@@ -146,7 +146,7 @@ def winding_number(model: TwoHarmonicModel, window: GaussianWindow, center,
 
     thetas = np.linspace(0.0, TWO_PI, n_samples + 1)
     tt, ee = point(thetas)
-    samples = np.asarray(stft_closed_form(model, window, tt, ee))
+    samples = stft_closed_form(model, window, tt, ee)
     # through-zero floor scaled to the contour itself: unbalanced models have
     # zeros deep in a Gaussian tail where the whole contour is tiny yet clean
     floor = min(1e-12 * (1.0 + model.a), 1e-9 * float(np.max(np.abs(samples))))

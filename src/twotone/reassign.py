@@ -86,29 +86,20 @@ def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.
     t = np.asarray(t, dtype=float)
     eta = np.asarray(eta, dtype=float)
     log_a = math.log(model.a) if model.a > 0 else -math.inf
-    log_q = log_a + 2.0 * window.C * model.delta * (eta - model.xibar)
+    # a log q that overflows to +-inf lies in a pinned region
+    with np.errstate(over="ignore"):
+        log_q = log_a + 2.0 * window.C * model.delta * (eta - model.xibar)
     # e^{2 pi i delta t} on t's own shape: once per t, not once per node
-    log_q, rot = np.broadcast_arrays(log_q, np.exp(2j * math.pi * model.delta * t))
-    out = np.empty(log_q.shape, dtype=complex)
-    hi = log_q > _EXP_CLIP
-    lo = log_q < -_EXP_CLIP
-    mid = ~(hi | lo)
-    out[hi] = model.xi1
-    out[lo] = model.xi0
-    if np.any(mid):
-        q = rot[mid] * np.exp(log_q[mid])
-        denom = 1.0 + q
-        zero = np.abs(denom) <= 1e-14
-        vals = np.empty(q.shape, dtype=complex)
-        ok = ~zero
-        # anchor to the nearer fixed point: xi0 + delta q/(1+q) avoids the
-        # delta-sized cancellation when |q| << 1, and symmetrically for large q
-        small = ok & (np.abs(q) < 1.0)
-        big = ok & ~small
-        vals[small] = model.xi0 + model.delta * (q[small] / denom[small])
-        vals[big] = model.xi1 - model.delta / denom[big]
-        vals[zero] = SENTINEL
-        out[mid] = vals
+    q = np.exp(2j * math.pi * model.delta * t) * np.exp(np.clip(log_q, -_EXP_CLIP, _EXP_CLIP))
+    denom = 1.0 + q
+    # anchor to the nearer fixed point: xi0 + delta q/(1+q) avoids the
+    # delta-sized cancellation when |q| << 1, and symmetrically for large q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(np.abs(q) < 1.0, model.xi0 + model.delta * (q / denom),
+                       model.xi1 - model.delta / denom)
+    np.copyto(out, SENTINEL, where=np.abs(denom) <= 1e-14)
+    np.copyto(out, model.xi1, where=log_q > _EXP_CLIP)
+    np.copyto(out, model.xi0, where=log_q < -_EXP_CLIP)
     return out
 
 
@@ -203,11 +194,13 @@ def ahm_reassign_error_bound(signal: AHMSignal, window: GaussianWindow,
     return c_eta * signal.epsilon ** (1.0 - 2.0 * beta)
 
 
-def eta_s_numeric(signal, window: GaussianWindow, t: float, eta: float) -> complex:
+def eta_s_numeric(signal, window: GaussianWindow, t: float, eta):
     """Reassignment value of an arbitrary signal via direct quadrature:
-    eta - (1/2 pi i) V^(Dh)/V^(h). Used to validate the proximity bound."""
+    eta - (1/2 pi i) V^(Dh)/V^(h), over an array of eta at one t. Used to
+    validate the proximity bound."""
+    eta = np.asarray(eta, dtype=float)
     v_h = stft_numeric(signal, window, t, eta)
     v_dh = stft_numeric(signal, window, t, eta, deriv_window=True)
-    if abs(v_h) == 0.0:
-        raise PhaseUndefinedError(f"numeric V(t={t}, eta={eta}) = 0")
+    if np.any(v_h == 0):
+        raise PhaseUndefinedError(f"numeric V vanishes at t={t} on eta={eta}")
     return eta - v_dh / (2j * math.pi * v_h)

@@ -633,14 +633,12 @@ def critical_gap_density(a: float, window: GaussianWindow) -> float:
 
 
 def squeeze_single_component(xi_component: float, amplitude: float,
-                             window: GaussianWindow, alpha: float,
-                             t: float, xi: float) -> complex:
-    """Closed-form squeeze of a lone harmonic: amplitude * e^{2 pi i xi_c t}
-    e^{-(xi_c - xi)^2/alpha} / (pi sigma sqrt(alpha))."""
-    phase = complex(math.cos(2 * math.pi * xi_component * t),
-                    math.sin(2 * math.pi * xi_component * t))
+                             window: GaussianWindow, alpha: float, t: float, xi):
+    """Closed-form squeeze of a lone harmonic over a xi array: amplitude *
+    e^{2 pi i xi_c t} e^{-(xi_c - xi)^2/alpha} / (pi sigma sqrt(alpha))."""
+    xi = np.asarray(xi, dtype=float)
     return (amplitude / (math.pi * window.sigma * math.sqrt(alpha))
-            * phase * math.exp(-(xi_component - xi) ** 2 / alpha))
+            * np.exp(2j * math.pi * xi_component * t) * np.exp(-(xi_component - xi) ** 2 / alpha))
 
 
 def sst_extreme_amplitude(model: TwoHarmonicModel, window: GaussianWindow,

@@ -258,6 +258,19 @@ class TestCommands:
         assert err.startswith("configuration error:")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("config", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, config):
+        path = tmp_path / config
+        if config == "directory":
+            path.mkdir()
+        elif config == "not_utf8":
+            path.write_bytes(b"model.a=\xff\n")
+        out = tmp_path / "out"
+        code, stdout, err = run(["stft", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("configuration error:") and str(path) in err
+        assert stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("command", ["reassign", "stft"])
     @pytest.mark.parametrize("override", ["--grid.t_max=inf", "--grid.eta_min=-inf"])
     def test_non_finite_grid_bound_exits_2(self, tmp_path, capsys, command, override):

@@ -62,10 +62,16 @@ class TestClosedForm:
 
 class TestNumericQuadrature:
     def test_matches_closed_form(self, window, model_a13):
-        for t, eta in ((0.0, 1.1), (1.7, 0.9), (-0.4, 1.4)):
+        points = ((0.0, 1.1), (1.7, 0.9), (-0.4, 1.4))
+        for t, eta in points:
             num = stft_numeric(model_a13, window, t, eta)
             ref = stft_closed_form(model_a13, window, t, eta)
             assert abs(num - ref) <= 1e-8
+        # an eta array at one t gives the per-eta values bit for bit
+        etas = np.array([eta for _, eta in points])
+        for t, _ in points:
+            per_eta = [stft_numeric(model_a13, window, t, eta) for eta in etas]
+            assert np.array_equal(stft_numeric(model_a13, window, t, etas), per_eta)
 
     def test_zero_signal(self, window):
         assert stft_numeric(lambda x: np.zeros_like(x, dtype=complex), window, 0.3, 1.0) == 0.0

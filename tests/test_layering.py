@@ -8,7 +8,8 @@ from the package, and no library module imports it.
 Every undecorated top-level function or class is named somewhere in src/,
 tests/ or scripts/ besides its own definition, and every defaulted parameter
 of a top-level function is passed somewhere there: a default no caller
-overrides is a constant.
+overrides is a constant. No module calls np.isscalar: kernels broadcast, and
+a scalar argument gives a numpy scalar.
 """
 
 import ast
@@ -74,6 +75,12 @@ def _referenced_names(tree: ast.AST) -> set[str]:
                 and node.value.isidentifier():
             names.add(node.value)
     return names
+
+
+def test_no_isscalar_in_src():
+    uses = [path.name for path in MODULES
+            if "isscalar" in _referenced_names(ast.parse(path.read_text()))]
+    assert not uses, f"np.isscalar in {uses}"
 
 
 def _caller_files():

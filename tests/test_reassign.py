@@ -35,13 +35,16 @@ class TestEtaS:
         for t, eta in ((0.0, 0.5), (1.3, 1.8), (-2.0, 1.0)):
             assert eta_s(model, window, t, eta) == 1.0 + 0j
 
+    # at 8e307 the exponent 2 C delta (eta - xibar) overflows to inf
     def test_high_frequency_limit(self, window, model_a13):
-        val = eta_s(model_a13, window, 0.37, model_a13.xi1 + 50.0)
-        assert val == model_a13.xi1 + 0j
+        for offset in (50.0, 8e307):
+            val = eta_s(model_a13, window, 0.37, model_a13.xi1 + offset)
+            assert val == model_a13.xi1 + 0j
 
     def test_low_frequency_limit(self, window, model_a13):
-        val = eta_s(model_a13, window, 0.37, model_a13.xi0 - 50.0)
-        assert val == model_a13.xi0 + 0j
+        for offset in (50.0, 8e307):
+            val = eta_s(model_a13, window, 0.37, model_a13.xi0 - offset)
+            assert val == model_a13.xi0 + 0j
 
     @pytest.mark.parametrize("a", [1e-250, 1e250])
     def test_extreme_amplitude_pins_on_log_q(self, window, a):
@@ -277,10 +280,16 @@ class TestAhmReassignBound:
 
     def test_linear_phase_exact(self, window, model_a13):
         signal = lift_two_harmonic(model_a13)
-        for t, eta in ((0.4, 1.05), (1.1, 1.25)):
+        points = ((0.4, 1.05), (1.1, 1.25))
+        for t, eta in points:
             num = eta_s_numeric(signal, window, t, eta)
             ref = eta_s(model_a13, window, t, eta)
             assert abs(num - ref) <= 1e-8
+        # an eta array at one t gives the per-eta values bit for bit
+        etas = np.array([eta for _, eta in points])
+        for t, _ in points:
+            per_eta = [eta_s_numeric(signal, window, t, eta) for eta in etas]
+            assert np.array_equal(eta_s_numeric(signal, window, t, etas), per_eta)
 
     def test_quadratic_phase_within_bound(self, window):
         signal = quadratic_signal()

@@ -139,10 +139,17 @@ class TestTransform:
     def test_single_component_closed_form(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=0.0)
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        for t, xi in ((0.0, 1.0), (0.6, 1.015), (2.0, 0.99)):
+        points = ((0.0, 1.0), (0.6, 1.015), (2.0, 0.99))
+        for t, xi in points:
             val = squeeze_transform(model, window, config, t, xi)
             ref = squeeze_single_component(model.xi0, 1.0, window, ALPHA, t, xi)
             assert abs(val - ref) <= 1e-8 * abs(ref)
+        # a xi array at one t gives the per-xi values bit for bit
+        xis = np.array([xi for _, xi in points])
+        for t, _ in points:
+            per_xi = [squeeze_single_component(model.xi0, 1.0, window, ALPHA, t, xi) for xi in xis]
+            assert np.array_equal(
+                squeeze_single_component(model.xi0, 1.0, window, ALPHA, t, xis), per_xi)
 
     def test_single_component_indicator_is_the_window_length(self, window):
         # a lone harmonic reassigns every eta in [-R, R] to xi0
