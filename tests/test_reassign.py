@@ -35,7 +35,7 @@ class TestEtaS:
         for t, eta in ((0.0, 0.5), (1.3, 1.8), (-2.0, 1.0)):
             assert eta_s(model, window, t, eta) == 1.0 + 0j
 
-    # at 8e307 the exponent 2 C delta (eta - xibar) overflows to inf
+    # at an offset of 8e307 the exponent 2 C delta (eta - xibar) overflows to +-inf
     def test_high_frequency_limit(self, window, model_a13):
         for offset in (50.0, 8e307):
             val = eta_s(model_a13, window, 0.37, model_a13.xi1 + offset)
