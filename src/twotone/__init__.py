@@ -31,16 +31,11 @@ from .model import (
 )
 from .phasefield import ZeroPoint, amplitude_weighted_phase, locate_zeros, phase, winding_number
 from .reassign import (
-    INF_POINT,
     SENTINEL,
-    MobiusMap,
     arc_circle,
     attraction_bound_check,
     ahm_reassign_error_bound,
-    eta_s,
     eta_s_values,
-    is_sentinel,
-    mobius_apply,
     reassign_field,
 )
 from .ridges import (

@@ -186,13 +186,17 @@ def criterion_6():
     t_k = [[f(model, k)] for k in (0, 1, 3) for f in (constructive_time, destructive_time)]
     rows = reassign.eta_s_values(model, WINDOW, np.array(t_k), etas)
     imag_dev = float(np.max(np.abs(rows.imag[np.isfinite(rows.real)])))
+    # the frequency line t = theta/(2 pi delta) at eta = eta_avg + ln r/(2 C delta)
+    # is q = r e^{i theta}, which M sends onto the arc through xi0 and xi1
+    thetas = (0.5, 1.0, 2.0)
+    lines = reassign.eta_s_values(
+        model, WINDOW, np.array(thetas)[:, None] / (2 * math.pi * model.delta),
+        destructive_zero(model, WINDOW)
+        + np.log(np.geomspace(0.1, 10.0, 13)) / (2 * WINDOW.C * model.delta))
     arc_dev = 0.0
-    for theta in (0.5, 1.0, 2.0):
+    for theta, line in zip(thetas, lines):
         center, radius = reassign.arc_circle(model, theta)
-        for r in np.geomspace(0.1, 10.0, 13):
-            z = reassign.mobius_apply(reassign.mobius_of(model),
-                                      r * complex(math.cos(theta), math.sin(theta)))
-            arc_dev = max(arc_dev, abs(abs(z - center) - radius))
+        arc_dev = max(arc_dev, float(np.max(np.abs(np.abs(line - center) - radius))))
     chk = reassign.attraction_bound_check(model, WINDOW,
                                           np.linspace(0.0, 1.0 / model.delta, 21)[:, None],
                                           np.linspace(model.xi0 - 1.0, model.xibar, 21))

@@ -110,6 +110,10 @@ def build_config(args, extra: list[str]) -> ExperimentConfig:
     alpha, weighting = merged["squeeze.alpha"], merged["squeeze.weighting"]
     radius, mode = merged.get("squeeze.r"), merged["squeeze.reassignment_mode"]
     try:
+        thetas = tuple(float(x) for x in str(merged["reassign.arc_thetas"]).split(",") if x)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 'reassign.arc_thetas': {exc}") from exc
+    try:
         model = TwoHarmonicModel(xi0=merged["model.xi0"], delta=merged["model.delta"],
                                  a=merged["model.a"])
         window = GaussianWindow(sigma=merged["model.sigma"])
@@ -124,15 +128,10 @@ def build_config(args, extra: list[str]) -> ExperimentConfig:
                                   reassignment_mode=mode)
         if weighting == "indicator":
             squeeze.require_indicator_radius(model, window, radius)
+        for theta in thetas:
+            reassign.arc_circle(model, theta)  # rejects an angle outside (0, pi)
     except TwoToneError as exc:  # every failure here is a bad configuration value
         raise ConfigError(str(exc)) from exc
-    try:
-        thetas = tuple(float(x) for x in str(merged["reassign.arc_thetas"]).split(",") if x)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for 'reassign.arc_thetas': {exc}") from exc
-    for theta in thetas:
-        if not 0.0 < theta < math.pi:
-            raise ConfigError(f"each of 'reassign.arc_thetas' must lie in (0, pi), got {theta!r}")
     return ExperimentConfig(
         model=model, window=window, grid=grid, squeeze=sq_config, arc_thetas=thetas,
         outdir=Path(merged["output.dir"]), raw=merged,

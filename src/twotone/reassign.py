@@ -3,18 +3,20 @@
 The complex (synchrosqueezing) rule eta_s = (1/2 pi i) dV/dt / V factors
 through a Moebius transformation M(z) = (xi0 + xi1 z)/(1 + z) applied to
 q(t, eta) = a e^{2 pi i delta t} e^{2 pi^2 sigma^2 delta (eta - xibar)}; the
-phase rule is its real part. Zeros of V map to a sentinel value.
+phase rule is its real part. eta_s_values is the one evaluation of M, and
+zeros of V, where q = -1, map to SENTINEL. M sends each frequency line
+t = const, where arg q is fixed, to a circular arc through xi0 and xi1
+(arc_circle).
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModelValidationError, PhaseUndefinedError
+from .errors import DomainError, PhaseUndefinedError
 from .gabor import ComplexField, TFGrid, spectrogram_decomposition, stft_numeric
 from .model import (
     AHMSignal,
@@ -27,68 +29,22 @@ SENTINEL = complex(-math.inf, 0.0)
 _EXP_CLIP = 500.0
 
 
-class _AtInfinity:
-    """Point at infinity of the extended complex plane."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF_POINT"
-
-
-INF_POINT = _AtInfinity()
-
-
-def is_sentinel(value) -> bool:
-    return isinstance(value, complex) and value.real == -math.inf
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """M(z) = (xi0 + xi1 z)/(1 + z); requires xi1 > xi0 so ad - bc != 0."""
-
-    xi0: float
-    xi1: float
-
-    def __post_init__(self):
-        if not self.xi1 > self.xi0:
-            raise ModelValidationError("MobiusMap needs xi1 > xi0")
-
-
-def mobius_apply(mapping: MobiusMap, z):
-    """Extended-plane evaluation: M(-1) is the explicit point at infinity,
-    M(INF_POINT) = xi1. No reliance on float infinity propagation."""
-    if z is INF_POINT:
-        return complex(mapping.xi1, 0.0)
-    z = complex(z)
-    if z == -1.0:
-        return INF_POINT
-    return (mapping.xi0 + mapping.xi1 * z) / (1.0 + z)
-
-
-def mobius_of(model: TwoHarmonicModel) -> MobiusMap:
-    return MobiusMap(xi0=model.xi0, xi1=model.xi1)
-
-
 def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.ndarray:
     """Vectorized eta_s over broadcastable (t, eta); SENTINEL where V = 0.
 
     Evaluated as xi1 - delta/(1 + q), with the regions of extreme
     ln |q| = ln a + 2 C delta (eta - xibar) pinned to the exact limits xi0 / xi1
     so that neither large gaps nor extreme amplitudes can overflow; a = 0 is
-    pinned to xi0.
+    pinned to xi0 at every eta but nan.
     """
     t = np.asarray(t, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    log_a = math.log(model.a) if model.a > 0 else -math.inf
-    # a log q that overflows to +-inf lies in a pinned region
-    with np.errstate(over="ignore"):
-        log_q = log_a + 2.0 * window.C * model.delta * (eta - model.xibar)
+    if model.a == 0:  # ln a = -inf, which an overflowed exponent +inf would cancel to nan
+        log_q = np.where(np.isnan(eta), math.nan, -math.inf)
+    else:
+        # a log q that overflows to +-inf lies in a pinned region
+        with np.errstate(over="ignore"):
+            log_q = math.log(model.a) + 2.0 * window.C * model.delta * (eta - model.xibar)
     # e^{2 pi i delta t} on t's own shape: once per t, not once per node
     q = np.exp(2j * math.pi * model.delta * t) * np.exp(np.clip(log_q, -_EXP_CLIP, _EXP_CLIP))
     denom = 1.0 + q
@@ -101,11 +57,6 @@ def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.
     np.copyto(out, model.xi1, where=log_q > _EXP_CLIP)
     np.copyto(out, model.xi0, where=log_q < -_EXP_CLIP)
     return out
-
-
-def eta_s(model: TwoHarmonicModel, window: GaussianWindow, t: float, eta: float) -> complex:
-    """Scalar synchrosqueezing reassignment value (or SENTINEL at a zero of V)."""
-    return complex(eta_s_values(model, window, float(t), float(eta)))
 
 
 def imag_correction(model: TwoHarmonicModel, window: GaussianWindow, t: float, eta: float) -> float:

@@ -305,6 +305,9 @@ class TestCommands:
         ("--squeeze.alpha=nan", "nan"),
         ("--squeeze.r=inf", "inf"),
         ("--squeeze.r=0.5", "0.5"),
+        # the (0, pi) rule is arc_circle's, reported through its DomainError
+        ("--reassign.arc_thetas=4.0", "4.0"),
+        ("--reassign.arc_thetas=0.5,nan", "nan"),
     ])
     def test_squeeze_config_error_names_the_value(self, tmp_path, capsys, override, bad):
         argv = ["squeeze", "--out", str(tmp_path), override]

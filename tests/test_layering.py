@@ -7,9 +7,9 @@ oracle checks the kernels independently, so it imports only model and errors
 from the package, and no library module imports it.
 Every undecorated top-level function or class is named somewhere in src/,
 tests/ or scripts/ besides its own definition, and every defaulted parameter
-of a top-level function is passed somewhere there: a default no caller
-overrides is a constant. No module calls np.isscalar: kernels broadcast, and
-a scalar argument gives a numpy scalar.
+of a top-level function, and every defaulted field of a dataclass, is passed
+somewhere there: a default no caller overrides is a constant. No module calls
+np.isscalar: kernels broadcast, and a scalar argument gives a numpy scalar.
 """
 
 import ast
@@ -124,13 +124,32 @@ def _passed_arguments(tree: ast.AST) -> set:
     return passed
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _defaulted_fields(cls: ast.ClassDef) -> list:
+    """(position, name) of each field of a dataclass that has a default; the
+    position is the field's place among the constructor's arguments."""
+    fields = [node for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    return [(i, node.target.id) for i, node in enumerate(fields) if node.value is not None]
+
+
 def test_every_defaulted_parameter_is_passed():
+    """Also each defaulted field of a dataclass: a config object's fields are
+    knobs, set by keyword or by position in a constructor call."""
     passed = set()
     for path in _caller_files():
         passed |= _passed_arguments(ast.parse(path.read_text()))
     unset = [f"{path.name}:{node.name}({name}=)" for path in MODULES
              for node in ast.parse(path.read_text()).body
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for position, name in _defaulted_parameters(node)
+             for position, name in (
+                 _defaulted_parameters(node)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else _defaulted_fields(node)
+                 if isinstance(node, ast.ClassDef) and _is_dataclass(node) else ())
              if (node.name, name) not in passed and (node.name, position) not in passed]
     assert not unset, f"defaulted parameters no caller passes: {unset}"

@@ -58,7 +58,7 @@ def test_reassignment_matches_finite_differences():
         h = 1e-6
         fd = (tt.stft_closed_form(model, window, t + h, eta)
               - tt.stft_closed_form(model, window, t - h, eta)) / (2 * h * 2j * math.pi * v)
-        exact = tt.eta_s(model, window, t, eta)
+        exact = complex(tt.eta_s_values(model, window, t, eta))
         assert abs(fd - exact) / max(abs(exact), 1e-9) <= 1e-5
 
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 import warnings
 
@@ -6,9 +5,7 @@ import numpy as np
 import pytest
 
 from twotone import (
-    INF_POINT,
     ComplexField,
-    MobiusMap,
     TFGrid,
     TwoHarmonicModel,
     ahm_reassign_error_bound,
@@ -16,34 +13,36 @@ from twotone import (
     attraction_bound_check,
     constructive_time,
     destructive_time,
-    eta_s,
+    destructive_zero,
     eta_s_values,
-    is_sentinel,
     lift_two_harmonic,
-    mobius_apply,
     reassign_field,
     stft_closed_form,
 )
 from twotone.errors import DomainError
-from twotone.reassign import eta_s_numeric, imag_correction, mobius_of
+from twotone.reassign import eta_s_numeric, imag_correction
 from tests.test_model import quadratic_signal
 
 
 class TestEtaS:
     def test_single_component_constant(self, window):
+        # at eta = xi1 + 8e307 the exponent 2 C delta (eta - xibar) overflows to
+        # +inf, which ln a = -inf must not cancel to nan
         model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=0.0)
-        for t, eta in ((0.0, 0.5), (1.3, 1.8), (-2.0, 1.0)):
-            assert eta_s(model, window, t, eta) == 1.0 + 0j
+        for t, eta in ((0.0, 0.5), (1.3, 1.8), (-2.0, 1.0), (0.4, model.xi1 + 8e307),
+                       (0.4, model.xi0 - 8e307)):
+            assert complex(eta_s_values(model, window, t, eta)) == 1.0 + 0j
+        assert np.isnan(eta_s_values(model, window, 0.4, math.nan).real)
 
     # at an offset of 8e307 the exponent 2 C delta (eta - xibar) overflows to +-inf
     def test_high_frequency_limit(self, window, model_a13):
         for offset in (50.0, 8e307):
-            val = eta_s(model_a13, window, 0.37, model_a13.xi1 + offset)
+            val = complex(eta_s_values(model_a13, window, 0.37, model_a13.xi1 + offset))
             assert val == model_a13.xi1 + 0j
 
     def test_low_frequency_limit(self, window, model_a13):
         for offset in (50.0, 8e307):
-            val = eta_s(model_a13, window, 0.37, model_a13.xi0 - offset)
+            val = complex(eta_s_values(model_a13, window, 0.37, model_a13.xi0 - offset))
             assert val == model_a13.xi0 + 0j
 
     @pytest.mark.parametrize("a", [1e-250, 1e250])
@@ -65,13 +64,13 @@ class TestEtaS:
             dv = (stft_closed_form(model_a13, window, t + h, eta)
                   - stft_closed_form(model_a13, window, t - h, eta)) / (2 * h)
             fd = dv / (2j * math.pi * v)
-            exact = eta_s(model_a13, window, t, eta)
+            exact = complex(eta_s_values(model_a13, window, t, eta))
             assert abs(fd - exact) / abs(exact) <= 1e-6
 
     def test_sentinel_at_zero(self, window, model_a13):
         eta_avg = model_a13.xibar - math.log(model_a13.a) / (2 * window.C * model_a13.delta)
-        val = eta_s(model_a13, window, destructive_time(model_a13, 0), eta_avg)
-        assert is_sentinel(val)
+        val = eta_s_values(model_a13, window, destructive_time(model_a13, 0), eta_avg)
+        assert np.isneginf(val.real)
 
     def test_range_at_distinguished_times(self, window, model_a13):
         etas = np.linspace(model_a13.xibar - 2.0, model_a13.xibar + 2.0, 401)
@@ -120,44 +119,26 @@ class TestEtaP:
         for k in (0, 1, 2):
             t = constructive_time(model_a13, k)
             for eta in np.linspace(0.8, 1.5, 7):
-                assert abs(eta_s(model_a13, window, t, float(eta)).imag) < 1e-12
+                assert abs(complex(eta_s_values(model_a13, window, t, float(eta))).imag) < 1e-12
 
     def test_imag_matches_closed_form(self, window, model_a13):
         for t in (0.21, 0.9, 1.37):
             for eta in (0.95, 1.15, 1.31):
-                direct = eta_s(model_a13, window, t, eta).imag
+                direct = complex(eta_s_values(model_a13, window, t, eta)).imag
                 formula = imag_correction(model_a13, window, t, eta)
                 assert direct == pytest.approx(formula, abs=1e-10)
 
 
 class TestMobius:
-    def test_anchor_points(self, model_a13):
-        mapping = mobius_of(model_a13)
-        assert mobius_apply(mapping, 0.0) == model_a13.xi0 + 0j
-        assert mobius_apply(mapping, 1.0) == pytest.approx(model_a13.xibar + 0j, abs=1e-15)
-        assert mobius_apply(mapping, -1.0) is INF_POINT
-        assert mobius_apply(mapping, INF_POINT) == model_a13.xi1 + 0j
-
-    def test_unit_circle_image(self, model_a13):
-        mapping = mobius_of(model_a13)
-        theta = math.pi / 2
-        val = mobius_apply(mapping, cmath.exp(1j * theta))
-        expected = complex(model_a13.xibar, model_a13.delta / 2 * math.tan(theta / 2))
-        assert abs(val - expected) < 1e-14
-
-    def test_composition_matches_eta_s(self, window, model_a13):
-        mapping = mobius_of(model_a13)
-        for t in (0.11, 0.83):
-            for eta in (0.9, 1.15, 1.4):
-                q = model_a13.a * cmath.exp(2j * math.pi * model_a13.delta * t) * math.exp(
-                    2 * window.C * model_a13.delta * (eta - model_a13.xibar))
-                composed = mobius_apply(mapping, q)
-                direct = eta_s(model_a13, window, t, eta)
-                assert abs(composed - direct) <= 1e-14 * abs(direct)
-
-    def test_requires_ordered_frequencies(self):
-        with pytest.raises(Exception):
-            MobiusMap(xi0=2.0, xi1=1.0)
+    def test_anchor_points(self, window, model_a13):
+        # on t = theta/(2 pi delta) at eta = eta_avg, q = e^{i theta}: q = 1
+        # gives xibar and theta = pi/2 gives xibar + i delta/2
+        eta_avg = destructive_zero(model_a13, window)
+        at_one = eta_s_values(model_a13, window, 0.0, eta_avg)
+        assert complex(at_one) == pytest.approx(model_a13.xibar + 0j, abs=1e-15)
+        quarter = eta_s_values(model_a13, window, 1 / (4 * model_a13.delta), eta_avg)
+        expected = complex(model_a13.xibar, model_a13.delta / 2)
+        assert abs(complex(quarter) - expected) < 1e-14
 
 
 class TestAttraction:
@@ -202,7 +183,7 @@ class TestAttraction:
             model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=a)
             t_minus = destructive_time(model, 0)
             eta_avg = model.xibar - math.log(a) / (2 * window.C * model.delta)
-            assert is_sentinel(eta_s(model, window, t_minus, eta_avg))
+            assert np.isneginf(eta_s_values(model, window, t_minus, eta_avg).real)
             assert np.isnan(attraction_bound_check(model, window, t_minus, eta_avg).premise)
 
     def test_holds_over_a_period(self, window):
@@ -238,13 +219,17 @@ class TestArcCircle:
         _, finer = arc_circle(model_a13, 0.005)
         assert finer > 1.9 * radius
 
-    def test_ray_image_membership(self, model_a13):
-        mapping = mobius_of(model_a13)
-        theta = 1.0
-        center, radius = arc_circle(model_a13, theta)
-        for r in np.geomspace(0.1, 10.0, 21):
-            img = mobius_apply(mapping, r * cmath.exp(1j * theta))
-            assert abs(abs(img - center) - radius) <= 1e-10
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.3, 3.0])
+    def test_frequency_lines_map_onto_arcs(self, window, a):
+        # q = r e^{i theta} on the line t = theta/(2 pi delta) at
+        # eta = eta_avg + ln r/(2 C delta)
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=a)
+        etas = destructive_zero(model, window) + np.log(np.geomspace(0.1, 10.0, 21)) / (
+            2 * window.C * model.delta)
+        for theta in (0.3, 1.0, 2.0, 2.8):
+            line = eta_s_values(model, window, theta / (2 * math.pi * model.delta), etas)
+            center, radius = arc_circle(model, theta)
+            assert np.max(np.abs(np.abs(line - center) - radius)) <= 1e-10
 
     def test_domain(self, model_a13):
         for theta in (-0.1, 0.0, math.pi, 4.0):
@@ -283,7 +268,7 @@ class TestAhmReassignBound:
         points = ((0.4, 1.05), (1.1, 1.25))
         for t, eta in points:
             num = eta_s_numeric(signal, window, t, eta)
-            ref = eta_s(model_a13, window, t, eta)
+            ref = complex(eta_s_values(model_a13, window, t, eta))
             assert abs(num - ref) <= 1e-8
         # an eta array at one t gives the per-eta values bit for bit
         etas = np.array([eta for _, eta in points])
@@ -305,5 +290,6 @@ class TestAhmReassignBound:
         for t, eta in probes:
             if abs(stft_closed_form(model, window, t, eta)) < eps ** beta:
                 continue
-            dev = abs(eta_s_numeric(signal, window, t, eta) - eta_s(model, window, t, eta))
+            dev = abs(eta_s_numeric(signal, window, t, eta)
+                      - complex(eta_s_values(model, window, t, eta)))
             assert dev <= bound
