@@ -140,6 +140,16 @@ class TestMobius:
         expected = complex(model_a13.xibar, model_a13.delta / 2)
         assert abs(complex(quarter) - expected) < 1e-14
 
+    def test_unit_circle_image(self, window, model_a13):
+        # at eta = eta_avg, |q| = 1 and q = e^{i theta} maps onto the vertical
+        # line Re = xibar at height (delta/2) tan(theta/2)
+        eta_avg = destructive_zero(model_a13, window)
+        for theta in (-2.0, -0.4, 0.3, math.pi / 2, 2.5):
+            t = theta / (2 * math.pi * model_a13.delta)
+            val = complex(eta_s_values(model_a13, window, t, eta_avg))
+            expected = complex(model_a13.xibar, model_a13.delta / 2 * math.tan(theta / 2))
+            assert abs(val - expected) < 1e-13 * max(1.0, abs(expected))
+
 
 class TestAttraction:
     def test_premise_violation_reads_nan(self, window):
