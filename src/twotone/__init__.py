@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .gabor import (
     ComplexField,
-    QuadratureSpec,
     TFGrid,
     bargmann_consistency,
     bargmann_transform,

@@ -1,5 +1,5 @@
 """Gaussian-window STFT: exact two-harmonic closed form, direct quadrature for
-arbitrary signals, spectrogram cross-term decomposition, and the entire-function
+AM/FM signals, spectrogram cross-term decomposition, and the entire-function
 (Bargmann) consistency check.
 
 The transform is the modified STFT
@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
 from .errors import ModelValidationError, PropagationError
-from .model import AHMSignal, GaussianWindow, TwoHarmonicModel, evaluate_two_harmonic
+from .model import AHMSignal, GaussianWindow, TwoHarmonicModel
 
 FIELD_TAGS = ("STFT", "REASSIGN", "SQUEEZE")
+# trapezoid intervals of stft_numeric on |x - t| <= 8 sigma
+_NUMERIC_INTERVALS = 4096
 
 
 @dataclass(frozen=True)
@@ -82,25 +83,6 @@ class ComplexField:
             raise ModelValidationError(f"non-finite entries in {self.tag} field")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for direct quadratures.
-
-    n_nodes: the trapezoid interval count of stft_numeric (on |x - t| <= 8
-    sigma) and the base trapezoid interval count of the squeeze band, which
-    rounds it up to even. rtol/max_doublings steer adaptive refinement where
-    an operation uses it.
-    """
-
-    n_nodes: int = 4096
-    rtol: float = 1e-8
-    max_doublings: int = 9
-
-    def __post_init__(self):
-        if self.n_nodes < 2:
-            raise ModelValidationError("invalid quadrature spec")
-
-
 def _v_terms(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
     """(rot0, rot1, g0, g1) with V = rot0 (g0 + a rot1 g1): rot0 = e^{2 pi i xi0 t},
     rot1 = e^{2 pi i delta t}, g_j = e^{-C (eta - xi_j)^2}."""
@@ -123,43 +105,26 @@ def stft_field(model: TwoHarmonicModel, window: GaussianWindow, grid: TFGrid) ->
     return ComplexField(grid=grid, values=stft_closed_form(model, window, tt, ee), tag="STFT")
 
 
-def _signal_callable(signal) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(signal, TwoHarmonicModel):
-        return lambda x: evaluate_two_harmonic(signal, x)
-    if isinstance(signal, AHMSignal):
-        return signal.evaluate
-    if callable(signal):
-        return lambda x: np.asarray(signal(x), dtype=complex)
-    raise ModelValidationError(f"cannot evaluate signal of type {type(signal)!r}")
-
-
-def stft_numeric(
-    signal: Union[TwoHarmonicModel, AHMSignal, Callable],
-    window: GaussianWindow,
-    t: float,
-    eta,
-    quad: QuadratureSpec | None = None,
-    deriv_window: bool = False,
-):
-    """V(t, eta) by the trapezoid rule with n_nodes intervals on |x - t| <= W,
+def stft_numeric(signal: AHMSignal, window: GaussianWindow, t: float, eta,
+                 deriv_window: bool = False):
+    """V(t, eta) by the trapezoid rule with 4096 intervals on |x - t| <= W,
     W = 8 sigma. The window is below e^-64 at both ends, so for a smooth
-    signal the error falls faster than any power of n_nodes. eta may be an
-    array: every eta integrates against one sampling of the signal, and the
-    result has eta's shape.
+    signal the error falls faster than any power of the interval count. eta
+    may be an array: every eta integrates against one sampling of the signal,
+    and the result has eta's shape. A two-harmonic model enters through
+    lift_two_harmonic.
 
     With deriv_window=True the window is Dh = h' (needed by reassignment
-    proximity checks). Default spec reproduces the closed form to <= 1e-8.
+    proximity checks). The closed form is reproduced to <= 1e-8.
     """
-    quad = quad or QuadratureSpec()
-    f = _signal_callable(signal)
     w = 8.0 * window.sigma
-    x = np.linspace(t - w, t + w, quad.n_nodes + 1)
-    fx = np.asarray(f(x), dtype=complex)
+    x = np.linspace(t - w, t + w, _NUMERIC_INTERVALS + 1)
+    fx = signal.evaluate(x)
     bad = ~np.isfinite(fx)
     if np.any(bad):
         raise PropagationError(f"non-finite signal sample at x = {x[bad][0]!r}")
-    if isinstance(signal, AHMSignal) and len(signal.components) >= 2:
-        signal.validate_separation(x[:: max(1, quad.n_nodes // 64)])
+    if len(signal.components) >= 2:
+        signal.validate_separation(x[::64])
     win = window.dh(x - t) if deriv_window else window.h(x - t)
     eta = np.asarray(eta, dtype=float)[..., None]
     integrand = fx * win * np.exp(-2j * math.pi * eta * (x - t))

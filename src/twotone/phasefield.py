@@ -50,6 +50,9 @@ def _dv(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
     return v, dv_dt, dv_de
 
 
+# where the eta derivative underflows (tiny sigma) the steps overflow, and the
+# non-finite iterate fails the residual test without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _newton_zero(model, window, t, eta):
     # iterate to step collapse rather than the first tolerance crossing, so the
     # refined zero does not depend on where the tolerance was first met
@@ -139,6 +142,11 @@ def winding_number(model: TwoHarmonicModel, window: GaussianWindow, center,
     else:
         t0, eta0 = center
     sigma = window.sigma
+    dt, deta = sigma * rho, rho / (math.pi * sigma)
+    if t0 + dt == t0 or t0 - dt == t0 or eta0 + deta == eta0 or eta0 - deta == eta0:
+        # every sample would read the center, and the sum 0
+        raise SolverFailureError(f"contour semi-axes {dt:.3e}, {deta:.3e} vanish beside "
+                                 f"the center ({t0}, {eta0}) in floating point")
 
     def point(theta):
         return (t0 + sigma * rho * np.cos(theta),

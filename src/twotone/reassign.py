@@ -146,7 +146,7 @@ def ahm_reassign_error_bound(signal: AHMSignal, window: GaussianWindow,
 
 
 def eta_s_numeric(signal, window: GaussianWindow, t: float, eta):
-    """Reassignment value of an arbitrary signal via direct quadrature:
+    """Reassignment value of an AM/FM signal via direct quadrature:
     eta - (1/2 pi i) V^(Dh)/V^(h), over an array of eta at one t. Used to
     validate the proximity bound."""
     eta = np.asarray(eta, dtype=float)

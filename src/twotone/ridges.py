@@ -26,6 +26,7 @@ from .model import GaussianWindow, TwoHarmonicModel, destructive_time, destructi
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MERGE_TOL = 1e-8  # frequency maxima closer than this count once
+_ARC_STEPS = 1024  # periodic trapezoid steps of ellipse_residual
 
 
 @dataclass(frozen=True)
@@ -246,26 +247,23 @@ def bubble_ellipse(model: TwoHarmonicModel, window: GaussianWindow, k: int) -> E
     )
 
 
-def ellipse_residual(model: TwoHarmonicModel, window: GaussianWindow, k: int,
-                     n_arc: int = 1024) -> float:
+def ellipse_residual(model: TwoHarmonicModel, window: GaussianWindow, k: int) -> float:
     """Arc-length integral of |d|V|^2/d eta| along the bubble ellipse.
 
     The derivative is exact (from the spectrogram decomposition); the arc
-    integral is the periodic trapezoid rule, n_arc equal steps of the ellipse
+    integral is the periodic trapezoid rule, 1024 equal steps of the ellipse
     parameter on [0, 2 pi).
     """
-    if n_arc < 256:
-        raise ModelValidationError("n_arc must be >= 256")
     ell = bubble_ellipse(model, window, k)
     ra, rb = ell.semi_axis_eta, ell.semi_axis_t
-    u = np.linspace(0.0, 2 * math.pi, n_arc, endpoint=False)
+    u = np.linspace(0.0, 2 * math.pi, _ARC_STEPS, endpoint=False)
     eta = ell.center_eta + ra * np.cos(u)
     t = ell.center_t + rb * np.sin(u)
     g0, g1, cross = spectrogram_decomposition(model, window, t, eta)
     df_deta = -4 * window.C * ((eta - model.xi0) * g0 + (eta - model.xi1) * g1
                                + (eta - model.xibar) * cross)
     jac = np.sqrt((ra * np.sin(u)) ** 2 + (rb * np.cos(u)) ** 2)
-    return float(np.sum(np.abs(df_deta) * jac) * (2 * math.pi / n_arc))
+    return float(np.sum(np.abs(df_deta) * jac) * (2 * math.pi / _ARC_STEPS))
 
 
 def destructive_extrema(model: TwoHarmonicModel, window: GaussianWindow, k: int
@@ -328,7 +326,11 @@ def extract_ridges(field: ComplexField) -> RidgeReport:
     ts = grid.t_values()
     etas = grid.eta_values()
     step = grid.eta_step
-    power = np.abs(field.values) ** 2
+    # |V| over 2^e, e the exponent of its maximum, is exact and squares
+    # without overflow; in place, so one array holds it
+    power = np.abs(field.values)
+    np.ldexp(power, -np.frexp(power.max())[1], out=power)
+    power *= power
     points = []
     counts = []
     for i, t in enumerate(ts):

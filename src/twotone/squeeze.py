@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     SolverFailureError,
 )
-from .gabor import ComplexField, QuadratureSpec, TFGrid, stft_closed_form
+from .gabor import ComplexField, TFGrid, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_zero
 from .reassign import eta_s_values
 from .ridges import (_candidate_peaks, count_frequency_maxima, critical_gap_stft, default_band,
@@ -39,17 +39,21 @@ _NORMAL_EXPONENT = -math.log(sys.float_info.min)
 # the most terms one block of _mollified_sums evaluates, one 512 KB buffer;
 # caps of 2^12-2^14 and 2^18 terms measured slower
 _BLOCK_TERMS = 1 << 16
+# the squeeze band's trapezoid ladder: base intervals (even, so T_2h shares
+# its nodes), relative tolerance and the most doublings after the base pass
+_BASE_INTERVALS = 4096
+_RTOL = 1e-8
+_MAX_DOUBLINGS = 9
 
 
 @dataclass(frozen=True)
 class SqueezeConfig:
-    """Mollifier scale, weighting choice, quadrature controls, and which
+    """Mollifier scale, weighting choice, the indicator radius R, and which
     reassignment rule feeds the mollifier."""
 
     alpha: float
     weighting: str = "stft"
     R: float | None = None
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     reassignment_mode: str = "sync"
 
     def __post_init__(self):
@@ -212,12 +216,12 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     Nested trapezoid refinement on the whole band of _integration_pieces,
     where the integrand is analytic and flat at both ends, so the rule
     converges geometrically. The ladder starts one level below the base: the
-    base pass of quadrature.n_nodes intervals (rounded up to even) sums two
+    base pass of 4096 intervals sums two
     weight rows over the same nodes, T_h (the trapezoid rule) and T_2h (twice
     the T_h weights on the even nodes, 0 on the odd ones), and each doubling
     evaluates only the midpoints, T_{h/2} = T_h/2 + (h/2) sum f(midpoints).
     The ladder stops at the first rule whose whole vector differs from the
-    one before by <= quadrature.rtol relative (floored by a tiny absolute
+    one before by <= 1e-8 relative (floored by a tiny absolute
     term), so a section whose T_h and T_2h already agree costs one kernel
     pass. On the indicator far fields the reassignment value is xi0 or xi1 to
     double precision, so each field's integral is its length times the
@@ -235,14 +239,11 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     most 2^16 terms (_mollified_sums), each xi still summing only its own
     window.
 
-    Raises SolverFailureError when max_doublings doublings of the band do not
-    reach the tolerance. With max_doublings = 0 the call
-    returns T_h where the base pass has converged and raises elsewhere, with
-    the change of T_h against T_2h as its residual.
+    Raises SolverFailureError when 9 doublings of the band do not reach the
+    tolerance.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    spec = config.quadrature
-    n, alpha = spec.n_nodes + spec.n_nodes % 2, config.alpha
+    n, alpha = _BASE_INTERVALS, config.alpha
 
     def sums(eta, steps):
         # steps: the step weights of m rules, (m, nodes) or (m, 1), times the
@@ -280,14 +281,14 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     while True:
         change = float(np.max(np.abs(total - last)))
         scale = max(float(np.max(np.abs(total))), scale_floor)
-        if change <= spec.rtol * scale:
+        if change <= _RTOL * scale:
             return total
-        if doublings == spec.max_doublings:
+        if doublings == _MAX_DOUBLINGS:
             raise SolverFailureError(
                 f"squeeze quadrature at t = {t} did not converge in {doublings} "
                 f"doublings ({n} intervals): last change {change:.3e} > "
-                f"rtol * scale = {spec.rtol * scale:.3e}",
-                residuals=(change, spec.rtol * scale),
+                f"rtol * scale = {_RTOL * scale:.3e}",
+                residuals=(change, _RTOL * scale),
             )
         fine = fine / 2 + sums(lo + h * (np.arange(n) + 0.5), [[h / 2]])[0]
         h, n, doublings = h / 2, 2 * n, doublings + 1

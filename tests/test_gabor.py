@@ -6,19 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotone import (
+    AHMComponent,
+    AHMSignal,
     GaussianWindow,
-    QuadratureSpec,
     TFGrid,
     TwoHarmonicModel,
     ahm_stft_error_bound,
     bargmann_consistency,
     bargmann_transform,
+    lift_two_harmonic,
     separation_gap_bound,
     spectrogram_decomposition,
     stft_closed_form,
     stft_field,
     stft_numeric,
 )
+from twotone import gabor
 from twotone.errors import PropagationError
 from tests.test_model import MODELS, quadratic_signal
 
@@ -62,28 +65,32 @@ class TestClosedForm:
 
 class TestNumericQuadrature:
     def test_matches_closed_form(self, window, model_a13):
+        signal = lift_two_harmonic(model_a13)
         points = ((0.0, 1.1), (1.7, 0.9), (-0.4, 1.4))
         for t, eta in points:
-            num = stft_numeric(model_a13, window, t, eta)
+            num = stft_numeric(signal, window, t, eta)
             ref = stft_closed_form(model_a13, window, t, eta)
             assert abs(num - ref) <= 1e-8
         # an eta array at one t gives the per-eta values bit for bit
         etas = np.array([eta for _, eta in points])
         for t, _ in points:
-            per_eta = [stft_numeric(model_a13, window, t, eta) for eta in etas]
-            assert np.array_equal(stft_numeric(model_a13, window, t, etas), per_eta)
+            per_eta = [stft_numeric(signal, window, t, eta) for eta in etas]
+            assert np.array_equal(stft_numeric(signal, window, t, etas), per_eta)
+
+    @staticmethod
+    def _tone(amplitude):
+        return AHMSignal([AHMComponent(amplitude=amplitude,
+                                       phase=lambda x: np.asarray(x, float),
+                                       phase_derivative=lambda x: np.ones_like(x))])
 
     def test_zero_signal(self, window):
-        assert stft_numeric(lambda x: np.zeros_like(x, dtype=complex), window, 0.3, 1.0) == 0.0
+        signal = self._tone(lambda x: np.zeros_like(x))
+        assert stft_numeric(signal, window, 0.3, 1.0) == 0.0
 
     def test_non_finite_sample_raises(self, window):
-        def bad(x):
-            out = np.ones_like(np.asarray(x, float), dtype=complex)
-            out[np.asarray(x) > 0.5] = np.nan
-            return out
-
+        signal = self._tone(lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0))
         with pytest.raises(PropagationError):
-            stft_numeric(bad, window, 0.0, 1.0)
+            stft_numeric(signal, window, 0.0, 1.0)
 
     def test_ahm_bound_holds_pointwise(self, window):
         signal = quadratic_signal()
@@ -97,18 +104,18 @@ class TestNumericQuadrature:
                           - scale * stft_closed_form(model, window, t, eta))
                 assert err <= bound
 
-    def test_trapezoid_converges_geometrically(self, window, model_a13):
+    def test_trapezoid_converges_geometrically(self, window, model_a13, monkeypatch):
         # the windowed integrand is analytic and negligible at both ends, so
         # each 8 more intervals gain far more than any fixed algebraic order
         # would (measured 6.9e-3, 4.6e-7, 2.3e-13); by 48 it is at round-off
         t, eta = 0.45, 1.2
+        signal = lift_two_harmonic(model_a13)
         ref = stft_closed_form(model_a13, window, t, eta)
-        errs = [abs(stft_numeric(model_a13, window, t, eta, quad=QuadratureSpec(n_nodes=n))
-                    - ref) for n in (16, 24, 32)]
+        errs = []
+        for n in (16, 24, 32):
+            monkeypatch.setattr(gabor, "_NUMERIC_INTERVALS", n)
+            errs.append(abs(stft_numeric(signal, window, t, eta) - ref))
         assert errs[0] >= 1e3 * errs[1] and errs[1] >= 1e3 * errs[2]
-        # an odd interval count is used as given
-        odd = stft_numeric(model_a13, window, t, eta, quad=QuadratureSpec(n_nodes=33))
-        assert abs(odd - ref) <= 1e-12
 
 
 class TestDecomposition:

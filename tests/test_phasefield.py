@@ -15,7 +15,7 @@ from twotone import (
     stft_field,
     winding_number,
 )
-from twotone.errors import ContourThroughZeroError, PhaseUndefinedError
+from twotone.errors import ContourThroughZeroError, PhaseUndefinedError, SolverFailureError
 from twotone import phasefield
 from twotone.phasefield import default_contour_rho
 
@@ -109,6 +109,23 @@ class TestLocateZeros:
         region = TFGrid(0.0, 7.0, 257, 8.0, 10.0, 257)
         assert locate_zeros(model_a13, window, region) == []
         assert calls == []
+
+    def test_sub_resolution_contour_raises(self):
+        # at sigma = 1e-8 the t semi-axis 5e-18 is below the spacing of
+        # doubles at t0 = 5/3: every contour sample reads the center
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.0)
+        region = TFGrid(0.0, 7.0, 129, 0.2, 2.4, 129)
+        with pytest.raises(SolverFailureError):
+            locate_zeros(model, GaussianWindow(sigma=1e-8), region)
+        zeros = locate_zeros(model, GaussianWindow(sigma=1e-7), region)
+        assert [z.winding for z in zeros] == [1, 1]
+
+    def test_newton_overflow_drops_the_seed_silently(self):
+        # at sigma = 1e-150 dV/d eta underflows and Newton runs off to
+        # overflow; the suite turns a RuntimeWarning into an error
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.0)
+        region = TFGrid(0.0, 7.0, 3, 0.2, 2.4, 3)
+        assert locate_zeros(model, GaussianWindow(sigma=1e-150), region) == []
 
 
 class TestWinding:

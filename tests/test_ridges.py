@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twotone import (
+    ComplexField,
     GaussianWindow,
     TFGrid,
     TwoHarmonicModel,
@@ -351,9 +352,10 @@ class TestBubble:
         assert 3.2 <= res[0.2] / res[0.1] <= 17.0
         assert 3.2 <= res[0.1] / res[0.05] <= 17.0
 
-    def test_residual_quadrature_converged(self, window, model_balanced):
-        r1 = ellipse_residual(model_balanced, window, 0, n_arc=1024)
-        r2 = ellipse_residual(model_balanced, window, 0, n_arc=4096)
+    def test_residual_quadrature_converged(self, window, model_balanced, monkeypatch):
+        r1 = ellipse_residual(model_balanced, window, 0)
+        monkeypatch.setattr(ridges, "_ARC_STEPS", 4096)
+        r2 = ellipse_residual(model_balanced, window, 0)
         assert r1 == pytest.approx(r2, rel=1e-6)
 
 
@@ -438,6 +440,19 @@ class TestExtractRidges:
         assert len(report.bifurcation_times) == 2
         for detected, predicted in zip(report.bifurcation_times, (t_l, t_r)):
             assert abs(detected - predicted) <= 2 * grid.t_step
+
+    def test_report_is_invariant_to_exact_scaling(self, window):
+        # at a = 1e300 the squares of |V| near the ridges overflow unless |V|
+        # is scaled first; 2^-800 scales the field exactly
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1e300)
+        grid = TFGrid(0.0, 7.0, 33, 0.2, 2.4, 129)
+        field = stft_field(model, window, grid)
+        scaled = ComplexField(grid=grid, values=field.values * 2.0 ** -800, tag="STFT")
+        report, ref = extract_ridges(field), extract_ridges(scaled)
+        assert np.array_equal(report.points, ref.points)
+        assert report.maxima_count_per_t == ref.maxima_count_per_t
+        assert report.bifurcation_times == ref.bifurcation_times
+        assert all(c == 1 for _, c in report.maxima_count_per_t)
 
     def test_balanced_symmetry(self, window, model_balanced):
         grid = TFGrid(0.0, 3.4, 48, 0.4, 1.9, 400)

@@ -8,7 +8,6 @@ import pytest
 
 from twotone import (
     GaussianWindow,
-    QuadratureSpec,
     SqueezeConfig,
     TwoHarmonicModel,
     asym_indicator,
@@ -234,7 +233,7 @@ class TestTransform:
 
     def test_whole_grid_window_sums_each_level_once(self, window, model_a13, monkeypatch):
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        n0 = config.quadrature.n_nodes
+        n0 = squeeze_module._BASE_INTERVALS
         sums, etas = self._record_passes(monkeypatch)
         squeeze_cross_section(model_a13, window, config, 0.0, np.linspace(0.9, 1.4, 11))
         # the base trapezoid T_h and the rule T_2h on its even nodes are two
@@ -246,7 +245,7 @@ class TestTransform:
     def test_destructive_whole_grid_window_nests_each_level_once(self, window, model_a13,
                                                                  monkeypatch):
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        n0 = config.quadrature.n_nodes
+        n0 = squeeze_module._BASE_INTERVALS
         sums, etas = self._record_passes(monkeypatch)
         t = destructive_time(model_a13, 0)
         squeeze_cross_section(model_a13, window, config, t, np.linspace(0.6, 1.7, 257))
@@ -261,8 +260,8 @@ class TestTransform:
                                                           monkeypatch, R):
         # 512 base intervals, where the band is refined
         n0 = 512
-        config = SqueezeConfig(alpha=ALPHA, weighting="indicator", R=R,
-                               quadrature=QuadratureSpec(n_nodes=n0))
+        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", n0)
+        config = SqueezeConfig(alpha=ALPHA, weighting="indicator", R=R)
         sums, etas = self._record_passes(monkeypatch)
         weights = []
         sum_fn = squeeze_module._mollified_sums
@@ -292,30 +291,14 @@ class TestTransform:
         # doubling later, T_{h/2}, which a base pass of 2 n0 intervals gives
         xis = np.linspace(0.9, 1.4, 101)
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        n0 = config.quadrature.n_nodes
-        finer = SqueezeConfig(alpha=ALPHA, weighting="stft",
-                              quadrature=QuadratureSpec(n_nodes=2 * n0))
-        ref = squeeze_cross_section(model_a13, window, finer, 0.0, xis)
+        n0 = squeeze_module._BASE_INTERVALS
+        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", 2 * n0)
+        ref = squeeze_cross_section(model_a13, window, config, 0.0, xis)
+        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", n0)
         sums, etas = self._record_passes(monkeypatch)
         vals = squeeze_cross_section(model_a13, window, config, 0.0, xis)
         assert sums == [(2, n0 + 1)] and len(etas) == 1
         assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("kind", ["constructive", "destructive"])
-    def test_odd_node_count_converges(self, window, model_a13, monkeypatch, kind):
-        # an odd n_nodes is rounded up to even, so that the even nodes of the
-        # whole band carry the rule of twice the step
-        n0 = 4095
-        config = SqueezeConfig(alpha=ALPHA, weighting="stft",
-                               quadrature=QuadratureSpec(n_nodes=n0))
-        t = 0.0 if kind == "constructive" else destructive_time(model_a13, 0)
-        xis = np.linspace(0.95, 1.35, 9)
-        sums, _ = self._record_passes(monkeypatch)
-        vals = squeeze_cross_section(model_a13, window, config, t, xis)
-        assert sums[0] == (2, n0 + 2)
-        ref = np.array([oracle_quadrature_squeeze(model_a13, window, config, t, float(xi))
-                        for xi in xis])
-        assert np.max(np.abs(vals - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     # at R = 2.5 the band is clipped at R and only the left far field remains;
     # at R = 50 xi0 and xi1 take most of their mass from far-field nodes where
@@ -349,22 +332,23 @@ class TestTransform:
         assert np.max(np.abs(vals - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("max_doublings", [0, 1])
-    def test_starved_refinement_raises(self, window, model_a13, max_doublings):
+    def test_starved_refinement_raises(self, window, model_a13, monkeypatch, max_doublings):
         # with no doubling the base pass still compares T_h with T_2h
-        spec = QuadratureSpec(n_nodes=64, rtol=1e-15, max_doublings=max_doublings)
-        config = SqueezeConfig(alpha=ALPHA, weighting="stft", quadrature=spec)
+        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", 64)
+        monkeypatch.setattr(squeeze_module, "_RTOL", 1e-15)
+        monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", max_doublings)
+        config = SqueezeConfig(alpha=ALPHA, weighting="stft")
         with pytest.raises(SolverFailureError) as err:
             squeeze_cross_section(model_a13, window, config, 0.4, np.linspace(1.0, 1.3, 7))
         change, target = err.value.residuals
         assert math.isfinite(change) and change > target > 0
 
-    def test_no_doubling_returns_a_converged_base_pass(self, window, model_a13):
+    def test_no_doubling_returns_a_converged_base_pass(self, window, model_a13, monkeypatch):
         xis = np.linspace(0.9, 1.4, 11)
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        base_only = SqueezeConfig(alpha=ALPHA, weighting="stft",
-                                  quadrature=QuadratureSpec(max_doublings=0))
-        assert np.array_equal(squeeze_cross_section(model_a13, window, base_only, 0.0, xis),
-                              squeeze_cross_section(model_a13, window, config, 0.0, xis))
+        ref = squeeze_cross_section(model_a13, window, config, 0.0, xis)
+        monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", 0)
+        assert np.array_equal(squeeze_cross_section(model_a13, window, config, 0.0, xis), ref)
 
 
 def _dense_mollified_sums(hat, sent, w, gvals, xis, alpha):
