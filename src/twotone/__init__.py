@@ -4,7 +4,6 @@ Gaussian-window STFT and synchrosqueezing-style reassignment."""
 __version__ = "0.1.0"
 
 from .gabor import (
-    ComplexField,
     TFGrid,
     bargmann_consistency,
     bargmann_transform,
@@ -24,7 +23,6 @@ from .model import (
     constructive_time,
     destructive_time,
     destructive_zero,
-    evaluate_two_harmonic,
     freeze_ahm,
     lift_two_harmonic,
 )

@@ -82,15 +82,13 @@ def criterion_2():
     passed = True
     for a in (0.5, 2.0):
         delta_crit, s = ridges.critical_gap_stft(a, WINDOW)
-        count = lambda delta: squeeze.constructive_maxima(a, WINDOW, "stft", delta)
-        lo, hi = 0.9 * delta_crit, 1.1 * delta_crit
-        c_lo, c_hi = count(lo), count(hi)
-        if not (c_lo == 1 and c_hi == 2):
+        c_lo, c_hi, bracket = squeeze.constructive_flip(a, WINDOW, "stft", 0.9 * delta_crit,
+                                                        1.1 * delta_crit, 14)
+        if bracket is None or c_hi != 2:
             passed = False
             details.append(f"a={a}: flip bracket invalid: counts {c_lo}, {c_hi} at 0.9/1.1 crit")
             continue
-        lo, hi = ridges.flip_bracket(lambda d: count(d) >= 2, lo, hi, 14)
-        flip = 0.5 * (lo + hi)
+        flip = 0.5 * sum(bracket)
         rel = abs(delta_crit - flip) / delta_crit
         ok = rel <= 0.02 and delta_crit > base
         passed = passed and ok
@@ -104,7 +102,7 @@ def criterion_3():
     model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.0)
     lo, hi = ridges.default_band(model, WINDOW)
     grid = TFGrid(t_min=0.0, t_max=3.5, n_t=512, eta_min=lo, eta_max=hi, n_eta=600)
-    report = ridges.extract_ridges(stft_field(model, WINDOW, grid))
+    report = ridges.extract_ridges(grid, stft_field(model, WINDOW, grid))
     t_l, t_r = ridges.bifurcation_times(model, WINDOW, 0)
     predicted = [t_l, t_r]
     tol = 2 * grid.t_step
@@ -241,22 +239,19 @@ def criterion_8():
     """Squeeze weighting contrast and the critical-gap location."""
     alpha = 1e-4
     delta_ref, _, _ = squeeze.critical_gap_sst(1.0, WINDOW)
-    counts = {}
-    for delta in (0.15, 0.25):
-        model = TwoHarmonicModel(xi0=1.0, delta=delta, a=1.0)
-        ind_cfg = SqueezeConfig(alpha=alpha, weighting="indicator", R=50.0)
-        counts[("ind", delta)] = squeeze.count_squeeze_maxima(model, WINDOW, ind_cfg)
-        counts[("stft", delta)] = squeeze.constructive_maxima(1.0, WINDOW, "sst", delta)
-    # the stft-weighted counts at 0.15 and 0.25 are the bracket's endpoint
-    # check; constructive_maxima squeezes at the same alpha = 1e-4
-    count = lambda delta: squeeze.constructive_maxima(1.0, WINDOW, "sst", delta)
-    lo, hi = ridges.flip_bracket(lambda d: count(d) >= 2, 0.15, 0.25, 9)
-    flip = 0.5 * (lo + hi)
+    ind_cfg = SqueezeConfig(alpha=alpha, weighting="indicator", R=50.0)
+    ind = [squeeze.count_squeeze_maxima(TwoHarmonicModel(xi0=1.0, delta=delta, a=1.0),
+                                        WINDOW, ind_cfg) for delta in (0.15, 0.25)]
+    # the stft-weighted counts are the flip's end counts; constructive_maxima
+    # squeezes at the same alpha = 1e-4
+    stft_lo, stft_hi, bracket = squeeze.constructive_flip(1.0, WINDOW, "sst", 0.15, 0.25, 9)
+    counts = {"ind@0.15": ind[0], "stft@0.15": stft_lo, "ind@0.25": ind[1], "stft@0.25": stft_hi}
+    # counts that do not flip leave no bracket, and a nan flip fails
+    flip = 0.5 * sum(bracket) if bracket else math.nan
     rel = abs(flip - delta_ref) / delta_ref
-    structure_ok = (counts[("ind", 0.15)] == 2 and counts[("ind", 0.25)] == 2
-                    and counts[("stft", 0.15)] == 1 and counts[("stft", 0.25)] == 2)
+    structure_ok = ind == [2, 2] and (stft_lo, stft_hi) == (1, 2)
     passed = structure_ok and rel <= 0.03
-    detail = (f"counts {dict((f'{k[0]}@{k[1]}', v) for k, v in counts.items())}; "
+    detail = (f"counts {counts}; "
               f"empirical flip {flip:.5f} vs solver {delta_ref:.5f} (rel {rel:.4f}, tol 0.03)")
     return passed, detail
 

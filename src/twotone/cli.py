@@ -387,30 +387,30 @@ def _write_outputs(config: ExperimentConfig, command: str, outputs: dict) -> Non
 
 
 def cmd_stft(config: ExperimentConfig) -> int:
-    field = stft_field(config.model, config.window, config.grid)
-    mag = np.abs(field.values)
-    phase = np.mod(np.angle(field.values), 2 * math.pi)
+    values = stft_field(config.model, config.window, config.grid)
+    mag = np.abs(values)
+    phase = np.mod(np.angle(values), 2 * math.pi)
     phase[mag <= _phase_threshold(config.model.a)] = 0.0
     _write_outputs(config, "stft", {
         "abs_v.csv": mag,
-        "re_v.csv": field.values.real,
-        "im_v.csv": field.values.imag,
+        "re_v.csv": values.real,
+        "im_v.csv": values.imag,
         "phase.csv": phase,
-        "amp_weighted_phase.csv": amplitude_weighted_phase(field),
+        "amp_weighted_phase.csv": amplitude_weighted_phase(values),
     })
     return 0
 
 
 def cmd_ridges(config: ExperimentConfig) -> int:
-    report = ridges.extract_ridges(stft_field(config.model, config.window, config.grid))
+    model, window, grid = config.model, config.window, config.grid
+    report = ridges.extract_ridges(grid, stft_field(model, window, grid))
     ellipse_rows = []
-    model, window = config.model, config.window
     if model.a == 1.0 and window.C * model.delta ** 2 < 2.0:
-        k_lo = math.floor(config.grid.t_min * model.delta - 0.5)
-        k_hi = math.ceil(config.grid.t_max * model.delta)
+        k_lo = math.floor(grid.t_min * model.delta - 0.5)
+        k_hi = math.ceil(grid.t_max * model.delta)
         for k in range(k_lo, k_hi + 1):
             ell = ridges.bubble_ellipse(model, window, k)
-            if config.grid.t_min <= ell.center_t <= config.grid.t_max:
+            if grid.t_min <= ell.center_t <= grid.t_max:
                 ellipse_rows.append((ell.k, ell.center_t, ell.center_eta,
                                      ell.semi_axis_t, ell.semi_axis_eta))
     _write_outputs(config, "ridges", {
@@ -434,8 +434,8 @@ def cmd_zeros(config: ExperimentConfig) -> int:
 
 def cmd_reassign(config: ExperimentConfig) -> int:
     model, window, grid = config.model, config.window, config.grid
-    field = reassign.reassign_field(model, window, grid)
-    values = np.where(np.isneginf(field.values.real), np.nan + 0j, field.values)
+    values = reassign.reassign_field(model, window, grid)
+    values = np.where(np.isneginf(values.real), np.nan + 0j, values)
     arc_rows = []
     for theta in config.arc_thetas:
         center, radius = reassign.arc_circle(model, theta)
@@ -460,7 +460,7 @@ def cmd_reassign(config: ExperimentConfig) -> int:
 def cmd_squeeze(config: ExperimentConfig) -> int:
     model, window, grid = config.model, config.window, config.grid
     sq_config = config.squeeze
-    outputs = {"abs_s.csv": np.abs(squeeze.squeeze_field(model, window, sq_config, grid).values)}
+    outputs = {"abs_s.csv": np.abs(squeeze.squeeze_field(model, window, sq_config, grid))}
     standoff = 2e-3 * model.delta
     xis = grid.eta_values()
     xis = xis[(np.abs(xis - model.xi0) > standoff) & (np.abs(xis - model.xi1) > standoff)]
@@ -489,22 +489,6 @@ def cmd_squeeze(config: ExperimentConfig) -> int:
     return 0
 
 
-def _critical_empirical_bracket(a: float, window: GaussianWindow, method: str,
-                                delta_crit: float) -> list | None:
-    lo, hi = (0.9, 1.1) if method == "stft" else (0.7, 1.35)
-    lo, hi = lo * delta_crit, hi * delta_crit
-
-    def count(delta):
-        return squeeze.constructive_maxima(a, window, method, delta)
-
-    try:
-        if not (count(lo) == 1 and count(hi) >= 2):
-            return None
-        return list(ridges.flip_bracket(lambda d: count(d) >= 2, lo, hi, 10))
-    except TwoToneError:
-        return None
-
-
 def cmd_critical(args) -> int:
     if not 0.0 < args.a < math.inf:
         raise ConfigError(f"--a must be positive and finite, got {args.a!r}")
@@ -520,7 +504,12 @@ def cmd_critical(args) -> int:
         aux_name = "r"
     bracket = None
     if not args.no_empirical:
-        bracket = _critical_empirical_bracket(args.a, window, args.method, delta_crit)
+        lo, hi = (0.9, 1.1) if args.method == "stft" else (0.7, 1.35)
+        try:
+            bracket = squeeze.constructive_flip(args.a, window, args.method, lo * delta_crit,
+                                                hi * delta_crit, 10)[2]
+        except TwoToneError:
+            pass
     doc = {
         "a": args.a,
         "sigma": args.sigma,

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ModelValidationError, PropagationError
 from .model import AHMSignal, GaussianWindow, TwoHarmonicModel
 
-FIELD_TAGS = ("STFT", "REASSIGN", "SQUEEZE")
 # trapezoid intervals of stft_numeric on |x - t| <= 8 sigma
 _NUMERIC_INTERVALS = 4096
 
@@ -63,26 +62,6 @@ class TFGrid:
         return (self.eta_max - self.eta_min) / (self.n_eta - 1)
 
 
-@dataclass(frozen=True)
-class ComplexField:
-    """Complex values over a TFGrid, shape (n_t, n_eta), row-major in t."""
-
-    grid: TFGrid
-    values: np.ndarray
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in FIELD_TAGS:
-            raise ModelValidationError(f"unknown field tag {self.tag!r}")
-        v = np.asarray(self.values)
-        if v.shape != (self.grid.n_t, self.grid.n_eta):
-            raise ModelValidationError(
-                f"values shape {v.shape} != grid shape {(self.grid.n_t, self.grid.n_eta)}"
-            )
-        if self.tag != "REASSIGN" and not np.all(np.isfinite(v)):
-            raise ModelValidationError(f"non-finite entries in {self.tag} field")
-
-
 def _v_terms(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
     """(rot0, rot1, g0, g1) with V = rot0 (g0 + a rot1 g1): rot0 = e^{2 pi i xi0 t},
     rot1 = e^{2 pi i delta t}, g_j = e^{-C (eta - xi_j)^2}."""
@@ -98,11 +77,15 @@ def stft_closed_form(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
     return rot0 * (g0 + model.a * rot1 * g1)
 
 
-def stft_field(model: TwoHarmonicModel, window: GaussianWindow, grid: TFGrid) -> ComplexField:
-    """Fill a grid with the closed form (time columns independent)."""
-    tt = grid.t_values()[:, None]
-    ee = grid.eta_values()[None, :]
-    return ComplexField(grid=grid, values=stft_closed_form(model, window, tt, ee), tag="STFT")
+def stft_field(model: TwoHarmonicModel, window: GaussianWindow, grid: TFGrid) -> np.ndarray:
+    """The closed form over the grid, shape (n_t, n_eta), row-major in t."""
+    # a phase xi0 t that overflows leaves nan entries, which raise below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = stft_closed_form(model, window, grid.t_values()[:, None],
+                                  grid.eta_values()[None, :])
+    if not np.all(np.isfinite(values)):
+        raise ModelValidationError("non-finite entries in STFT field")
+    return values
 
 
 def stft_numeric(signal: AHMSignal, window: GaussianWindow, t: float, eta,

@@ -150,12 +150,6 @@ class AHMSignal:
         return worst
 
 
-def evaluate_two_harmonic(model: TwoHarmonicModel, t):
-    """f(t) = e^{2 pi i xi0 t} + a e^{2 pi i xi1 t}."""
-    t = np.asarray(t, dtype=float)
-    return np.exp(2j * math.pi * model.xi0 * t) + model.a * np.exp(2j * math.pi * model.xi1 * t)
-
-
 def constructive_time(model: TwoHarmonicModel, k: int) -> float:
     """t_k^+ = k/delta, where the cross term is maximal."""
     return k / model.delta

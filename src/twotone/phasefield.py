@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourThroughZeroError, PhaseUndefinedError, PreconditionError, SolverFailureError
-from .gabor import ComplexField, TFGrid, _v_terms, stft_closed_form
+from .gabor import TFGrid, _v_terms, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_time, destructive_zero
 
 logger = logging.getLogger(__name__)
@@ -133,14 +133,11 @@ def winding_number(model: TwoHarmonicModel, window: GaussianWindow, center,
     Phase increments are accumulated on the principal branch; any segment with
     increment magnitude >= pi/2 is bisected (branch tracking stays unambiguous
     below pi). The contour runs counterclockwise in the entire-function plane,
-    so a simple zero gives +1. center may be a ZeroPoint or a (t0, eta0) pair.
+    so a simple zero gives +1. center is a (t0, eta0) pair.
     """
     if n_samples < 256:
         raise PreconditionError("n_samples must be >= 256")
-    if isinstance(center, ZeroPoint):
-        t0, eta0 = center.t0, center.eta0
-    else:
-        t0, eta0 = center
+    t0, eta0 = center
     sigma = window.sigma
     dt, deta = sigma * rho, rho / (math.pi * sigma)
     if t0 + dt == t0 or t0 - dt == t0 or eta0 + deta == eta0 or eta0 - deta == eta0:
@@ -195,11 +192,9 @@ def winding_number(model: TwoHarmonicModel, window: GaussianWindow, center,
     return int(nearest)
 
 
-def amplitude_weighted_phase(field: ComplexField) -> np.ndarray:
-    """|V| * phase with phase in [0, 2 pi), zeroed where the phase is undefined."""
-    if field.tag != "STFT":
-        raise PreconditionError(f"needs an STFT field, got {field.tag}")
-    v = field.values
+def amplitude_weighted_phase(v: np.ndarray) -> np.ndarray:
+    """|V| * phase of the STFT values v, with phase in [0, 2 pi), zeroed where
+    the phase is undefined."""
     mag = np.abs(v)
     thresh = 1e-14 * (1.0 + float(mag.max(initial=0.0)))
     phi = np.mod(np.angle(v), TWO_PI)

@@ -17,7 +17,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, PhaseUndefinedError
-from .gabor import ComplexField, TFGrid, spectrogram_decomposition, stft_numeric
+from .gabor import TFGrid, spectrogram_decomposition, stft_numeric
 from .model import (
     AHMSignal,
     GaussianWindow,
@@ -71,10 +71,9 @@ def imag_correction(model: TwoHarmonicModel, window: GaussianWindow, t: float, e
     return num / den
 
 
-def reassign_field(model: TwoHarmonicModel, window: GaussianWindow, grid: TFGrid) -> ComplexField:
-    """eta_s over the grid as a REASSIGN field, SENTINEL at zeros of V."""
-    vals = eta_s_values(model, window, grid.t_values()[:, None], grid.eta_values()[None, :])
-    return ComplexField(grid=grid, values=vals, tag="REASSIGN")
+def reassign_field(model: TwoHarmonicModel, window: GaussianWindow, grid: TFGrid) -> np.ndarray:
+    """eta_s over the grid, shape (n_t, n_eta), SENTINEL at zeros of V."""
+    return eta_s_values(model, window, grid.t_values()[:, None], grid.eta_values()[None, :])
 
 
 AttractionCheck = namedtuple("AttractionCheck", ["bound", "actual", "holds", "premise"])

@@ -18,10 +18,9 @@ from .errors import (
     InconclusiveCountError,
     ModelValidationError,
     NoBifurcationError,
-    PreconditionError,
     SolverFailureError,
 )
-from .gabor import ComplexField, _v_terms, spectrogram_decomposition, stft_closed_form
+from .gabor import TFGrid, _v_terms, spectrogram_decomposition, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_time, destructive_zero
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -314,21 +313,19 @@ def destructive_extrema(model: TwoHarmonicModel, window: GaussianWindow, k: int
     return eta_avg, eta_minus, eta_plus
 
 
-def extract_ridges(field: ComplexField) -> RidgeReport:
-    """Per-column ridge maxima of |V|^2 with three-point parabolic refinement.
+def extract_ridges(grid: TFGrid, values: np.ndarray) -> RidgeReport:
+    """Per-column ridge maxima of |V|^2 with three-point parabolic refinement,
+    for the STFT values over the grid.
 
     Returns refined ridge points, per-time maxima counts, and detected
     bifurcation times (midpoints of adjacent columns where the count changes).
     """
-    if field.tag != "STFT":
-        raise PreconditionError(f"ridge extraction needs an STFT field, got {field.tag}")
-    grid = field.grid
     ts = grid.t_values()
     etas = grid.eta_values()
     step = grid.eta_step
     # |V| over 2^e, e the exponent of its maximum, is exact and squares
     # without overflow; in place, so one array holds it
-    power = np.abs(field.values)
+    power = np.abs(values)
     np.ldexp(power, -np.frexp(power.max())[1], out=power)
     power *= power
     points = []

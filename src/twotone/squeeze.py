@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     SolverFailureError,
 )
-from .gabor import ComplexField, TFGrid, stft_closed_form
+from .gabor import TFGrid, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_zero
 from .reassign import eta_s_values
 from .ridges import (_candidate_peaks, count_frequency_maxima, critical_gap_stft, default_band,
@@ -256,7 +256,10 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
         # the weights are built after hat, so they add nothing to its peak
         w = np.broadcast_to(steps, (len(steps), len(eta))).astype(complex)
         if config.weighting == "stft":
-            w *= stft_closed_form(model, window, t, eta)
+            # a phase xi0 t that overflows gives nan weights, quietly: a sum
+            # that reaches one reads nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                w *= stft_closed_form(model, window, t, eta)
         w[:, sent] = 0.0
         return _mollified_sums(hat, w, xis, alpha) / math.sqrt(math.pi * alpha)
 
@@ -302,10 +305,13 @@ def squeeze_transform(model: TwoHarmonicModel, window: GaussianWindow,
 
 
 def squeeze_field(model: TwoHarmonicModel, window: GaussianWindow,
-                  config: SqueezeConfig, grid: TFGrid) -> ComplexField:
-    rows = [squeeze_cross_section(model, window, config, t, grid.eta_values())
-            for t in grid.t_values()]
-    return ComplexField(grid=grid, values=np.vstack(rows), tag="SQUEEZE")
+                  config: SqueezeConfig, grid: TFGrid) -> np.ndarray:
+    """S over the grid, shape (n_t, n_eta), one cross section per time."""
+    values = np.vstack([squeeze_cross_section(model, window, config, t, grid.eta_values())
+                        for t in grid.t_values()])
+    if not np.all(np.isfinite(values)):
+        raise ModelValidationError("non-finite entries in SQUEEZE field")
+    return values
 
 
 def count_squeeze_maxima(model: TwoHarmonicModel, window: GaussianWindow,
@@ -329,6 +335,20 @@ def constructive_maxima(a: float, window: GaussianWindow, method: str, delta: fl
     if method == "stft":
         return count_frequency_maxima(model, window, 0.0, n_samples=4096)
     return count_squeeze_maxima(model, window, SqueezeConfig(alpha=1e-4, weighting="stft"))
+
+
+def constructive_flip(a: float, window: GaussianWindow, method: str, lo: float, hi: float,
+                      steps: int) -> tuple[int, int, tuple[float, float] | None]:
+    """(count_lo, count_hi, bracket): the constructive_maxima counts at the
+    gaps lo and hi, and the bracket of the 1 -> 2 count flip after steps
+    halvings, which is None unless the counts read 1 and at least 2."""
+    def count(delta):
+        return constructive_maxima(a, window, method, delta)
+
+    count_lo, count_hi = count(lo), count(hi)
+    if not (count_lo == 1 and count_hi >= 2):
+        return count_lo, count_hi, None
+    return count_lo, count_hi, flip_bracket(lambda d: count(d) >= 2, lo, hi, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +399,14 @@ def _leading_order(model: TwoHarmonicModel, window: GaussianWindow, weighting: s
     live = support & (xi != model.xi0) & (xi != model.xi1)
     y = xi[live]
     weight = 1.0
-    if weighting == "stft":
-        # V at the unique preimage of each xi; at a tiny sigma the preimage is
-        # so far out that its square overflows, and V there is 0
-        with np.errstate(over="ignore"):
+    # V at the unique preimage of each xi: at a tiny sigma the preimage is so
+    # far out that its square overflows, and V there is 0; a gradient that
+    # overflows, at a huge xi, gives density 0
+    with np.errstate(over="ignore"):
+        if weighting == "stft":
             weight = stft_closed_form(model, window, t, destructive_zero(model, window)
                                       + _preimage_offset(model, window, kind, y))
-    out[live] = weight / _map_gradient(model, window, y)
+        out[live] = weight / _map_gradient(model, window, y)
     return out
 
 

@@ -26,8 +26,16 @@ from twotone.cli import (
     write_table_csv,
 )
 from twotone import squeeze
-from twotone.errors import ConfigError, SolverFailureError
+from twotone.errors import ConfigError, InconclusiveCountError, SolverFailureError
 from twotone.presets import PRESETS
+
+
+# xi0 = 1e300 over t in [0, 1e10]: the phase xi0 t overflows
+HUGE_PHASE = ["--model.xi0=1e300", "--grid.t_max=1e10", "--grid.n_t=3", "--grid.n_eta=3"]
+
+
+def _inconclusive_count(*args):
+    raise InconclusiveCountError("count did not stabilize")
 
 
 def run(argv, capsys):
@@ -299,6 +307,23 @@ class TestCommands:
         assert err.startswith("numerical failure:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["stft", "ridges"])
+    def test_overflowing_phase_exits_3_without_warnings(self, tmp_path, capsys, command):
+        # xi0 t overflows at t = 1e10; a RuntimeWarning, an error in this
+        # suite, would escape main instead
+        out = tmp_path / "out"
+        code, _, err = run([command, "--out", str(out), *HUGE_PHASE], capsys)
+        assert code == 3
+        assert err == "numerical failure: non-finite entries in STFT field\n"
+        assert not out.exists()
+
+    def test_overflowing_phase_squeezes_to_zero_without_warnings(self, tmp_path, capsys):
+        code, _, err = run(["squeeze", "--out", str(tmp_path), *HUGE_PHASE], capsys)
+        assert code == 0, err
+        with (tmp_path / "abs_s.csv").open() as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert len(rows) == 3 and all(cell == "0.0" for row in rows for cell in row[1:])
+
     @pytest.mark.parametrize("override, bad", [
         ("--squeeze.weighting=foo", "'foo'"),
         ("--squeeze.reassignment_mode=foo", "'foo'"),
@@ -538,6 +563,16 @@ class TestCritical:
         assert run(argv, capsys) == fresh
         assert make_parser() is parser
         assert fresh[0] == 0 and json.loads(fresh[1])["empirical_bracket"] is not None
+
+    @pytest.mark.parametrize("count", [lambda *args: 1, _inconclusive_count],
+                             ids=["no-flip", "inconclusive"])
+    @pytest.mark.parametrize("method", ["stft", "sst"])
+    def test_failed_count_gives_null_bracket(self, capsys, monkeypatch, count, method):
+        monkeypatch.setattr(squeeze, "constructive_maxima", count)
+        code, out, _ = run(["critical", "--a", "1", "--sigma", repr(math.sqrt(2.0)),
+                            "--method", method], capsys)
+        assert code == 0
+        assert '"empirical_bracket": null' in out
 
     def test_sst_unresolved_fold_exits_3(self, capsys):
         code, out, err = run(["critical", "--a", "1e300", "--sigma", repr(math.sqrt(2.0)),

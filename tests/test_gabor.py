@@ -211,9 +211,7 @@ class TestBargmann:
 
 def test_field_shape_and_tag(window, model_a13):
     grid = TFGrid(0.0, 2.0, 16, 0.5, 1.8, 24)
-    field = stft_field(model_a13, window, grid)
-    assert field.tag == "STFT"
-    assert field.values.shape == (16, 24)
+    assert stft_field(model_a13, window, grid).shape == (16, 24)
 
 
 class TestValidation:
@@ -236,13 +234,8 @@ class TestValidation:
 
     def test_field_rejects_non_finite_stft(self, window):
         from twotone.errors import ModelValidationError
-        from twotone.gabor import ComplexField
 
-        grid = TFGrid(0.0, 1.0, 2, 0.0, 1.0, 2)
-        values = np.array([[1.0, 2.0], [np.nan, 0.5]], dtype=complex)
-        with pytest.raises(ModelValidationError):
-            ComplexField(grid=grid, values=values, tag="STFT")
-        # the reassignment tag tolerates sentinels
-        ComplexField(grid=grid, values=values, tag="REASSIGN")
-        with pytest.raises(ModelValidationError):
-            ComplexField(grid=grid, values=values, tag="SPECTRO")
+        # the phase xi0 t overflows at t = 1e10, and e^{i inf} is nan
+        model = TwoHarmonicModel(xi0=1e300, delta=0.3, a=1.0)
+        with pytest.raises(ModelValidationError, match="non-finite entries in STFT field"):
+            stft_field(model, window, TFGrid(0.0, 1e10, 3, 0.2, 2.4, 3))

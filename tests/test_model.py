@@ -15,7 +15,6 @@ from twotone import (
     constructive_time,
     destructive_time,
     destructive_zero,
-    evaluate_two_harmonic,
     freeze_ahm,
     lift_two_harmonic,
 )
@@ -62,11 +61,11 @@ def quadratic_signal(curvature=0.01, epsilon=None):
 class TestEvaluate:
     def test_phases_align_at_zero(self):
         model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.3)
-        assert evaluate_two_harmonic(model, 0.0) == pytest.approx(2.3 + 0j, abs=1e-14)
+        assert lift_two_harmonic(model).evaluate(0.0) == pytest.approx(2.3 + 0j, abs=1e-14)
 
     def test_constructive_time_value(self):
         model = TwoHarmonicModel(xi0=1.0, delta=0.5, a=1.0)
-        assert evaluate_two_harmonic(model, 2.0) == pytest.approx(2.0 + 0j, abs=1e-12)
+        assert lift_two_harmonic(model).evaluate(2.0) == pytest.approx(2.0 + 0j, abs=1e-12)
 
     def test_matches_independent_summation(self):
         model = TwoHarmonicModel(xi0=1.0, delta=0.5, a=1.0)
@@ -74,18 +73,18 @@ class TestEvaluate:
         expected = cmath.exp(2j * math.pi * model.xi0 * t) + model.a * cmath.exp(
             2j * math.pi * model.xi1 * t
         )
-        assert abs(evaluate_two_harmonic(model, t) - expected) < 1e-12
+        assert abs(lift_two_harmonic(model).evaluate(t) - expected) < 1e-12
 
     @settings(max_examples=200)
     @given(model=MODELS, t=st.floats(-50.0, 50.0))
     def test_amplitude_bound(self, model, t):
-        assert abs(evaluate_two_harmonic(model, t)) <= 1.0 + model.a + 1e-12
+        assert abs(lift_two_harmonic(model).evaluate(t)) <= 1.0 + model.a + 1e-12
 
     @settings(max_examples=100)
     @given(model=MODELS, k=st.integers(-5, 5))
     def test_amplitude_bound_attained_constructively(self, model, k):
         t = constructive_time(model, k)
-        assert abs(evaluate_two_harmonic(model, t)) == pytest.approx(1.0 + model.a, rel=1e-9)
+        assert abs(lift_two_harmonic(model).evaluate(t)) == pytest.approx(1.0 + model.a, rel=1e-9)
 
 
 class TestGaussianWindow:

@@ -132,7 +132,8 @@ class TestWinding:
     def test_single_zero(self, window, model_a13):
         region = TFGrid(0.0, 3.0, 81, 0.8, 1.5, 81)
         zero = locate_zeros(model_a13, window, region)[0]
-        assert winding_number(model_a13, window, zero, default_contour_rho(window)) == 1
+        center = (zero.t0, zero.eta0)
+        assert winding_number(model_a13, window, center, default_contour_rho(window)) == 1
 
     def test_zero_free_contour(self, window, model_a13):
         assert winding_number(model_a13, window, (0.2, 1.0), default_contour_rho(window)) == 0
@@ -146,10 +147,10 @@ class TestWinding:
     def test_invariance_to_resolution_and_radius(self, window, model_a13):
         region = TFGrid(0.0, 3.0, 81, 0.8, 1.5, 81)
         zero = locate_zeros(model_a13, window, region)[0]
-        rho = default_contour_rho(window)
-        base = winding_number(model_a13, window, zero, rho, n_samples=256)
-        assert winding_number(model_a13, window, zero, rho, n_samples=512) == base
-        assert winding_number(model_a13, window, zero, rho / 2, n_samples=256) == base
+        center, rho = (zero.t0, zero.eta0), default_contour_rho(window)
+        base = winding_number(model_a13, window, center, rho, n_samples=256)
+        assert winding_number(model_a13, window, center, rho, n_samples=512) == base
+        assert winding_number(model_a13, window, center, rho / 2, n_samples=256) == base
 
     @pytest.mark.parametrize("eps, expected", [(5e-5, 1), (1e-5, 1), (1e-6, 1), (-1e-6, 0)])
     def test_zero_between_chord_and_arc(self, window, model_a13, eps, expected):
@@ -204,6 +205,6 @@ class TestAmplitudeWeightedPhase:
         weighted = amplitude_weighted_phase(field)
         jumps = float(np.max(np.abs(np.diff(weighted, axis=1))))
         # Lipschitz estimate of |V| from the sampled field itself
-        lip = float(np.max(np.abs(np.diff(np.abs(field.values), axis=1)))) / grid.eta_step
+        lip = float(np.max(np.abs(np.diff(np.abs(field), axis=1)))) / grid.eta_step
         box_radius = max(half, half / 2)
         assert jumps <= 2 * math.pi * lip * (box_radius + grid.eta_step) * 1.2

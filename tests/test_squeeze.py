@@ -9,6 +9,7 @@ import pytest
 from twotone import (
     GaussianWindow,
     SqueezeConfig,
+    TFGrid,
     TwoHarmonicModel,
     asym_indicator,
     asym_sst,
@@ -349,6 +350,13 @@ class TestTransform:
         ref = squeeze_cross_section(model_a13, window, config, 0.0, xis)
         monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", 0)
         assert np.array_equal(squeeze_cross_section(model_a13, window, config, 0.0, xis), ref)
+
+    def test_field_rejects_non_finite_entries(self, window, model_a13, monkeypatch):
+        monkeypatch.setattr(squeeze_module, "squeeze_cross_section",
+                            lambda model, window, config, t, xis: np.full(xis.shape, np.nan + 0j))
+        grid = TFGrid(0.0, 1.0, 2, 0.9, 1.4, 3)
+        with pytest.raises(ModelValidationError, match="non-finite entries in SQUEEZE field"):
+            squeeze_module.squeeze_field(model_a13, window, SqueezeConfig(alpha=ALPHA), grid)
 
 
 def _dense_mollified_sums(hat, sent, w, gvals, xis, alpha):
