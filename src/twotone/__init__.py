@@ -59,5 +59,4 @@ from .squeeze import (
     squeeze_cross_section,
     squeeze_field,
     squeeze_transform,
-    sst_extreme_amplitude,
 )

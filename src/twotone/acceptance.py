@@ -394,7 +394,7 @@ def criterion_12():
     c_h = max(bounds) / eps
     c_dh = max(ahm_stft_error_bound_dwindow(signal, WINDOW, float(t), t_star)
                for t in t_probe) / eps
-    bound_r = reassign.ahm_reassign_error_bound(signal, WINDOW, 0.0, t_star, beta, c_h, c_dh)
+    bound_r = reassign.ahm_reassign_error_bound(signal, WINDOW, t_star, beta, c_h, c_dh)
     floor = eps ** beta
     eta_r = np.array([0.95, 1.0, 1.05, 1.2, 1.25, 1.3])
     reassign_ok = True

@@ -377,7 +377,10 @@ def write_metadata(outdir: Path, command: str, config: ExperimentConfig, files: 
 def _write_outputs(config: ExperimentConfig, command: str, outputs: dict) -> None:
     """Write each named output, a grid of values or a (header, rows) table,
     and the metadata that lists them."""
-    config.outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(config.outdir)!r}: {exc}") from exc
     for name, value in outputs.items():
         if isinstance(value, np.ndarray):
             write_grid_csv(config.outdir / name, config.grid, value, name[:-4])
@@ -472,7 +475,7 @@ def cmd_squeeze(config: ExperimentConfig) -> int:
         if sq_config.weighting == "indicator":
             limits = squeeze.asym_indicator(model, window, sq_config.alpha, sq_config.R, t, xis)
         elif model.a > 0:
-            limits = squeeze.asym_sst(model, window, sq_config.alpha, t, xis)
+            limits = squeeze.asym_sst(model, window, t, xis)
         else:  # the STFT-weighted limit needs a > 0
             limits = np.full(xis.shape, np.nan)
         erf_vals = []

@@ -106,8 +106,7 @@ def stft_numeric(signal: AHMSignal, window: GaussianWindow, t: float, eta,
     bad = ~np.isfinite(fx)
     if np.any(bad):
         raise PropagationError(f"non-finite signal sample at x = {x[bad][0]!r}")
-    if len(signal.components) >= 2:
-        signal.validate_separation(x[::64])
+    signal.validate_separation(x[::64])
     win = window.dh(x - t) if deriv_window else window.h(x - t)
     eta = np.asarray(eta, dtype=float)[..., None]
     integrand = fx * win * np.exp(-2j * math.pi * eta * (x - t))

@@ -133,21 +133,17 @@ class AHMSignal:
             )
         return total
 
-    def validate_separation(self, t_samples) -> float:
-        """Minimum sampled gap min_k min_t (phi'_k - phi'_{k-1}); raises if <= 0."""
+    def validate_separation(self, t_samples) -> None:
+        """Raises unless every sampled gap phi'_k - phi'_{k-1} is > 0."""
         t = np.asarray(t_samples, dtype=float)
-        gaps = []
-        for lo, hi in zip(self.components[:-1], self.components[1:]):
-            gap = np.asarray(hi.phase_derivative(t)) - np.asarray(lo.phase_derivative(t))
-            gaps.append(float(np.min(gap)))
-        if not gaps:
-            return math.inf
-        worst = min(gaps)
+        gaps = [float(np.min(np.asarray(hi.phase_derivative(t))
+                             - np.asarray(lo.phase_derivative(t))))
+                for lo, hi in zip(self.components[:-1], self.components[1:])]
+        worst = min(gaps, default=math.inf)
         if worst <= 0:
             raise ModelValidationError(
                 f"frequency separation violated on the sample grid (min gap {worst})"
             )
-        return worst
 
 
 def constructive_time(model: TwoHarmonicModel, k: int) -> float:
@@ -239,7 +235,7 @@ def ahm_stft_error_bound(
     tau = abs(t - t_star)
     i1 = tau + sigma / SQRT_PI
     i2 = tau ** 2 + 0.5 * sigma ** 2
-    i3 = tau ** 3 + 3 * sigma / SQRT_PI * tau ** 2 + 1.5 * sigma ** 2 * tau + sigma ** 2 / SQRT_PI
+    i3 = tau ** 3 + 3 * sigma / SQRT_PI * tau ** 2 + 1.5 * sigma ** 2 * tau + sigma ** 3 / SQRT_PI
     return _bound_from_moments(signal, t_star, (i1, i2, i3))
 
 

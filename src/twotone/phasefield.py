@@ -115,7 +115,7 @@ def locate_zeros(model: TwoHarmonicModel, window: GaussianWindow,
         t_ref, e_ref, resid, grad = res
         # a seed deep in a Gaussian tail meets |V| <= tol over a whole flat
         # neighborhood; a simple zero is pinned by |V|/|grad V| collapsing
-        if grad == 0.0 or resid > 1e-6 * grad * _length_scale(window):
+        if resid > 1e-6 * grad * _length_scale(window):
             logger.info("candidate at (%.6f, %.6f) is not an isolated zero; dropped",
                         t_ref, e_ref)
             continue

@@ -126,9 +126,8 @@ def arc_circle(model: TwoHarmonicModel, theta: float) -> tuple[complex, float]:
     return center, math.hypot(half_gap, y_c)
 
 
-def ahm_reassign_error_bound(signal: AHMSignal, window: GaussianWindow,
-                             t: float, t_star: float, beta: float,
-                             c_h: float, c_dh: float) -> float:
+def ahm_reassign_error_bound(signal: AHMSignal, window: GaussianWindow, t_star: float,
+                             beta: float, c_h: float, c_dh: float) -> float:
     """Bound C ehat * eps^(1 - 2 beta) on |eta_s of the signal - eta_s of its
     linearization|, valid where |V of the linearization| >= eps^beta and
     |t - t_star| stays within the range the constants c_h, c_dh were built for.

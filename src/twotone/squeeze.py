@@ -2,7 +2,7 @@
 weighting, maxima counting of its cross sections, pushforward densities along
 the reassignment image, small-kernel asymptotics, preimage case analysis at
 distinguished times, erf closed forms, the SST critical-gap solver, and
-extreme-amplitude limits.
+the closed-form squeeze of a lone harmonic.
 
 The transform is S_G(t, xi) = integral G(t, eta) g_alpha(eta_s(t, eta) - xi) d eta
 with Gaussian mollifier g_alpha(z) = e^{-|z|^2/alpha}/sqrt(pi alpha) (unit mass
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,7 +251,6 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
         sent = np.isneginf(hat.real)
         if config.reassignment_mode == "phase":
             hat = hat.real.astype(complex)
-        hat[sent] = 0.0
         # the weights are built after hat, so they add nothing to its peak
         w = np.broadcast_to(steps, (len(steps), len(eta))).astype(complex)
         if config.weighting == "stft":
@@ -447,13 +445,10 @@ def asym_indicator(model: TwoHarmonicModel, window: GaussianWindow, alpha: float
     return out
 
 
-def asym_sst(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,
-             t: float, xi) -> np.ndarray:
+def asym_sst(model: TwoHarmonicModel, window: GaussianWindow, t: float, xi) -> np.ndarray:
     """Small-alpha limit of the STFT-weighted squeeze at t_k^+/- for each xi
     (error O(alpha)): the STFT-weighted density, inf at xi0/xi1 on the
-    support."""
-    if not alpha > 0:
-        raise PreconditionError("alpha must be positive")
+    support. The limit does not depend on alpha."""
     return _leading_order(model, window, "stft", t, xi)
 
 
@@ -466,13 +461,10 @@ class PreimageIntervals:
     """Solution set of |eta_s(t, eta) - xi| < C sqrt(alpha) at a distinguished
     time, as ordered disjoint eta intervals (possibly half-infinite)."""
 
-    time_kind: str
     label: str
     intervals: tuple
-    eta_avg: float
     c_left: float | None = None
     c_right: float | None = None
-    c_star: float | None = None
 
 
 def _segment_label(model: TwoHarmonicModel, cs: float, xi: float) -> str:
@@ -506,7 +498,7 @@ def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: f
         # at destructive times, where it falls; the empty segments move
         sign = -1.0 if kind == "constructive" else 1.0
         if seg in ((1, 7) if kind == "constructive" else (3, 4, 5)):
-            return PreimageIntervals(kind, label, (), eta_avg)
+            return PreimageIntervals(label, ())
 
         def offset(y, gamma):
             # xi on a segment boundary puts y = xi +- cs on xi0 or xi1, which
@@ -524,19 +516,20 @@ def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: f
             c_r = offset(xi - sign * cs, "c_right")
         lo = -math.inf if c_l is None else eta_avg + c_l
         hi = math.inf if c_r is None else eta_avg + c_r
-        return PreimageIntervals(kind, label, ((lo, hi),), eta_avg, c_left=c_l, c_right=c_r)
+        return PreimageIntervals(label, ((lo, hi),), c_left=c_l, c_right=c_r)
 
     # intermediate time: only the one-sided segments survive
     if seg not in (2, 6):
-        return PreimageIntervals(kind, label, (), eta_avg)
+        return PreimageIntervals(label, ())
     num = (xi - model.xi0) ** 2 - (C * sa) ** 2
     den = (C * sa) ** 2 - (xi - model.xi1) ** 2
+    end = "c_right" if seg == 2 else "c_left"  # the one finite endpoint
     if den == 0 or num / den <= 0:
         raise OutOfBranchError(f"square-root argument {num:.6e} / {den:.6e} "
-                               "not > 0 in c_star", gamma="c_star")
-    c_star = math.log(math.sqrt(num / den)) / (2.0 * window.C * model.delta)
-    interval = (-math.inf, eta_avg + c_star) if seg == 2 else (eta_avg + c_star, math.inf)
-    return PreimageIntervals(kind, label, (interval,), eta_avg, c_star=c_star)
+                               f"not > 0 in {end}", gamma=end)
+    c = math.log(math.sqrt(num / den)) / (2.0 * window.C * model.delta)
+    interval = (-math.inf, eta_avg + c) if seg == 2 else (eta_avg + c, math.inf)
+    return PreimageIntervals(label, (interval,))
 
 
 def erf_closed_form(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,
@@ -548,8 +541,6 @@ def erf_closed_form(model: TwoHarmonicModel, window: GaussianWindow, alpha: floa
     preimage_intervals (default C = delta/(4 sqrt alpha)); an endpoint
     without a preimage raises, naming it, c_left or c_right.
     """
-    if model.a <= 0:
-        raise DegenerateAmplitudeError("closed form requires a > 0")
     if classify_time(model, t) == "intermediate":
         raise PreconditionError("closed forms stated at t_k^+ / t_k^- only")
     sa = math.sqrt(alpha)
@@ -651,7 +642,7 @@ def critical_gap_density(a: float, window: GaussianWindow) -> float:
 
 
 # ---------------------------------------------------------------------------
-# extreme amplitudes
+# a lone harmonic
 
 
 def squeeze_single_component(xi_component: float, amplitude: float,
@@ -661,20 +652,3 @@ def squeeze_single_component(xi_component: float, amplitude: float,
     xi = np.asarray(xi, dtype=float)
     return (amplitude / (math.pi * window.sigma * math.sqrt(alpha))
             * np.exp(2j * math.pi * xi_component * t) * np.exp(-(xi_component - xi) ** 2 / alpha))
-
-
-def sst_extreme_amplitude(model: TwoHarmonicModel, window: GaussianWindow,
-                          alpha: float, t: float, xi: float, regime: str) -> complex:
-    """Leading-order squeeze for unbalanced amplitudes: the dominant single
-    component (error O(a) as a -> 0, O(1/a) as a -> infinity)."""
-    if regime not in ("small_a", "large_a"):
-        raise ModelValidationError("regime must be 'small_a' or 'large_a'")
-    if regime == "small_a":
-        if model.a > 0.2:
-            warnings.warn(f"small-amplitude regime questionable at a = {model.a}",
-                          stacklevel=2)
-        return squeeze_single_component(model.xi0, 1.0, window, alpha, t, xi)
-    if model.a < 5.0:
-        warnings.warn(f"large-amplitude regime questionable at a = {model.a}",
-                      stacklevel=2)
-    return squeeze_single_component(model.xi1, model.a, window, alpha, t, xi)

@@ -279,6 +279,20 @@ class TestCommands:
         assert err.startswith("configuration error:") and str(path) in err
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])
+    def test_uncreatable_output_directory_exits_2(self, tmp_path, capsys, sub):
+        # --out names an existing file, or a directory under one
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / sub if sub else blocker
+        code, stdout, err = run(["zeros", "--grid.n_t=3", "--grid.n_eta=3", "--out", str(out)],
+                                capsys)
+        assert code == 2
+        assert err.startswith("configuration error: cannot create output directory")
+        assert str(out) in err
+        assert stdout == "" and blocker.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
     @pytest.mark.parametrize("command", ["reassign", "stft"])
     @pytest.mark.parametrize("override", ["--grid.t_max=inf", "--grid.eta_min=-inf"])
     def test_non_finite_grid_bound_exits_2(self, tmp_path, capsys, command, override):

@@ -14,6 +14,10 @@ tests choose. No module calls np.isscalar, and none but cli calls isinstance:
 kernels broadcast and take one input format, so a scalar argument gives a
 numpy scalar. cli is exempt from the isinstance rule because it formats
 table cells and output kinds by type.
+Every parameter of every function and lambda in src/, nested ones included
+and self excepted, is read in its body: an input no code reads is dead
+surface. Every dataclass field in src/ is read as an attribute somewhere in
+src/, tests/, scripts/ or bench/: a result field nobody reads is too.
 """
 
 import ast
@@ -169,3 +173,36 @@ def test_every_defaulted_parameter_is_passed():
              if (node.name, name) not in passed and (node.name, position) not in passed
              and (node.name, name) not in KNOB_ALLOWLIST]
     assert not unset, f"defaulted parameters no caller passes: {unset}"
+
+
+def _unread_parameters(func) -> list:
+    """Parameters of a function or lambda that its body never loads."""
+    args = func.args
+    params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if arg is not None]
+    body = func.body if isinstance(func.body, list) else [func.body]
+    read = {node.id for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in params if name != "self" and name not in read]
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.name}:{getattr(func, 'name', 'lambda')}({name})"
+              for path in MODULES for func in ast.walk(ast.parse(path.read_text()))
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              for name in _unread_parameters(func)]
+    assert not unread, f"parameters their function never reads: {unread}"
+
+
+def test_every_dataclass_field_is_read():
+    read = set()
+    for path in sorted({*_caller_files(), *(ROOT / "bench").glob("*.py")}):
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.name}.{node.target.id}"
+              for path in MODULES for cls in ast.parse(path.read_text()).body
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and node.target.id not in read]
+    assert not unread, f"dataclass fields no code reads: {unread}"

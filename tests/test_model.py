@@ -199,6 +199,18 @@ class TestErrorBound:
         expected += 2 * math.pi * eps * (1.0 * model.xi0 + model.a * model.xi1) * sigma ** 2 / 4
         assert ahm_stft_error_bound(signal, window, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma", [math.sqrt(2.0), 3.0])
+    def test_at_tstar_with_curvature(self, sigma):
+        # the absolute window moments at t = t_star: I1 = sigma/sqrt(pi),
+        # I2 = sigma^2/2 and I3 = sigma^3/sqrt(pi)
+        signal = quadratic_signal(curvature=0.01)
+        eps, m = signal.epsilon, 0.01
+        i1, i2, i3 = sigma / math.sqrt(math.pi), sigma ** 2 / 2, sigma ** 3 / math.sqrt(math.pi)
+        expected = eps * ((1.0 + 1.2) * i1 + 0.5 * m * i2)
+        expected += 2 * math.pi * eps * (0.5 * (1.0 + 1.2) * i2 + m / 6 * i3)
+        bound = ahm_stft_error_bound(signal, GaussianWindow(sigma=sigma), 0.0, 0.0)
+        assert bound == pytest.approx(expected, rel=1e-12)
+
     def test_monotone_in_offset(self, window):
         signal = quadratic_signal()
         assert ahm_stft_error_bound(signal, window, 1.0, 0.0) >= ahm_stft_error_bound(

@@ -265,13 +265,13 @@ class TestReassignField:
 class TestAhmReassignBound:
     def test_zero_modulation(self, window):
         signal = quadratic_signal(epsilon=0.0)
-        assert ahm_reassign_error_bound(signal, window, 0.0, 0.0, 0.25, 1.0, 1.0) == 0.0
+        assert ahm_reassign_error_bound(signal, window, 0.0, 0.25, 1.0, 1.0) == 0.0
 
     def test_beta_domain(self, window):
         signal = quadratic_signal()
         for beta in (0.0, 0.5, 0.7, -0.1):
             with pytest.raises(DomainError):
-                ahm_reassign_error_bound(signal, window, 0.0, 0.0, beta, 1.0, 1.0)
+                ahm_reassign_error_bound(signal, window, 0.0, beta, 1.0, 1.0)
 
     def test_linear_phase_exact(self, window, model_a13):
         signal = lift_two_harmonic(model_a13)
@@ -296,7 +296,7 @@ class TestAhmReassignBound:
         c_h = max(ahm_stft_error_bound(signal, window, t, 0.0) for t, _ in probes) / eps
         c_dh = max(ahm_stft_error_bound_dwindow(signal, window, t, 0.0) for t, _ in probes) / eps
         beta = 0.25
-        bound = ahm_reassign_error_bound(signal, window, 0.0, 0.0, beta, c_h, c_dh)
+        bound = ahm_reassign_error_bound(signal, window, 0.0, beta, c_h, c_dh)
         for t, eta in probes:
             if abs(stft_closed_form(model, window, t, eta)) < eps ** beta:
                 continue

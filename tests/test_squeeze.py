@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from twotone import (
+    SENTINEL,
     GaussianWindow,
     SqueezeConfig,
     TFGrid,
@@ -24,7 +25,6 @@ from twotone import (
     pushforward_density,
     squeeze_cross_section,
     squeeze_transform,
-    sst_extreme_amplitude,
 )
 from twotone import squeeze as squeeze_module
 from twotone.errors import (
@@ -150,6 +150,26 @@ class TestTransform:
             per_xi = [squeeze_single_component(model.xi0, 1.0, window, ALPHA, t, xi) for xi in xis]
             assert np.array_equal(
                 squeeze_single_component(model.xi0, 1.0, window, ALPHA, t, xis), per_xi)
+
+    @pytest.mark.parametrize("delta", [0.15, 0.3])
+    def test_section_through_a_zero_of_v(self, window, delta):
+        # at a = 1 the zero of V on t_0^- is one base node of the band, whose
+        # reassignment value is SENTINEL; it carries no mass in either mode
+        model = TwoHarmonicModel(xi0=1.0, delta=delta, a=1.0)
+        t = destructive_time(model, 0)
+        config = SqueezeConfig(alpha=ALPHA, weighting="stft")
+        (lo, hi), = squeeze_module._integration_pieces(model, window, config)
+        nodes = np.linspace(lo, hi, squeeze_module._BASE_INTERVALS + 1)
+        assert np.sum(eta_s_values(model, window, t, nodes) == SENTINEL) == 1
+        xis = model.xi0 + delta * np.array([-0.3, 0.1, 0.5, 0.9, 1.2])
+        for mode in ("sync", "phase"):
+            mode_config = SqueezeConfig(alpha=ALPHA, weighting="stft", reassignment_mode=mode)
+            assert np.all(np.isfinite(squeeze_cross_section(model, window, mode_config, t, xis)))
+        vals = squeeze_cross_section(model, window, config, t, xis)
+        ref = np.array([oracle_quadrature_squeeze(model, window, config, t, float(xi))
+                        for xi in xis])
+        scale = max(float(np.max(np.abs(vals))), 1e-6)
+        assert np.max(np.abs(vals - ref)) / scale <= 1e-6
 
     def test_single_component_indicator_is_the_window_length(self, window):
         # a lone harmonic reassigns every eta in [-R, R] to xi0
@@ -590,18 +610,18 @@ class TestPushforward:
         assert np.isnan(dens[0]) and dens[1] == 0.0 and np.isfinite(dens[2]) and dens[2] != 0
         # the limits keep no standoff: 0 off the support, inf exactly at a
         # component frequency on the destructive support
-        for values in (asym_sst(m, window, 1e-5, 0.0, xis),
+        for values in (asym_sst(m, window, 0.0, xis),
                        asym_indicator(m, window, 1e-5, 50.0, 0.0, xis)):
             assert values[0] == 0.0 and values[1] == 0.0 and 0.0 < abs(values[2]) < math.inf
-        assert asym_sst(m, window, 1e-5, 0.0, xis)[2] == dens[2]
+        assert asym_sst(m, window, 0.0, xis)[2] == dens[2]
         t_minus = destructive_time(m, 0)
         ends = np.array([m.xi0, m.xi1])
-        for values in (asym_sst(m, window, 1e-5, t_minus, ends),
+        for values in (asym_sst(m, window, t_minus, ends),
                        asym_indicator(m, window, 1e-5, 50.0, t_minus, ends)):
             assert np.all(values == complex(math.inf))
-        assert np.all(asym_sst(m, window, 1e-5, 0.0, ends) == 0.0)
+        assert np.all(asym_sst(m, window, 0.0, ends) == 0.0)
         with pytest.raises(PreconditionError):
-            asym_sst(m, window, 0.0, quarter, m.xibar)
+            asym_sst(m, window, quarter, m.xibar)
         with pytest.raises(PreconditionError):
             asym_indicator(m, window, 1e-5, 50.0, quarter, m.xibar)
 
@@ -623,7 +643,7 @@ class TestPushforward:
             for xi, from_array in zip(support, whole):
                 ref = _log_space_density(m, window, kind, t, xi)
                 for got in (pushforward_density(m, window, "stft", t, xi),
-                            asym_sst(m, window, 1e-5, t, xi), from_array):
+                            asym_sst(m, window, t, xi), from_array):
                     assert abs(got - ref) <= 1e-13 * abs(ref), (t, xi)
                 eta = destructive_zero(m, window) + _preimage_offset(m, window, kind, xi)
                 hat = complex(eta_s_values(m, window, t, np.array([eta]))[0])
@@ -692,14 +712,14 @@ class TestAsymptotics:
         config = SqueezeConfig(alpha=alpha, weighting="stft")
         xis = np.linspace(model_balanced.xi0 + model_balanced.delta / 4,
                           model_balanced.xi1 - model_balanced.delta / 4, 7)
-        approx = asym_sst(model_balanced, window, alpha, 0.0, xis)
+        approx = asym_sst(model_balanced, window, 0.0, xis)
         quad = squeeze_cross_section(model_balanced, window, config, 0.0, xis)
         assert np.all(np.abs(approx - quad) <= 0.05 * np.abs(quad))
 
     def test_weighting_contrast_at_small_gap(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.15, a=1.0)
         xs = np.linspace(model.xi0 + 0.005, model.xi1 - 0.005, 301)
-        sst_curve = np.abs(asym_sst(model, window, 1e-5, 0.0, xs))
+        sst_curve = np.abs(asym_sst(model, window, 0.0, xs))
         interior_max = np.sum((sst_curve[1:-1] > sst_curve[:-2])
                               & (sst_curve[1:-1] > sst_curve[2:]))
         assert interior_max == 1
@@ -740,6 +760,9 @@ class TestPreimage:
             preimage_intervals(model_balanced, window, ALPHA, 8.0, 0.0, 1.1)
         with pytest.raises(DegenerateAmplitudeError):
             preimage_intervals(TwoHarmonicModel(1.0, 0.3, 0.0), window, ALPHA, 1.0, 0.0, 1.1)
+        # erf_closed_form takes the a > 0 check from preimage_intervals
+        with pytest.raises(DegenerateAmplitudeError):
+            erf_closed_form(TwoHarmonicModel(1.0, 0.3, 0.0), window, ALPHA, 0.0, 1.1)
 
     def test_segment_boundary_zero_divisor(self, window):
         # delta = 0.5 and the default C put xi1 - C sqrt(alpha) = 1.375 exactly,
@@ -996,28 +1019,6 @@ class TestCriticalGapDensity:
         assert delta_c <= lo and hi <= 1.01 * delta_c
 
 
-class TestExtremeAmplitude:
-    def test_zero_amplitude_exact(self, window):
-        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=0.0)
-        config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        for xi in (0.98, 1.01):
-            approx = sst_extreme_amplitude(model, window, ALPHA, 0.5, xi, "small_a")
-            quad = squeeze_transform(model, window, config, 0.5, xi)
-            assert abs(approx - quad) <= 1e-7 * abs(quad)
-
-    def test_regime_warnings(self, window, model_a13):
-        with pytest.warns(UserWarning):
-            sst_extreme_amplitude(model_a13, window, ALPHA, 0.0, 1.0, "small_a")
-        with pytest.warns(UserWarning):
-            sst_extreme_amplitude(model_a13, window, ALPHA, 0.0, 1.0, "large_a")
-
-    def test_dominant_component_formula(self, window):
-        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=20.0)
-        val = sst_extreme_amplitude(model, window, ALPHA, 0.2, 1.31, "large_a")
-        ref = squeeze_single_component(model.xi1, model.a, window, ALPHA, 0.2, 1.31)
-        assert val == ref
-
-
 class TestLaplaceConsistency:
     def test_error_shrinks_linearly_in_alpha(self, window, model_balanced):
         xi = model_balanced.xibar + 0.03
@@ -1025,7 +1026,7 @@ class TestLaplaceConsistency:
         for alpha in (1e-4, 2.5e-5):
             config = SqueezeConfig(alpha=alpha, weighting="stft")
             quad = squeeze_transform(model_balanced, window, config, 0.0, xi)
-            lead = asym_sst(model_balanced, window, alpha, 0.0, xi)
+            lead = asym_sst(model_balanced, window, 0.0, xi)
             errs[alpha] = abs(quad - lead)
         assert errs[2.5e-5] <= 0.3 * errs[1e-4]
 
@@ -1058,7 +1059,7 @@ class TestOtherWindows:
         config = SqueezeConfig(alpha=1e-5, weighting="stft")
         xi = model.xibar + 0.1 * model.delta
         quad = squeeze_transform(model, window, config, 0.0, xi)
-        lead = asym_sst(model, window, 1e-5, 0.0, xi)
+        lead = asym_sst(model, window, 0.0, xi)
         assert abs(quad - lead) <= 0.05 * abs(quad)
 
         t_minus = destructive_time(model, 0)
