@@ -71,26 +71,48 @@ def golden_max(f, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def _candidate_peaks(values: np.ndarray) -> list[tuple[int, int]]:
-    """Interior local maxima as (left, right) plateau index bounds.
+def _candidate_peaks(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Interior local maxima along the last axis of a 1-D or 2-D array, as
+    index arrays: (left, right) plateau bounds for 1-D input, (row, left,
+    right) for 2-D, in row-major order.
 
     Equal-valued runs count once; machine-flat quartic tops near the critical
     gap would otherwise split into spurious strict maxima. A maximal run is a
     peak when it has a neighbour on each side and both are strictly lower; a
     NaN sample is a run of its own and compares false, so it neither peaks nor
-    lets a neighbour peak. A run's left end is a top, where a rise ends; its
-    right end is the first change point at or after the top, and the run peaks
-    when the sample after that end is lower.
+    lets a neighbour peak. A run's left end is a top, where a rise ends; the
+    top is its right end too unless the next sample is equal. Only then are
+    the samples equal to their successor located, which are few on smooth
+    data, so a whole field needs no index array of its size. A run that
+    reaches its row's last sample has no right neighbour. The run peaks when
+    the sample after its right end is lower.
     """
     v = values
-    up = v[:-1] < v[1:]
-    tops = np.flatnonzero(up[:-1] & ~up[1:]) + 1
-    change = np.flatnonzero(v[1:] != v[:-1])
-    k = np.searchsorted(change, tops)
-    inside = k < len(change)  # a run that reaches the last sample has no right neighbour
-    tops, ends = tops[inside], change[k[inside]]
-    keep = v[ends] > v[ends + 1]
-    return list(zip(tops[keep].tolist(), ends[keep].tolist()))
+    n = v.shape[-1]
+    flat = v.reshape(-1)
+    up = v[..., :-1] < v[..., 1:]
+    is_top = np.zeros(v.shape, dtype=bool)
+    # rise into the sample and no rise out of it
+    np.greater(up[..., :-1], up[..., 1:], out=is_top[..., 1:-1])
+    tops = np.flatnonzero(is_top)
+    ends = tops.copy()
+    level = flat[tops] == flat[tops + 1]
+    if level.any():
+        # positions of samples equal to their successor in the row; a run
+        # ends one past the last of its chain of consecutive positions
+        same = np.zeros(v.shape, dtype=bool)
+        np.equal(v[..., :-1], v[..., 1:], out=same[..., :-1])
+        same = np.flatnonzero(same)
+        last = same[np.append(same[1:] != same[:-1] + 1, True)]
+        ends[level] = last[np.searchsorted(last, tops[level])] + 1
+        inside = ends % n != n - 1
+        tops, ends = tops[inside], ends[inside]
+    keep = flat[ends] > flat[ends + 1]
+    tops, ends = tops[keep], ends[keep]
+    if v.ndim == 1:
+        return tops, ends
+    rows = tops // n
+    return rows, tops - rows * n, ends - rows * n
 
 
 def _refined_maxima(f, grid: np.ndarray, values: np.ndarray) -> list[float]:
@@ -102,15 +124,18 @@ def _refined_maxima(f, grid: np.ndarray, values: np.ndarray) -> list[float]:
     ends, so the results come out in order. A candidate whose bracket lies at
     least _MERGE_TOL from both neighbouring brackets cannot merge; it stays at
     its bracket midpoint. Only the others are golden-refined, which gives the
-    count that refining every candidate gives.
+    count that refining every candidate gives; when there are none, the
+    midpoints are the maxima.
     """
-    peaks = np.array(_candidate_peaks(values), dtype=int).reshape(-1, 2)
-    lo, hi = grid[peaks[:, 0] - 1], grid[peaks[:, 1] + 1]
+    left, right = _candidate_peaks(values)
+    lo, hi = grid[left - 1], grid[right + 1]
     close = lo[1:] - hi[:-1] < _MERGE_TOL
-    near = np.zeros(len(peaks), dtype=bool)
+    out = (0.5 * (lo + hi)).tolist()
+    if not close.any():
+        return out
+    near = np.zeros(len(out), dtype=bool)
     near[1:] |= close
     near[:-1] |= close
-    out = (0.5 * (lo + hi)).tolist()
     for k in np.flatnonzero(near):
         out[k] = golden_max(f, lo[k], hi[k])
     merged: list[float] = []
@@ -127,13 +152,17 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
     """Strict interior local maxima of eta -> |V(t, eta)| on default_band.
 
     Counts at n and 2n samples must agree (guards grid aliasing near
-    bifurcations); up to four doublings are tried. Each doubling keeps the
-    samples it has and evaluates |V| only at its n new midpoints, so a count
-    that agrees at once costs n + 1 + n samples. Maxima within 1e-8 of each
-    other count once: only the candidates whose brackets lie within 1e-8 of a
-    neighbouring bracket can merge, so only those are golden-refined (to
-    1e-10) before counting.
+    bifurcations); up to four doublings are tried. Each level's grid is one
+    linspace of 2n + 1 samples, whose even entries are the n + 1 samples of
+    the level below bit for bit; the base level counts on them, and each
+    doubling evaluates |V| only at its n new midpoints, so a count that agrees
+    at once costs n + 1 + n samples. Maxima within 1e-8 of each other count
+    once: only the candidates whose brackets lie within 1e-8 of a neighbouring
+    bracket can merge, so only those are golden-refined (to 1e-10) before
+    counting. A non-finite t raises ModelValidationError.
     """
+    if not math.isfinite(t):
+        raise ModelValidationError(f"t must be finite, got {t!r}")
     band = default_band(model, window)
     if n_samples < 512:
         raise ModelValidationError("n_samples must be >= 512")
@@ -148,14 +177,11 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
     def count(grid, vals):
         return len(_refined_maxima(lambda e: float(modulus(e)), grid, vals))
 
-    # linspace(lo, hi, 2n + 1)[::2] is linspace(lo, hi, n + 1) bit for bit, so
-    # each doubling keeps the samples it has and evaluates only the midpoints
     n = n_samples
-    grid = np.linspace(band[0], band[1], n + 1)
-    vals = modulus(grid)
-    count_n = count(grid, vals)
+    grid = np.linspace(band[0], band[1], 2 * n + 1)
+    vals = modulus(grid[::2])
+    count_n = count(grid[::2], vals)
     for _ in range(4):
-        grid = np.linspace(band[0], band[1], 2 * n + 1)
         finer = np.empty(2 * n + 1)
         finer[::2] = vals
         finer[1::2] = modulus(grid[1::2])
@@ -163,6 +189,7 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
         if count_2n == count_n:
             return count_n
         count_n, n = count_2n, 2 * n
+        grid = np.linspace(band[0], band[1], 2 * n + 1)
     raise InconclusiveCountError(
         f"maxima count did not stabilize up to n = {n} samples at t = {t}"
     )
@@ -317,40 +344,32 @@ def extract_ridges(grid: TFGrid, values: np.ndarray) -> RidgeReport:
     """Per-column ridge maxima of |V|^2 with three-point parabolic refinement,
     for the STFT values over the grid.
 
-    Returns refined ridge points, per-time maxima counts, and detected
-    bifurcation times (midpoints of adjacent columns where the count changes).
+    One peak search runs on the whole (n_t, n_eta) power array. A one-sample
+    peak j moves by the parabola's vertex offset, clipped to half a step (0
+    where the second difference is 0); a plateau [left, right] sits at the
+    midpoint of its ends. Returns refined ridge points, per-time maxima
+    counts, and detected bifurcation times (midpoints of adjacent columns
+    where the count changes).
     """
     ts = grid.t_values()
     etas = grid.eta_values()
-    step = grid.eta_step
     # |V| over 2^e, e the exponent of its maximum, is exact and squares
     # without overflow; in place, so one array holds it
     power = np.abs(values)
     np.ldexp(power, -np.frexp(power.max())[1], out=power)
     power *= power
-    points = []
-    counts = []
-    for i, t in enumerate(ts):
-        row = power[i]
-        col_count = 0
-        for left, right in _candidate_peaks(row):
-            col_count += 1
-            if left == right:
-                j = left
-                denom = row[j - 1] - 2 * row[j] + row[j + 1]
-                off = 0.0 if denom == 0 else 0.5 * (row[j - 1] - row[j + 1]) / denom
-                off = float(np.clip(off, -0.5, 0.5))
-                eta_ref = etas[j] + off * step
-            else:
-                eta_ref = 0.5 * (etas[left] + etas[right])
-            points.append((t, eta_ref))
-        counts.append((float(t), col_count))
-    bifurcations = []
-    for (t0, c0), (t1, c1) in zip(counts[:-1], counts[1:]):
-        if c0 != c1:
-            bifurcations.append(0.5 * (t0 + t1))
+    rows, left, right = _candidate_peaks(power)
+    eta_ref = 0.5 * (etas[left] + etas[right])
+    single = np.flatnonzero(left == right)
+    row, j = rows[single], left[single]
+    before, top, after = power[row, j - 1], power[row, j], power[row, j + 1]
+    denom = before - 2 * top + after
+    off = np.divide(0.5 * (before - after), denom, out=np.zeros(len(j)), where=denom != 0)
+    eta_ref[single] = etas[j] + np.clip(off, -0.5, 0.5) * grid.eta_step
+    counts = np.bincount(rows, minlength=len(ts))
+    flips = counts[:-1] != counts[1:]
     return RidgeReport(
-        points=np.asarray(points, dtype=float).reshape(-1, 2),
-        maxima_count_per_t=tuple(counts),
-        bifurcation_times=tuple(bifurcations),
+        points=np.column_stack((ts[rows], eta_ref)),
+        maxima_count_per_t=tuple(zip(ts.tolist(), counts.tolist())),
+        bifurcation_times=tuple((0.5 * (ts[:-1] + ts[1:]))[flips].tolist()),
     )

@@ -125,6 +125,19 @@ def _integration_pieces(model: TwoHarmonicModel, window: GaussianWindow,
     return ((lo, hi),) + tuple((x0, x1) for x0, x1 in ((-R, lo), (hi, R)) if x0 < x1)
 
 
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """An uninitialised float64 array whose data starts on a 64-byte boundary.
+
+    The kernel runs about 5% slower when its weight matrix does not, and
+    numpy aligns only as malloc does (16 bytes on x86-64 Linux), so its
+    speed would otherwise follow whatever the heap held before.
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size].reshape(shape)
+
+
 def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
                     alpha: float) -> np.ndarray:
     """sum_k weights[r, k] exp(-|hat_k - xi|^2 / alpha) for each row r of the
@@ -165,7 +178,7 @@ def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
     del key
     fold = fold[order]
     # rows re_0, im_0, re_1, im_1, ...: each product below is m complex sums
-    folded = np.empty((m, 2, len(order)))
+    folded = _aligned_empty((m, 2, len(order)))
     np.take(weights.real, order, axis=1, out=folded[:, 0])
     np.take(weights.imag, order, axis=1, out=folded[:, 1])
     del order
@@ -175,7 +188,7 @@ def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
     reach = math.sqrt(_NORMAL_EXPONENT * alpha)
     starts = np.searchsorted(re, xis - reach, side="left")
     stops = np.searchsorted(re, xis + reach, side="right")
-    buf = np.empty(max(_BLOCK_TERMS, int(np.max(stops - starts, initial=0))))
+    buf = _aligned_empty((max(_BLOCK_TERMS, int(np.max(stops - starts, initial=0))),))
     starts, stops = starts.tolist(), stops.tolist()
     out = np.zeros((len(xis), m), dtype=complex)
     parts = out.view(float)
@@ -187,8 +200,10 @@ def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
         np.multiply(moll, moll, out=moll)
         moll *= -1.0 / alpha
         for row, a, b in zip(moll, starts[i:j], stops[i:j]):
-            row[:a - lo] = -np.inf
-            row[b - lo:] = -np.inf
+            if a > lo:
+                row[:a - lo] = -np.inf
+            if b < hi:
+                row[b - lo:] = -np.inf
         np.exp(moll, out=moll)
         np.matmul(moll, folded[:, lo:hi].T, out=parts[i:j])
 
@@ -322,7 +337,7 @@ def count_squeeze_maxima(model: TwoHarmonicModel, window: GaussianWindow,
     """
     xis = np.linspace(model.xi0 - 0.08, model.xi1 + 0.08, 641)
     vals = np.abs(squeeze_cross_section(model, window, config, 0.0, xis))
-    return len(_candidate_peaks(np.maximum(vals, 1e-3 * vals.max())))
+    return len(_candidate_peaks(np.maximum(vals, 1e-3 * vals.max()))[0])
 
 
 def constructive_maxima(a: float, window: GaussianWindow, method: str, delta: float) -> int:

@@ -21,9 +21,11 @@ from twotone.errors import (
     DegenerateAmplitudeError,
     HypothesisViolationError,
     InconclusiveCountError,
+    ModelValidationError,
     NoBifurcationError,
 )
 from twotone import ridges
+from twotone.presets import PRESETS
 from twotone.ridges import _candidate_peaks, _refined_maxima, default_band, golden_max
 
 
@@ -40,6 +42,14 @@ class TestCounting:
     def test_below_critical_destructive(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.2, a=1.0)
         assert count_frequency_maxima(model, window, 0.5 / model.delta) == 2
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_raises(self, window, model_balanced, t):
+        with pytest.raises(ModelValidationError, match=f"t must be finite, got {t!r}"):
+            count_frequency_maxima(model_balanced, window, t)
+
+    def test_huge_finite_time_counts(self, window, model_balanced):
+        assert count_frequency_maxima(model_balanced, window, 1e300) in (1, 2)
 
     def test_each_resolution_counted_once(self, window, model_balanced, monkeypatch):
         # a count that grows with the grid never stabilizes; each of n, 2n,
@@ -153,6 +163,57 @@ def _loop_candidate_peaks(v):
     return peaks
 
 
+def _peaks(v):
+    """_candidate_peaks of a 1-D array as a list of (left, right) pairs."""
+    left, right = _candidate_peaks(np.asarray(v, dtype=float))
+    assert left.dtype.kind == right.dtype.kind == "i"
+    return list(zip(left.tolist(), right.tolist()))
+
+
+def _loop_extract_ridges(grid, values):
+    """extract_ridges as one pass per column over the reference peak loop:
+    the reference the whole-array version must reproduce."""
+    ts = grid.t_values()
+    etas = grid.eta_values()
+    step = grid.eta_step
+    power = np.abs(values)
+    np.ldexp(power, -np.frexp(power.max())[1], out=power)
+    power *= power
+    points = []
+    counts = []
+    for i, t in enumerate(ts):
+        row = power[i]
+        col_count = 0
+        for left, right in _loop_candidate_peaks(row):
+            col_count += 1
+            if left == right:
+                j = left
+                denom = row[j - 1] - 2 * row[j] + row[j + 1]
+                off = 0.0 if denom == 0 else 0.5 * (row[j - 1] - row[j + 1]) / denom
+                off = float(np.clip(off, -0.5, 0.5))
+                eta_ref = etas[j] + off * step
+            else:
+                eta_ref = 0.5 * (etas[left] + etas[right])
+            points.append((t, eta_ref))
+        counts.append((float(t), col_count))
+    bifurcations = []
+    for (t0, c0), (t1, c1) in zip(counts[:-1], counts[1:]):
+        if c0 != c1:
+            bifurcations.append(0.5 * (t0 + t1))
+    return (np.asarray(points, dtype=float).reshape(-1, 2), tuple(counts), tuple(bifurcations))
+
+
+def _assert_matches_loop(grid, values):
+    report = extract_ridges(grid, values)
+    points, counts, bifurcations = _loop_extract_ridges(grid, values)
+    assert report.points.shape == points.shape
+    assert np.array_equal(report.points, points, equal_nan=True)
+    assert report.maxima_count_per_t == counts
+    assert all(type(t) is float and type(c) is int for t, c in report.maxima_count_per_t)
+    assert report.bifurcation_times == bifurcations
+    assert all(type(t) is float for t in report.bifurcation_times)
+
+
 def _count_refining_every_candidate(model, window, t, n_samples):
     """count_frequency_maxima with every candidate golden-refined before the
     merge; None where the counts never stabilise."""
@@ -190,25 +251,39 @@ class TestCandidatePeaks:
             u = rng.random(v.size)
             v[u < 0.1] = np.nan
             v[(u >= 0.1) & (u < 0.2)] = -0.0
-            got = _candidate_peaks(v)
-            assert got == _loop_candidate_peaks(v)
-            assert all(type(i) is int for peak in got for i in peak)
+            assert _peaks(v) == _loop_candidate_peaks(v)
         inf, nan = math.inf, math.nan
         for v in ([], [1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
                   [2.0, 2.0, 2.0], [2.0] * 9, [0.0, inf, 0.0], [0.0, inf, inf, 0.0],
                   [-inf, 0.0, -inf], [inf, 1.0, inf], [-inf, inf, -inf, inf],
                   [0.0, 1.0, 1.0, nan], [nan, 1.0, 1.0, 0.0], [0.0, nan, 1.0, 1.0, 0.0],
                   [0.0, 1.0, 1.0, nan, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0]):
-            assert _candidate_peaks(np.array(v)) == _loop_candidate_peaks(np.array(v)), v
+            assert _peaks(v) == _loop_candidate_peaks(np.array(v)), v
         for _ in range(500):
             v = rng.choice([-inf, 0.0, 1.0, 2.0, inf, nan], size=int(rng.integers(0, 21)))
-            assert _candidate_peaks(v) == _loop_candidate_peaks(v)
+            assert _peaks(v) == _loop_candidate_peaks(v)
         # one full-resolution |V| row at the critical gap (4096-sample count, doubled)
         delta_crit, _ = critical_gap_stft(1.0, window)
         model = TwoHarmonicModel(xi0=1.0, delta=delta_crit, a=1.0)
         row = np.abs(stft_closed_form(model, window, 0.0,
                                       np.linspace(*default_band(model, window), 8193)))
-        assert _candidate_peaks(row) == _loop_candidate_peaks(row)
+        assert _peaks(row) == _loop_candidate_peaks(row)
+
+    def test_rows_match_reference_loop(self):
+        # the 2-D search is the 1-D one on each row: a run never continues
+        # past a row's end, even when the next row starts at the same value
+        rng = np.random.default_rng(8)
+        inf, nan = math.inf, math.nan
+        for _ in range(300):
+            shape = (int(rng.integers(0, 6)), int(rng.integers(0, 12)))
+            v = rng.choice([-inf, 0.0, 1.0, 2.0, 2.0, inf, nan], size=shape)
+            rows, left, right = _candidate_peaks(v)
+            assert rows.dtype.kind == left.dtype.kind == right.dtype.kind == "i"
+            want = [(i, l, r) for i in range(shape[0]) for l, r in _loop_candidate_peaks(v[i])]
+            assert list(zip(rows.tolist(), left.tolist(), right.tolist())) == want
+        v = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [2.0, 0.0, 0.0]])
+        assert all(a.size == 0 for a in _candidate_peaks(v))
+        assert [a.tolist() for a in _candidate_peaks(v.reshape(2, 6))] == [[0, 1], [1, 1], [4, 3]]
 
 
 class TestRefinedMaxima:
@@ -451,6 +526,32 @@ class TestExtractRidges:
         assert report.maxima_count_per_t == ref.maxima_count_per_t
         assert report.bifurcation_times == ref.bifurcation_times
         assert all(c == 1 for _, c in report.maxima_count_per_t)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_matches_column_loop_on_presets(self, preset):
+        cfg = PRESETS[preset]
+        model = TwoHarmonicModel(xi0=cfg["model.xi0"], delta=cfg["model.delta"], a=cfg["model.a"])
+        window = GaussianWindow(sigma=cfg["model.sigma"])
+        grid = TFGrid(cfg["grid.t_min"], cfg["grid.t_max"], cfg["grid.n_t"],
+                      cfg["grid.eta_min"], cfg["grid.eta_max"], cfg["grid.n_eta"])
+        values = stft_field(model, window, grid)
+        _assert_matches_loop(grid, values)
+        # quantised to 32 levels of |V|, the ridges become plateaus
+        _assert_matches_loop(grid, np.round(32 * np.abs(values)))
+
+    def test_matches_column_loop_on_plateaus(self):
+        # flat tops inside a row, reaching its last sample, spanning it,
+        # single-sample peaks with a zero second difference, and NaN samples
+        grid = TFGrid(0.0, 1.0, 9, -1.0, 1.0, 7)
+        rows = [[0, 1, 2, 2, 2, 2, 2], [0, 1, 1, 0, 2, 2, 1], [2, 2, 2, 2, 2, 2, 2],
+                [0, 2, 0, 1, 3, 3, 3], [1, 0, 1, 0, 1, 0, 1], [0, 1, 0, 0, 0, 1, 1],
+                [0, 1, 1, 1, 1, 1, 0], [0, 3, 1, 3, 0, 3, 3], [0, 1, math.nan, 2, 1, 2, 0]]
+        _assert_matches_loop(grid, np.array(rows, dtype=float))
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n_t, n_eta = (int(k) for k in rng.integers(2, 14, size=2))
+            grid = TFGrid(0.0, 1.0, n_t, 0.0, 1.0, n_eta)
+            _assert_matches_loop(grid, rng.integers(0, 4, size=(n_t, n_eta)).astype(float))
 
     def test_balanced_symmetry(self, window, model_balanced):
         grid = TFGrid(0.0, 3.4, 48, 0.4, 1.9, 400)

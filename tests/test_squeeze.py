@@ -978,7 +978,7 @@ class TestCriticalGapDensity:
             model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
             xis = np.linspace(model.xi0 + 2e-3 * delta, model.xi1 - 2e-3 * delta, 20001)
             vals = np.abs(pushforward_density(model, window, "stft", 0.0, xis))
-            return len(_candidate_peaks(vals))
+            return len(_candidate_peaks(vals)[0])
 
         assert count(0.999 * delta_c) == 1
         assert count(1.001 * delta_c) == 2
@@ -996,7 +996,7 @@ class TestCriticalGapDensity:
             model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
             xis = model.xi0 + delta / (1.0 + np.exp(-s))
             vals = np.abs(pushforward_density(model, window, "stft", 0.0, xis))
-            return len(_candidate_peaks(vals))
+            return len(_candidate_peaks(vals)[0])
 
         lo, hi = 0.999 * delta_c, 1.001 * delta_c
         assert count(lo) == 1 and count(hi) == 2
