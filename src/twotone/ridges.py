@@ -154,12 +154,13 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
     Counts at n and 2n samples must agree (guards grid aliasing near
     bifurcations); up to four doublings are tried. Each level's grid is one
     linspace of 2n + 1 samples, whose even entries are the n + 1 samples of
-    the level below bit for bit; the base level counts on them, and each
-    doubling evaluates |V| only at its n new midpoints, so a count that agrees
-    at once costs n + 1 + n samples. Maxima within 1e-8 of each other count
-    once: only the candidates whose brackets lie within 1e-8 of a neighbouring
-    bracket can merge, so only those are golden-refined (to 1e-10) before
-    counting. A non-finite t raises ModelValidationError.
+    the level below bit for bit. The first level evaluates |V| on its whole
+    grid in one call and counts n on its even entries, a strided view, so a
+    count that agrees at once costs one call of 2n + 1 samples; each further
+    doubling evaluates |V| only at its n new midpoints. Maxima within 1e-8 of
+    each other count once: only the candidates whose brackets lie within 1e-8
+    of a neighbouring bracket can merge, so only those are golden-refined (to
+    1e-10) before counting. A non-finite t raises ModelValidationError.
     """
     if not math.isfinite(t):
         raise ModelValidationError(f"t must be finite, got {t!r}")
@@ -168,28 +169,36 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
         raise ModelValidationError("n_samples must be >= 512")
 
     def modulus(eta):
-        # |V| = |g0 + c g1| with c = a e^{2 pi i delta t}; at t = 0 c is real and
-        # the samples equal |stft_closed_form| bit for bit
+        # |V| = |g0 + c g1| with c = a e^{2 pi i delta t}; where c is real and
+        # not negative (t = 0), g0 + c g1 >= 0 is its own modulus: formed in
+        # place (a scalar eta rebinds), it equals |stft_closed_form| bit for
+        # bit. A tiny a can make c.imag underflow to 0 with c.real < 0.
         _, rot1, g0, g1 = _v_terms(model, window, t, eta)
         c = model.a * rot1
-        return np.abs(g0 + (c.real if c.imag == 0.0 else c) * g1)
+        if c.imag != 0.0 or c.real < 0.0:
+            return np.abs(g0 + c * g1)
+        g1 *= c.real
+        g1 += g0
+        return g1
 
     def count(grid, vals):
         return len(_refined_maxima(lambda e: float(modulus(e)), grid, vals))
 
     n = n_samples
     grid = np.linspace(band[0], band[1], 2 * n + 1)
-    vals = modulus(grid[::2])
-    count_n = count(grid[::2], vals)
-    for _ in range(4):
-        finer = np.empty(2 * n + 1)
-        finer[::2] = vals
-        finer[1::2] = modulus(grid[1::2])
-        vals, count_2n = finer, count(grid, finer)
+    vals = modulus(grid)
+    count_n = count(grid[::2], vals[::2])
+    for level in range(4):
+        if level:
+            grid = np.linspace(band[0], band[1], 2 * n + 1)
+            finer = np.empty(2 * n + 1)
+            finer[::2] = vals
+            finer[1::2] = modulus(grid[1::2])
+            vals = finer
+        count_2n = count(grid, vals)
         if count_2n == count_n:
             return count_n
         count_n, n = count_2n, 2 * n
-        grid = np.linspace(band[0], band[1], 2 * n + 1)
     raise InconclusiveCountError(
         f"maxima count did not stabilize up to n = {n} samples at t = {t}"
     )

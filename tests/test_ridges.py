@@ -25,6 +25,7 @@ from twotone.errors import (
     NoBifurcationError,
 )
 from twotone import ridges
+from twotone.gabor import _v_terms
 from twotone.presets import PRESETS
 from twotone.ridges import _candidate_peaks, _refined_maxima, default_band, golden_max
 
@@ -66,14 +67,15 @@ class TestCounting:
         assert sizes == [513, 1025, 2049, 4097, 8193]
 
     @pytest.mark.parametrize("stable, evaluated", [
-        (True, [513, 512]),
-        (False, [513, 512, 1024, 2048, 4096]),
+        (True, [1025]),
+        (False, [1025, 1024, 2048, 4096]),
     ])
     def test_doublings_evaluate_only_new_midpoints(self, window, model_balanced, monkeypatch,
                                                    stable, evaluated):
-        # each doubling keeps the samples it has: |V| is evaluated at the
-        # n + 1 base samples, then only at each level's new midpoints, and
-        # every level still counts on the whole linspace grid
+        # |V| is evaluated once on the first level's whole grid of 2n + 1
+        # samples, the base level counting on its even entries; each further
+        # doubling keeps the samples it has and evaluates only its new
+        # midpoints, and every level still counts on the whole linspace grid
         band = default_band(model_balanced, window)
         sizes, grids = [], []
         v_terms = ridges._v_terms
@@ -123,6 +125,63 @@ class TestCounting:
                 else:
                     assert np.all(np.abs(values - ref) <= 4 * np.spacing(ref))
 
+    @pytest.mark.parametrize("t", [0.0, 0.4])
+    def test_golden_refinement_matches_two_call_count(self, window, monkeypatch, t):
+        # with every pair of brackets within _MERGE_TOL each candidate is
+        # golden-refined, and golden_max hands the modulus a scalar eta
+        monkeypatch.setattr(ridges, "_MERGE_TOL", 1.0)
+        golden_calls = []
+
+        def spy_golden_max(f, lo, hi):
+            golden_calls.append((lo, hi))
+            return golden_max(f, lo, hi)
+
+        monkeypatch.setattr(ridges, "golden_max", spy_golden_max)
+        model = TwoHarmonicModel(xi0=1.0, delta=0.5, a=1.3)
+        ref_levels, ref_count = _two_call_levels(model, window, t, 512)
+        golden_calls.clear()
+        levels, count = _one_call_levels(monkeypatch, model, window, t, 512)
+        assert golden_calls
+        assert count == ref_count == 1
+        _assert_same_levels(levels, ref_levels)
+
+    @pytest.mark.parametrize("sigma", [0.7, math.sqrt(2.0), 2.5])
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 1.0, 1.3, 40.0])
+    def test_matches_two_call_count(self, monkeypatch, a, sigma):
+        # one call on the first level's whole grid gives the samples, maxima
+        # and count of the even samples and midpoints evaluated apart
+        window = GaussianWindow(sigma=sigma)
+        delta_crit = critical_gap_stft(a, window)[0]
+        for scale in (0.9, 1.0, 1.1):
+            model = TwoHarmonicModel(xi0=1.0, delta=scale * delta_crit, a=a)
+            for t in (0.0, 0.4, 5.0 / 3.0):
+                ref_levels, ref_count = _two_call_levels(model, window, t, 512)
+                levels, count = _one_call_levels(monkeypatch, model, window, t, 512)
+                assert count == ref_count
+                _assert_same_levels(levels, ref_levels)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0])
+    def test_matches_two_call_count_past_first_doubling(self, window, monkeypatch, a):
+        # just above the critical gap the flat top splits only on the finer
+        # grid, so the count needs a second doubling with its lazy midpoints
+        model = TwoHarmonicModel(xi0=1.0, delta=1.00001 * critical_gap_stft(a, window)[0], a=a)
+        ref_levels, ref_count = _two_call_levels(model, window, 0.0, 512)
+        levels, count = _one_call_levels(monkeypatch, model, window, 0.0, 512)
+        assert [len(grid) for grid, _, _ in levels] == [513, 1025, 2049]
+        assert count == ref_count == 2
+        _assert_same_levels(levels, ref_levels)
+
+    def test_underflowing_imaginary_part_matches_two_call_count(self, window, monkeypatch):
+        # at a = 1e-310 and half a period, c = a e^{2 pi i delta t} reads
+        # (-1e-310 + 0j): real but negative, so g0 + c g1 < 0 where g0 has
+        # underflowed, and the far maximum of |V| = a g1 must still count
+        model = TwoHarmonicModel(xi0=1.0, delta=30.0, a=1e-310)
+        t = 0.5 / model.delta
+        ref_levels, ref_count = _two_call_levels(model, window, t, 512)
+        levels, count = _one_call_levels(monkeypatch, model, window, t, 512)
+        assert count == ref_count == 2
+        _assert_same_levels(levels, ref_levels)
+
     def test_period_sweep_above_critical(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.5, a=1.0)
         for t in np.linspace(0.0, 1.0 / model.delta, 17):
@@ -142,6 +201,68 @@ class TestCounting:
             assert count_frequency_maxima(model_balanced, window, float(t)) == 1
         for t in np.linspace(t_l + margin, t_r - margin, 5):
             assert count_frequency_maxima(model_balanced, window, float(t)) == 2
+
+
+def _two_call_levels(model, window, t, n_samples):
+    """The count as count_frequency_maxima ran it before its first level
+    became one call of |V|: the n + 1 even samples, then the n midpoints in a
+    second call, both copied into a third array. Returns the counted levels as
+    (grid, values, maxima) and the count, or None where it does not
+    stabilize: the reference the one-call count must reproduce."""
+    band = default_band(model, window)
+
+    def modulus(eta):
+        _, rot1, g0, g1 = _v_terms(model, window, t, eta)
+        c = model.a * rot1
+        return np.abs(g0 + (c.real if c.imag == 0.0 else c) * g1)
+
+    levels = []
+
+    def count(grid, vals):
+        maxima = _refined_maxima(lambda e: float(modulus(e)), grid, vals)
+        levels.append((grid, vals, maxima))
+        return len(maxima)
+
+    n = n_samples
+    grid = np.linspace(band[0], band[1], 2 * n + 1)
+    vals = modulus(grid[::2])
+    count_n = count(grid[::2], vals)
+    for _ in range(4):
+        finer = np.empty(2 * n + 1)
+        finer[::2] = vals
+        finer[1::2] = modulus(grid[1::2])
+        vals, count_2n = finer, count(grid, finer)
+        if count_2n == count_n:
+            return levels, count_n
+        count_n, n = count_2n, 2 * n
+        grid = np.linspace(band[0], band[1], 2 * n + 1)
+    return levels, None
+
+
+def _one_call_levels(monkeypatch, model, window, t, n_samples):
+    """count_frequency_maxima's counted levels and count, as _two_call_levels
+    returns them."""
+    levels = []
+
+    def spy_refined_maxima(f, grid, values):
+        maxima = _refined_maxima(f, grid, values)
+        levels.append((grid, values, maxima))
+        return maxima
+
+    monkeypatch.setattr(ridges, "_refined_maxima", spy_refined_maxima)
+    try:
+        count = count_frequency_maxima(model, window, t, n_samples=n_samples)
+    except InconclusiveCountError:
+        count = None
+    return levels, count
+
+
+def _assert_same_levels(levels, ref_levels):
+    assert len(levels) == len(ref_levels)
+    for (grid, values, maxima), (ref_grid, ref_values, ref_maxima) in zip(levels, ref_levels):
+        assert grid.tobytes() == ref_grid.tobytes()
+        assert values.tobytes() == ref_values.tobytes()
+        assert maxima == ref_maxima
 
 
 def _loop_candidate_peaks(v):
