@@ -29,14 +29,10 @@ SENTINEL = complex(-math.inf, 0.0)
 _EXP_CLIP = 500.0
 
 
-def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.ndarray:
-    """Vectorized eta_s over broadcastable (t, eta); SENTINEL where V = 0.
-
-    Evaluated as xi1 - delta/(1 + q), with the regions of extreme
-    ln |q| = ln a + 2 C delta (eta - xibar) pinned to the exact limits xi0 / xi1
-    so that neither large gaps nor extreme amplitudes can overflow; a = 0 is
-    pinned to xi0 at every eta but nan.
-    """
+def _log_q_and_q(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> tuple:
+    """ln |q| = ln a + 2 C delta (eta - xibar) over broadcastable (t, eta), and
+    q itself with ln |q| clipped to [-500, 500]; a = 0 gives ln |q| = -inf at
+    every eta but nan."""
     t = np.asarray(t, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if model.a == 0:  # ln a = -inf, which an overflowed exponent +inf would cancel to nan
@@ -47,6 +43,18 @@ def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.
             log_q = math.log(model.a) + 2.0 * window.C * model.delta * (eta - model.xibar)
     # e^{2 pi i delta t} on t's own shape: once per t, not once per node
     q = np.exp(2j * math.pi * model.delta * t) * np.exp(np.clip(log_q, -_EXP_CLIP, _EXP_CLIP))
+    return log_q, q
+
+
+def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.ndarray:
+    """Vectorized eta_s over broadcastable (t, eta); SENTINEL where V = 0.
+
+    Evaluated as xi1 - delta/(1 + q), with the regions of extreme
+    ln |q| = ln a + 2 C delta (eta - xibar) pinned to the exact limits xi0 / xi1
+    so that neither large gaps nor extreme amplitudes can overflow; a = 0 is
+    pinned to xi0 at every eta but nan.
+    """
+    log_q, q = _log_q_and_q(model, window, t, eta)
     denom = 1.0 + q
     # anchor to the nearer fixed point: xi0 + delta q/(1+q) avoids the
     # delta-sized cancellation when |q| << 1, and symmetrically for large q
@@ -56,6 +64,27 @@ def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.
     np.copyto(out, SENTINEL, where=np.abs(denom) <= 1e-14)
     np.copyto(out, model.xi1, where=log_q > _EXP_CLIP)
     np.copyto(out, model.xi0, where=log_q < -_EXP_CLIP)
+    return out
+
+
+def eta_s_derivative(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.ndarray:
+    """D = d eta_s/d eta = 2 C delta^2 q/(1 + q)^2 over broadcastable (t, eta).
+
+    eta_s depends on (t, eta) only through eta + i pi t/C, so it is
+    holomorphic there and d eta_s/dt = (i pi/C) D. q/(1 + q)^2 is unchanged
+    by q -> 1/q, so it is evaluated on whichever of q and 1/q lies in the
+    unit disc, where no term overflows. D reads 0 in the pinned regions of
+    eta_s_values, where eta_s is constant. The pole at a zero of V, q = -1,
+    reads complex(inf, 0), so |D| = inf at exactly the nodes where
+    eta_s_values reads SENTINEL.
+    """
+    log_q, q = _log_q_and_q(model, window, t, eta)
+    # a nan eta gives a nan D, quietly, and the pole is written below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(np.abs(q) < 1.0, q, 1.0 / q)
+        out = np.where(np.abs(log_q) > _EXP_CLIP, 0j,
+                       2.0 * window.C * model.delta ** 2 * (p / (1.0 + p) ** 2))
+    np.copyto(out, complex(math.inf, 0.0), where=np.abs(1.0 + q) <= 1e-14)
     return out
 
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from twotone import (
+    SENTINEL,
+    GaussianWindow,
     TFGrid,
     TwoHarmonicModel,
     ahm_reassign_error_bound,
@@ -19,7 +21,7 @@ from twotone import (
     stft_closed_form,
 )
 from twotone.errors import DomainError
-from twotone.reassign import eta_s_numeric, imag_correction
+from twotone.reassign import eta_s_derivative, eta_s_numeric, imag_correction
 from tests.test_model import quadratic_signal
 
 
@@ -100,6 +102,78 @@ class TestEtaS:
         etas = np.linspace(model_a13.xibar - 1.5, model_a13.xibar + 1.5, 600)
         vals = eta_s_values(model_a13, window, 0.0, etas).real
         assert np.all(np.diff(vals) > 0)
+
+
+class TestEtaSDerivative:
+    @staticmethod
+    def _random_points(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            window = GaussianWindow(sigma=rng.uniform(0.5, 2.0))
+            model = TwoHarmonicModel(xi0=rng.uniform(0.5, 2.0), delta=rng.uniform(0.05, 1.0),
+                                     a=math.exp(rng.uniform(-2.0, 2.0)))
+            yield model, window, rng.uniform(-3.0, 3.0), model.xibar + rng.uniform(-0.5, 0.5)
+
+    def test_matches_central_differences(self):
+        # d eta_s/d eta = D and d eta_s/dt = (i pi/C) D: eta_s is holomorphic
+        # in eta + i pi t/C
+        h = 1e-6
+        for model, window, t, eta in self._random_points(3, 300):
+            d = complex(eta_s_derivative(model, window, t, eta))
+            d_eta = (complex(eta_s_values(model, window, t, eta + h))
+                     - complex(eta_s_values(model, window, t, eta - h))) / (2 * h)
+            d_t = (complex(eta_s_values(model, window, t + h, eta))
+                   - complex(eta_s_values(model, window, t - h, eta))) / (2 * h)
+            assert abs(d_eta - d) <= 1e-6 * (1.0 + abs(d))
+            assert abs(d_t - 1j * math.pi / window.C * d) <= 1e-6 * (1.0 + abs(d_t))
+
+    def test_real_part_is_the_phase_rule_gradient(self):
+        # with s = ln a + 2 C delta (eta - xibar) and phi = 2 pi delta t,
+        # Re D = C delta^2 (1 + cos phi cosh s)/(cosh s + cos phi)^2
+        for model, window, t, eta in self._random_points(4, 300):
+            d = complex(eta_s_derivative(model, window, t, eta))
+            s = math.log(model.a) + 2 * window.C * model.delta * (eta - model.xibar)
+            phi = 2 * math.pi * model.delta * t
+            real = (window.C * model.delta ** 2 * (1 + math.cos(phi) * math.cosh(s))
+                    / (math.cosh(s) + math.cos(phi)) ** 2)
+            assert abs(d.real - real) <= 1e-12 * (1.0 + abs(d))
+
+    def test_pole_at_the_zero_of_v(self, window, model_balanced):
+        # at a = 1 the zero of V on t_0^- is xibar, a node of this grid
+        t = destructive_time(model_balanced, 0)
+        etas = model_balanced.xibar + np.linspace(-0.5, 0.5, 101)
+        d = eta_s_derivative(model_balanced, window, t, etas)
+        pole = eta_s_values(model_balanced, window, t, etas) == SENTINEL
+        assert np.count_nonzero(pole) == 1
+        assert np.all(d[pole] == complex(math.inf, 0.0)) and np.all(np.isfinite(d[~pole]))
+
+    @pytest.mark.parametrize("a", [0.0, 1e-250, 1.3, 1e250])
+    def test_extreme_eta_reads_zero_without_warning(self, window, a):
+        # the eta of eta_s_values' overflow tests: at an offset of 8e307 the
+        # exponent overflows to +-inf, and at 50 it passes +-500 for a = 1.3.
+        # RuntimeWarnings are errors in this suite
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=a)
+        etas = [model.xi1 + 8e307, model.xi0 - 8e307, math.nan]
+        if a == 1.3:
+            etas += [model.xi1 + 50.0, model.xi0 - 50.0]
+        d = eta_s_derivative(model, window, 0.37, np.array(etas))
+        assert np.isnan(d[2].real) and np.all(np.delete(d, 2) == 0.0)
+
+    @pytest.mark.parametrize("a", [1e-250, 1e250])
+    def test_extreme_amplitude_follows_log_q(self, window, a):
+        # at t = 0, q is real and D = C delta^2/(1 + cosh ln q), whatever a is
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=a)
+        log_q = np.linspace(-60.0, 60.0, 121)
+        eta = model.xibar + (log_q - math.log(a)) / (2 * window.C * model.delta)
+        exact = window.C * model.delta ** 2 / (1.0 + np.cosh(log_q))
+        d = eta_s_derivative(model, window, 0.0, eta)
+        assert np.max(np.abs(d - exact) / exact) <= 1e-9
+
+    def test_broadcasts_over_t_and_eta(self, window, model_a13):
+        ts, etas = np.array([0.1, 0.7, 1.9]), np.linspace(0.9, 1.5, 5)
+        grid = eta_s_derivative(model_a13, window, ts[:, None], etas[None, :])
+        rows = np.array([eta_s_derivative(model_a13, window, t, etas) for t in ts])
+        assert grid.shape == (3, 5) and np.array_equal(grid, rows)
 
 
 class TestEtaP:

@@ -25,6 +25,7 @@ from twotone import (
     pushforward_density,
     squeeze_cross_section,
     squeeze_transform,
+    stft_closed_form,
 )
 from twotone import squeeze as squeeze_module
 from twotone.errors import (
@@ -35,6 +36,7 @@ from twotone.errors import (
     SolverFailureError,
 )
 from twotone.oracle import oracle_quadrature_squeeze
+from twotone.presets import PRESETS
 from twotone.reassign import eta_s_values
 from twotone.ridges import _candidate_peaks, flip_bracket
 from twotone.squeeze import (
@@ -263,18 +265,129 @@ class TestTransform:
         assert sums == [(2, n0 + 1)] and len(etas) == 1
         assert len(etas[0]) == n0 + 1
 
-    def test_destructive_whole_grid_window_nests_each_level_once(self, window, model_a13,
-                                                                 monkeypatch):
+    def test_destructive_section_splits_around_the_zero(self, window, model_a13, monkeypatch):
+        # 1024 base intervals, where the zone's own ladder doubles
+        n0 = 1024
+        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", n0)
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        n0 = squeeze_module._BASE_INTERVALS
         sums, etas = self._record_passes(monkeypatch)
         t = destructive_time(model_a13, 0)
         squeeze_cross_section(model_a13, window, config, t, np.linspace(0.6, 1.7, 257))
-        # T_h and T_2h differ on the whole band; each doubling evaluates and
-        # sums only the n0, 2 n0, 4 n0, ... midpoints of the level before
-        assert len(sums) >= 2 and len(etas) == len(sums)
-        assert sums == [(2, n0 + 1)] + [(1, n0 << k) for k in range(len(sums) - 1)]
-        self._assert_nested(etas[0], etas[1:], etas[0][0], etas[0][-1])
+        # the band's T_h and T_2h over its n0 + 1 base nodes differ, and so
+        # does the first doubling over the n0 midpoints
+        base, mids, near, zone, *levels = etas
+        assert sums[:2] == [(2, n0 + 1), (1, n0)]
+        lo, hi = base[0], base[-1]
+        band = np.sort(np.concatenate([base, mids]))
+        # the zone's ladder runs on [a, b] around the zero of V, a small part
+        # of the band
+        a, b = zone[0], zone[-1]
+        assert lo < a < destructive_zero(model_a13, window) < b < hi
+        assert b - a < (hi - lo) / 4
+        # the psi-weighted pass sums both rules over the band's nodes in
+        # [a, b] as they were evaluated, and over no other node
+        assert sums[2] == (2, len(near)) and len(near) > 0
+        assert np.array_equal(near, band[(band >= a) & (band <= b)])
+        # then two rules on the zone's own n0 + 1 base nodes, and midpoint
+        # levels nested on [a, b]; the outer piece needs no doubling
+        assert len(levels) >= 1
+        assert sums[3:] == [(2, n0 + 1)] + [(1, n0 << k) for k in range(len(levels))]
+        self._assert_nested(zone, levels, a, b)
+
+    def test_gap_small_a13_destructive_row_evaluates_a_fifth_of_the_nodes(self, window):
+        # the t = 5/3 row of the squeeze preset: the ladder on the whole band
+        # evaluates 4097 + 4096 + 8192 + 16384 + 32768 = 65537 nodes
+        cfg = PRESETS["gap-small-a13"]
+        model = TwoHarmonicModel(xi0=cfg["model.xi0"], delta=cfg["model.delta"],
+                                 a=cfg["model.a"])
+        config = SqueezeConfig(alpha=cfg["squeeze.alpha"], weighting=cfg["squeeze.weighting"])
+        xis = np.linspace(cfg["grid.eta_min"], cfg["grid.eta_max"], cfg["grid.n_eta"])
+        assert destructive_time(model, 0) == pytest.approx(5 / 3)
+        nodes = []
+
+        def eta_spy(model, window, t, eta):
+            nodes.append(np.size(eta))
+            return eta_s_values(model, window, t, eta)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(squeeze_module, "eta_s_values", eta_spy)
+            squeeze_cross_section(model, window, config, 5 / 3, xis)
+        assert sum(nodes) <= 20_000
+
+    @staticmethod
+    def _split_zones(monkeypatch):
+        """The result of every _zone call squeeze_cross_section makes."""
+        zones = []
+        zone_fn = squeeze_module._zone
+
+        def zone_spy(*args):
+            zones.append(zone_fn(*args))
+            return zones[-1]
+
+        monkeypatch.setattr(squeeze_module, "_zone", zone_spy)
+        return zones
+
+    # sections through and next to the zero of V that split: the phase rule
+    # sits 0.05 off the destructive time, where a 2^18-node rule resolves it
+    @pytest.mark.parametrize("offset, weighting, mode, a, alpha", [
+        (0.0, "stft", "sync", 0.4, 1e-5),
+        (0.0, "indicator", "phase", 1.0, 1e-4),
+        (0.0, "stft", "phase", 1.3, 1e-4),
+        (0.0, "indicator", "sync", 1.3, 1e-5),
+        (0.05, "stft", "phase", 0.4, 1e-3),
+        (0.005, "indicator", "sync", 1.0, 1e-4),
+        (0.05, "indicator", "phase", 1.3, 1e-3),
+        (0.005, "stft", "sync", 0.4, 1e-5),
+    ])
+    def test_split_matches_a_fine_uniform_rule(self, window, monkeypatch, offset, weighting,
+                                               mode, a, alpha):
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=a)
+        t = destructive_time(model, 0) + offset
+        R = 8.0 if weighting == "indicator" else None
+        config = SqueezeConfig(alpha=alpha, weighting=weighting, R=R, reassignment_mode=mode)
+        xis = model.xi0 + model.delta * np.linspace(-1.0, 2.0, 7)
+        zones = self._split_zones(monkeypatch)
+        vals = squeeze_cross_section(model, window, config, t, xis)
+        assert zones and zones[-1] is not None
+        # one midpoint rule over the band, or over all of [-R, R]
+        ref = _midpoint_rule(model, window, config, t, xis, 2 ** 18)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(vals - ref)) <= 1e-9 * scale
+        if mode == "sync":
+            # the oracle takes the complex rule only
+            oracle = np.array([oracle_quadrature_squeeze(model, window, config, t, float(xi))
+                               for xi in xis])
+            assert np.max(np.abs(vals - oracle)) <= 1e-6 * scale
+
+    def test_phase_section_next_to_a_zero_converges(self, monkeypatch):
+        # the ladder on the whole band stops here after 9 doublings, still
+        # 2.8 times over the tolerance; the split matches a 2^22-node midpoint
+        # rule to 7.0e-9 of the section's max, and this 2^20-node one on every
+        # tenth xi to 4.9e-8
+        model = TwoHarmonicModel(xi0=1.0, delta=0.6658918842004374, a=0.4052904036302374)
+        window = GaussianWindow(sigma=1.2242797887726682)
+        config = SqueezeConfig(alpha=4.849063391677871e-05, weighting="stft",
+                               reassignment_mode="phase")
+        t = 0.7442895458264165
+        xis = np.linspace(model.xi0 - 0.8, model.xi1 + 0.8, 200)
+        zones = self._split_zones(monkeypatch)
+        vals = squeeze_cross_section(model, window, config, t, xis)
+        assert zones and zones[-1] is not None
+        ref = _midpoint_rule(model, window, config, t, xis[::10], 2 ** 20)
+        assert np.max(np.abs(vals[::10] - ref)) <= 1e-6 * np.max(np.abs(vals))
+
+    def test_starved_split_raises(self, window, model_a13, monkeypatch):
+        # the band doubles once, then each piece of the split twice at most
+        monkeypatch.setattr(squeeze_module, "_RTOL", 1e-15)
+        monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", 2)
+        zones = self._split_zones(monkeypatch)
+        config = SqueezeConfig(alpha=ALPHA, weighting="stft")
+        t = destructive_time(model_a13, 0)
+        with pytest.raises(SolverFailureError) as err:
+            squeeze_cross_section(model_a13, window, config, t, np.linspace(0.6, 1.7, 33))
+        assert len(zones) == 1 and zones[0] is not None
+        change, target = err.value.residuals
+        assert math.isfinite(change) and change > target > 0
 
     @pytest.mark.parametrize("R", [5.0, 50.0])
     def test_indicator_far_fields_are_one_closed_form_sum(self, window, model_a13,
@@ -379,6 +492,27 @@ class TestTransform:
             squeeze_module.squeeze_field(model_a13, window, SqueezeConfig(alpha=ALPHA), grid)
 
 
+def _midpoint_rule(model, window, config, t, xis, n):
+    """S(t, xi) by one midpoint rule of n nodes over the squeeze band, or
+    over all of [-R, R] for indicator weighting."""
+    indicator = config.weighting == "indicator"
+    if indicator:
+        lo, hi = -config.R, config.R
+    else:
+        (lo, hi), = squeeze_module._integration_pieces(model, window, config)
+    eta = lo + (hi - lo) / n * (np.arange(n) + 0.5)
+    hat = eta_s_values(model, window, t, eta)
+    if config.reassignment_mode == "phase":
+        hat = hat.real.astype(complex)
+    weight = np.ones(n) if indicator else stft_closed_form(model, window, t, eta)
+    out = np.empty(len(xis), dtype=complex)
+    for i, xi in enumerate(xis):
+        # exp(-40^2) is 0.0: the dropped terms add nothing
+        near = np.abs(hat - xi) < 40 * math.sqrt(config.alpha)
+        out[i] = np.dot(np.exp(-np.abs(hat[near] - xi) ** 2 / config.alpha), weight[near])
+    return out * (hi - lo) / n / math.sqrt(math.pi * config.alpha)
+
+
 def _dense_mollified_sums(hat, sent, w, gvals, xis, alpha):
     """The mollified sum as one dense pass over every node per xi: the
     reference the windowed kernel must reproduce."""
@@ -444,6 +578,28 @@ class TestMollifiedSums:
         assert 0.0 < abs(ref[0]) < 1e-300
         got = _mollified_sums(hat, (w * gvals)[None], np.array([xi]), alpha)
         assert got[0, 0] == 0.0
+
+    def test_restores_the_ufunc_buffer_size(self, monkeypatch):
+        # the block loop runs with a 1024-element buffer, and the caller's
+        # size comes back, also when the loop raises
+        rng = np.random.default_rng(7)
+        hat = rng.uniform(1.0, 1.3, 200).astype(complex)
+        weights = _positive_weights(rng, 1, 200)
+        before = np.getbufsize()
+        _mollified_sums(hat, weights, np.linspace(1.0, 1.3, 9), 1e-4)
+        assert np.getbufsize() == before
+        calls = _KernelCalls()
+        sizes = []
+
+        def failing_matmul(*args, **kwargs):
+            sizes.append(np.getbufsize())
+            raise FloatingPointError
+
+        calls.matmul = failing_matmul
+        monkeypatch.setattr(squeeze_module, "np", calls)
+        with pytest.raises(FloatingPointError):
+            _mollified_sums(hat, weights, np.linspace(1.0, 1.3, 9), 1e-4)
+        assert sizes == [1024] and np.getbufsize() == before
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_identical_windows_longer_than_one_block(self, monkeypatch, m):
