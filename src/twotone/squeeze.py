@@ -38,11 +38,16 @@ _NORMAL_EXPONENT = -math.log(sys.float_info.min)
 # the most terms one block of _mollified_sums evaluates, one 512 KB buffer;
 # caps of 2^12-2^14 and 2^18 terms measured slower
 _BLOCK_TERMS = 1 << 16
-# the squeeze band's trapezoid ladder: base intervals (even, so T_2h shares
-# its nodes), relative tolerance and the most doublings after the base pass
+# the squeeze band's trapezoid ladder: the most base intervals (even, so T_2h
+# shares its nodes), relative tolerance and the most doublings after a base
+# pass of that many intervals
 _BASE_INTERVALS = 4096
 _RTOL = 1e-8
 _MAX_DOUBLINGS = 9
+# a coarser base (_base_intervals) has at least this many intervals and a step
+# h with h |D| <= sqrt(alpha)/4 on the whole band
+_MIN_BASE_INTERVALS = 256
+_STEP_RESOLUTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,30 @@ def _two_rules(h: float, n: int) -> np.ndarray:
     steps[1, ::2] = 2.0 * h
     steps[:, [0, -1]] /= 2.0
     return steps
+
+
+def _base_intervals(model: TwoHarmonicModel, window: GaussianWindow, t: float, alpha: float,
+                    width: float) -> int:
+    """The base interval count n0 of the squeeze band's ladder at time t.
+
+    With q = e^{s + i phi}, phi = 2 pi delta t, the map derivative is
+    |D| = C delta^2/(cosh s + cos phi) <= C delta^2/(1 + cos phi) on the whole
+    line t = const, so the mollifier pulled back through eta_s is at least
+    sqrt(alpha)/|D| wide, and the weight's Gaussians 1/sqrt(C). With r =
+    max(C delta^2/((1 + cos phi) sqrt(alpha)), sqrt(C)), n0 is the smallest
+    power of two >= 256 with width r/n0 <= 1/4, capped at _BASE_INTERVALS.
+    Then h |D| <= sqrt(alpha)/4 for the base step h on the whole band. n0 is
+    the cap whenever 1 + cos phi is not > 0: at the destructive times, where
+    the line meets the map's pole, |D| has no bound.
+    """
+    room = 1.0 + math.cos(2.0 * math.pi * model.delta * t)
+    if not room > 0:
+        return _BASE_INTERVALS
+    rate = max(window.C * model.delta ** 2 / (room * math.sqrt(alpha)), math.sqrt(window.C))
+    n = _MIN_BASE_INTERVALS
+    while n < _BASE_INTERVALS and width * rate > _STEP_RESOLUTION * n:
+        n *= 2
+    return min(n, _BASE_INTERVALS)
 
 
 def _zone(model: TwoHarmonicModel, window: GaussianWindow, t: float, alpha: float,
@@ -277,8 +306,8 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
 
     Nested trapezoid refinement on the whole band of _integration_pieces,
     where the integrand is analytic and flat at both ends, so the rule
-    converges geometrically. The ladder starts one level below the base: the
-    base pass of 4096 intervals sums two
+    converges geometrically once its step resolves the integrand. The
+    ladder starts one level below the base: the base pass sums two
     weight rows over the same nodes, T_h (the trapezoid rule) and T_2h (twice
     the T_h weights on the even nodes, 0 on the odd ones), and each doubling
     evaluates only the midpoints, T_{h/2} = T_h/2 + (h/2) sum f(midpoints).
@@ -289,6 +318,13 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     double precision, so each field's integral is its length times the
     integrand at its midpoint. Sentinel reassignment values contribute zero
     mass.
+
+    The base has 4096 intervals, or fewer where the closed-form bound
+    |D| <= C delta^2/(1 + cos 2 pi delta t) on the map derivative shows
+    that a coarser step already resolves the integrand in T_2h
+    (_base_intervals): down to 256 near the constructive times, 4096 at and
+    next to the destructive times and on an indicator band that R clips,
+    whose ends are not flat.
 
     Near a zero of V, at and next to the destructive times, the reassignment
     map sends the frequency line through its pole, and only there does the
@@ -314,11 +350,12 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     most 2^16 terms (_mollified_sums), each xi still summing only its own
     window.
 
-    Raises SolverFailureError when 9 doublings of the band, or of either
-    piece of a split, do not reach the tolerance.
+    Raises SolverFailureError when the band's ladder reaches 2^9 4096
+    intervals, or either piece of a split 9 doublings, without meeting the
+    tolerance.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    n, alpha = _BASE_INTERVALS, config.alpha
+    alpha = config.alpha
 
     def sums(eta, steps):
         # steps: the step weights of m rules, (m, nodes) or (m, 1), times the
@@ -368,6 +405,14 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
                 return total
 
     (lo, hi), *far = _integration_pieces(model, window, config)
+    # a band that R clips ends where the integrand is not flat, and there
+    # the rule converges only like h^2, so it starts from the most intervals
+    clipped = config.weighting == "indicator" and not -config.R < lo < hi < config.R
+    n = _BASE_INTERVALS if clipped else _base_intervals(model, window, t, alpha, hi - lo)
+    # a coarser base doubles on to the same finest rule, 2^9 _BASE_INTERVALS
+    # intervals; from its first doubling on |D| 2h <= sqrt(alpha)/4 on every
+    # node, so _zone finds no zone there
+    max_doublings = _MAX_DOUBLINGS + (_BASE_INTERVALS // n).bit_length() - 1
     eta = np.linspace(lo, hi, n + 1)
     h = eta[1] - eta[0]
     fine, coarse = sums(eta, _two_rules(h, n))
@@ -386,7 +431,7 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
         scale = max(float(np.max(np.abs(total))), scale_floor)
         if change <= _RTOL * scale:
             return total
-        if doublings == _MAX_DOUBLINGS:
+        if doublings == max_doublings:
             raise unconverged(doublings, n, change, _RTOL * scale)
         if doublings == 1:
             # the nodes of the first doubling's rule as they were evaluated:

@@ -37,7 +37,7 @@ from twotone.errors import (
 )
 from twotone.oracle import oracle_quadrature_squeeze
 from twotone.presets import PRESETS
-from twotone.reassign import eta_s_values
+from twotone.reassign import eta_s_derivative, eta_s_values
 from twotone.ridges import _candidate_peaks, flip_bracket
 from twotone.squeeze import (
     _BLOCK_TERMS,
@@ -254,9 +254,17 @@ class TestTransform:
         assert len(inside) == len(fine) and np.all(np.diff(nodes) > 0)
         assert np.max(np.abs(inside - fine)) <= 1e-12 * (hi - lo)
 
+    @staticmethod
+    def _sized_base(model, window, config, t):
+        """The base interval count the band of this section starts from."""
+        (lo, hi), *_ = squeeze_module._integration_pieces(model, window, config)
+        return squeeze_module._base_intervals(model, window, t, config.alpha, hi - lo)
+
     def test_whole_grid_window_sums_each_level_once(self, window, model_a13, monkeypatch):
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        n0 = squeeze_module._BASE_INTERVALS
+        # at the constructive time the base is sized below the largest
+        n0 = self._sized_base(model_a13, window, config, 0.0)
+        assert n0 < squeeze_module._BASE_INTERVALS
         sums, etas = self._record_passes(monkeypatch)
         squeeze_cross_section(model_a13, window, config, 0.0, np.linspace(0.9, 1.4, 11))
         # the base trapezoid T_h and the rule T_2h on its even nodes are two
@@ -425,10 +433,10 @@ class TestTransform:
         # doubling later, T_{h/2}, which a base pass of 2 n0 intervals gives
         xis = np.linspace(0.9, 1.4, 101)
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        n0 = squeeze_module._BASE_INTERVALS
-        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", 2 * n0)
-        ref = squeeze_cross_section(model_a13, window, config, 0.0, xis)
-        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", n0)
+        n0 = self._sized_base(model_a13, window, config, 0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(squeeze_module, "_base_intervals", lambda *args: 2 * n0)
+            ref = squeeze_cross_section(model_a13, window, config, 0.0, xis)
         sums, etas = self._record_passes(monkeypatch)
         vals = squeeze_cross_section(model_a13, window, config, 0.0, xis)
         assert sums == [(2, n0 + 1)] and len(etas) == 1
@@ -490,6 +498,194 @@ class TestTransform:
         grid = TFGrid(0.0, 1.0, 2, 0.9, 1.4, 3)
         with pytest.raises(ModelValidationError, match="non-finite entries in SQUEEZE field"):
             squeeze_module.squeeze_field(model_a13, window, SqueezeConfig(alpha=ALPHA), grid)
+
+
+class TestBaseIntervals:
+    """The base of the band's ladder, sized from |D| <= C delta^2/(1 + cos 2 pi delta t)."""
+
+    @staticmethod
+    def _random_case(rng):
+        a = math.exp(rng.uniform(-1.5, 1.5))
+        delta, sigma = rng.uniform(0.05, 0.8), rng.uniform(0.7, 2.5)
+        model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
+        return model, GaussianWindow(sigma=sigma), rng.uniform(0.0, 1.0 / delta)
+
+    def test_map_derivative_bound(self):
+        # on a dense grid in s = ln |q|, with s = 0 on the grid, where cosh s
+        # + cos phi is smallest and |D| meets the bound
+        rng = np.random.default_rng(30)
+        k = 20_000
+        for _ in range(200):
+            model, window, t = self._random_case(rng)
+            bound = window.C * model.delta ** 2 / (1.0 + math.cos(2 * math.pi * model.delta * t))
+            step = 30.0 / (2.0 * window.C * model.delta * k)
+            eta = destructive_zero(model, window) + step * np.arange(-k, k + 1)
+            peak = float(np.max(np.abs(eta_s_derivative(model, window, t, eta))))
+            assert peak <= bound * (1 + 1e-12)
+            assert peak >= bound * (1 - 1e-9)
+
+    def test_smallest_power_of_two_that_resolves_the_band(self):
+        rng = np.random.default_rng(31)
+        cap = squeeze_module._BASE_INTERVALS
+        sizes = set()
+        for _ in range(300):
+            model, window, t = self._random_case(rng)
+            alpha = 10.0 ** rng.uniform(-5.0, -2.5)
+            width = rng.uniform(1.0, 20.0)
+            n0 = squeeze_module._base_intervals(model, window, t, alpha, width)
+            sizes.add(n0)
+            assert n0 in (256, 512, 1024, 2048, 4096)
+            room = 1.0 + math.cos(2 * math.pi * model.delta * t)
+            r = max(window.C * model.delta ** 2 / (room * math.sqrt(alpha)),
+                    math.sqrt(window.C))
+            if n0 < cap:
+                assert width * r / n0 <= 0.25
+            if n0 > 256:
+                assert width * r / (n0 // 2) > 0.25
+        assert len(sizes) == 5
+
+    def test_destructive_times_take_the_largest_base(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            model, window, _ = self._random_case(rng)
+            for k in range(-3, 4):
+                n0 = squeeze_module._base_intervals(model, window, destructive_time(model, k),
+                                                    1e-3, 1.0)
+                assert n0 == squeeze_module._BASE_INTERVALS
+
+    def test_a_cap_below_the_floor_bounds_the_base(self, window, model_a13, monkeypatch):
+        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", 64)
+        assert squeeze_module._base_intervals(model_a13, window, 0.0, 1e-3, 1.0) == 64
+
+    def test_starved_coarse_start_doubles_to_the_same_finest_rule(self, monkeypatch):
+        # with the cap at 1024 and 2 doublings the finest rule has 4096
+        # intervals; a start at 256 reaches it after 4 doublings, then raises
+        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", 1024)
+        monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", 2)
+        monkeypatch.setattr(squeeze_module, "_RTOL", 0.0)
+        model = TwoHarmonicModel(xi0=1.0, delta=0.15, a=1.3)
+        window = GaussianWindow(sigma=0.7)
+        config = SqueezeConfig(alpha=1e-3, weighting="stft")
+        bases = self._record_bases(monkeypatch)
+        sums, _ = TestTransform._record_passes(monkeypatch)
+        zones = TestTransform._split_zones(monkeypatch)
+        with pytest.raises(SolverFailureError, match=r"in 4 doublings \(4096 intervals\)") as err:
+            squeeze_cross_section(model, window, config, 0.0, np.linspace(1.0, 1.15, 5))
+        # |D| 2h <= sqrt(alpha)/4 from the first doubling on: no zone to split
+        assert bases == [256] and zones == [None]
+        assert sums == [(2, 257)] + [(1, 256 << k) for k in range(4)]
+        change, target = err.value.residuals
+        assert math.isfinite(change) and change > target == 0.0
+
+    @staticmethod
+    def _record_bases(monkeypatch):
+        """The base interval count of every _base_intervals call."""
+        bases = []
+        base_fn = squeeze_module._base_intervals
+
+        def base_spy(*args):
+            bases.append(base_fn(*args))
+            return bases[-1]
+
+        monkeypatch.setattr(squeeze_module, "_base_intervals", base_spy)
+        return bases
+
+    @staticmethod
+    def _largest_base(monkeypatch):
+        """Every section starts from _BASE_INTERVALS, as before the sizing."""
+        monkeypatch.setattr(squeeze_module, "_base_intervals",
+                            lambda *args: squeeze_module._BASE_INTERVALS)
+
+    # both weightings and both modes at and near constructive times; t is
+    # (k + frac)/delta
+    @pytest.mark.parametrize("weighting, mode, a, alpha, sigma, delta, k, frac", [
+        ("stft", "sync", 0.4, 1e-5, 0.7, 0.15, 0, 0.0),
+        ("stft", "phase", 1.0, 1e-4, math.sqrt(2.0), 0.3, 1, 0.0),
+        ("stft", "sync", 1.3, 1e-3, 2.5, 0.3, -1, 0.1),
+        ("stft", "phase", 0.4, 1e-3, 0.7, 0.3, 0, 0.15),
+        ("indicator", "sync", 1.3, 1e-3, 2.5, 0.3, 0, 0.0),
+        ("indicator", "phase", 0.4, 1e-4, 0.7, 0.15, 2, 0.0),
+        ("indicator", "sync", 1.0, 1e-5, 0.7, 0.08, 1, 0.05),
+        ("indicator", "phase", 1.0, 1e-4, 2.5, 0.15, 0, -0.1),
+        ("stft", "sync", 1.0, 1e-4, math.sqrt(2.0), 0.15, 3, 0.05),
+        ("indicator", "sync", 1.3, 1e-4, math.sqrt(2.0), 0.15, 0, 0.1),
+    ])
+    def test_coarse_start_matches_a_fine_uniform_rule(self, monkeypatch, weighting, mode, a,
+                                                      alpha, sigma, delta, k, frac):
+        model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
+        window = GaussianWindow(sigma=sigma)
+        t = (k + frac) / delta
+        R = None
+        if weighting == "indicator":
+            # R just past the band's ends, so that it clips neither
+            wide = SqueezeConfig(alpha=alpha, weighting=weighting, R=1e6)
+            (lo, hi), *_ = squeeze_module._integration_pieces(model, window, wide)
+            R = max(-lo, hi) + 1.0
+        config = SqueezeConfig(alpha=alpha, weighting=weighting, R=R, reassignment_mode=mode)
+        xis = model.xi0 + delta * np.linspace(-1.0, 2.0, 7)
+        bases = self._record_bases(monkeypatch)
+        vals = squeeze_cross_section(model, window, config, t, xis)
+        assert len(bases) == 1 and bases[0] < squeeze_module._BASE_INTERVALS
+        # one midpoint rule over the band, or over all of [-R, R]
+        ref = _midpoint_rule(model, window, config, t, xis, 2 ** 18)
+        assert np.max(np.abs(vals - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_a_band_clipped_at_r_takes_the_largest_base(self, monkeypatch):
+        # R = 8 clips the band, which needs 26 on either side of xibar; its
+        # ends are not flat, where a coarser start would lose accuracy
+        model = TwoHarmonicModel(xi0=1.0, delta=0.15, a=1.0)
+        window = GaussianWindow(sigma=0.7)
+        xis = np.array([1.0, 1.075, 1.15])
+        for R, expected in ((8.0, squeeze_module._BASE_INTERVALS), (30.0, 512)):
+            config = SqueezeConfig(alpha=1e-3, weighting="indicator", R=R)
+            with pytest.MonkeyPatch.context() as patch:
+                bases = self._record_bases(patch)
+                sizes, _ = TestTransform._record_passes(patch)
+                squeeze_cross_section(model, window, config, 0.0, xis)
+            assert sizes[0] == (2, expected + 1)
+            assert bases == ([] if R == 8.0 else [expected])
+
+    def test_random_sections_match_the_largest_base(self):
+        # near constructive times, both weightings and modes, R from
+        # clipping the band to far beyond it
+        rng = np.random.default_rng(33)
+        coarse = 0
+        for i in range(40):
+            model, window, _ = self._random_case(rng)
+            t = (int(rng.integers(-2, 3)) + rng.uniform(-0.3, 0.3)) / model.delta
+            weighting = squeeze_module.WEIGHTINGS[i % 2]
+            mode = squeeze_module.REASSIGN_MODES[i // 2 % 2]
+            R = float(rng.choice([8.0, 30.0, 100.0])) if weighting == "indicator" else None
+            config = SqueezeConfig(alpha=10.0 ** rng.uniform(-5.0, -2.5), weighting=weighting,
+                                   R=R, reassignment_mode=mode)
+            xis = np.linspace(model.xi0 - model.delta, model.xi1 + model.delta, 60)
+            with pytest.MonkeyPatch.context() as patch:
+                bases = self._record_bases(patch)
+                vals = squeeze_cross_section(model, window, config, t, xis)
+            with pytest.MonkeyPatch.context() as patch:
+                self._largest_base(patch)
+                ref = squeeze_cross_section(model, window, config, t, xis)
+            coarse += bool(bases) and bases[0] < squeeze_module._BASE_INTERVALS
+            assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert coarse >= 10
+
+    def test_criterion_8_sections_match_the_largest_base(self, window):
+        # the 641-xi STFT sections of criterion 8's flip search, at t = 0
+        config = SqueezeConfig(alpha=1e-4, weighting="stft")
+        for delta in (0.15, 0.18, 0.19, 0.2, 0.25):
+            model = TwoHarmonicModel(xi0=1.0, delta=delta, a=1.0)
+            xis = np.linspace(model.xi0 - 0.08, model.xi1 + 0.08, 641)
+            with pytest.MonkeyPatch.context() as patch:
+                self._largest_base(patch)
+                ref = squeeze_cross_section(model, window, config, 0.0, xis)
+                ref_count = squeeze_module.count_squeeze_maxima(model, window, config)
+            with pytest.MonkeyPatch.context() as patch:
+                bases = self._record_bases(patch)
+                vals = squeeze_cross_section(model, window, config, 0.0, xis)
+                count = squeeze_module.count_squeeze_maxima(model, window, config)
+            assert bases[0] < squeeze_module._BASE_INTERVALS
+            assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert count == ref_count
 
 
 def _midpoint_rule(model, window, config, t, xis, n):
