@@ -118,15 +118,9 @@ def spectrogram_decomposition(model: TwoHarmonicModel, window: GaussianWindow, t
     g0 = e^{-2C(eta-xi0)^2}, g1 = a^2 e^{-2C(eta-xi1)^2},
     cross = 2a e^{-C((eta-xi0)^2 + (eta-xi1)^2)} cos(2 pi delta t); sum = |V|^2.
     """
-    t = np.asarray(t, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    C = window.C
-    d0 = (eta - model.xi0) ** 2
-    d1 = (eta - model.xi1) ** 2
-    g0 = np.exp(-2 * C * d0)
-    g1 = model.a ** 2 * np.exp(-2 * C * d1)
-    cross = 2 * model.a * np.exp(-C * (d0 + d1)) * np.cos(2 * math.pi * model.delta * t)
-    return g0, g1, cross
+    _, rot1, g0, g1 = _v_terms(model, window, np.asarray(t, dtype=float),
+                               np.asarray(eta, dtype=float))
+    return g0 ** 2, model.a ** 2 * g1 ** 2, 2 * model.a * g0 * g1 * rot1.real
 
 
 def separation_gap_bound(model: TwoHarmonicModel, window: GaussianWindow) -> float:
@@ -134,14 +128,18 @@ def separation_gap_bound(model: TwoHarmonicModel, window: GaussianWindow) -> flo
     return 2 * model.a * math.exp(-window.C * (model.delta / 2) ** 2)
 
 
+def _bargmann_exponents(model: TwoHarmonicModel, window: GaussianWindow, z):
+    """(e0, e1) with B f(z) = e^{e0} + a e^{e1}: e_j = (z + i pi sigma xi_j)^2 - z^2/2."""
+    shift = 1j * math.pi * window.sigma
+    return ((z + shift * model.xi0) ** 2 - 0.5 * z ** 2,
+            (z + shift * model.xi1) ** 2 - 0.5 * z ** 2)
+
+
 def bargmann_transform(model: TwoHarmonicModel, window: GaussianWindow, z):
     """Rescaled entire transform B f(z) of the two-harmonic signal, closed form:
     B f(z) = e^{(z + i pi sigma xi0)^2 - z^2/2} + a e^{(z + i pi sigma xi1)^2 - z^2/2}.
     """
-    z = np.asarray(z, dtype=complex)
-    s = window.sigma
-    e0 = (z + 1j * math.pi * s * model.xi0) ** 2 - 0.5 * z ** 2
-    e1 = (z + 1j * math.pi * s * model.xi1) ** 2 - 0.5 * z ** 2
+    e0, e1 = _bargmann_exponents(model, window, np.asarray(z, dtype=complex))
     return np.exp(e0) + model.a * np.exp(e1)
 
 
@@ -154,13 +152,7 @@ def bargmann_consistency(model: TwoHarmonicModel, window: GaussianWindow, t, eta
     t = np.asarray(t, dtype=float)
     eta = np.asarray(eta, dtype=float)
     s = window.sigma
-    z = t / s - 1j * math.pi * s * eta
-    pre = (
-        -0.5 * ((t / s) ** 2 + (math.pi * s * eta) ** 2)
-        + 1j * math.pi * t * eta
-        - 0.5 * z ** 2
-    )
-    rec = np.exp(pre + (z + 1j * math.pi * s * model.xi0) ** 2) + model.a * np.exp(
-        pre + (z + 1j * math.pi * s * model.xi1) ** 2
-    )
+    pre = -0.5 * ((t / s) ** 2 + (math.pi * s * eta) ** 2) + 1j * math.pi * t * eta
+    e0, e1 = _bargmann_exponents(model, window, t / s - 1j * math.pi * s * eta)
+    rec = np.exp(pre + e0) + model.a * np.exp(pre + e1)
     return np.abs(rec - stft_closed_form(model, window, t, eta))

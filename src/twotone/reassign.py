@@ -17,7 +17,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, PhaseUndefinedError
-from .gabor import TFGrid, spectrogram_decomposition, stft_numeric
+from .gabor import TFGrid, stft_numeric
 from .model import (
     AHMSignal,
     GaussianWindow,
@@ -86,18 +86,6 @@ def eta_s_derivative(model: TwoHarmonicModel, window: GaussianWindow, t, eta) ->
                        2.0 * window.C * model.delta ** 2 * (p / (1.0 + p) ** 2))
     np.copyto(out, complex(math.inf, 0.0), where=np.abs(1.0 + q) <= 1e-14)
     return out
-
-
-def imag_correction(model: TwoHarmonicModel, window: GaussianWindow, t: float, eta: float) -> float:
-    """Closed form of Im(eta_s): the purely imaginary offset between the two
-    reassignment rules,
-    a delta e^{-C((eta-xi0)^2 + (eta-xi1)^2)} sin(2 pi delta t) / |V|^2."""
-    d2 = (eta - model.xi0) ** 2 + (eta - model.xi1) ** 2
-    num = model.a * model.delta * math.exp(-window.C * d2) * math.sin(2 * math.pi * model.delta * t)
-    den = sum(spectrogram_decomposition(model, window, t, eta))
-    if den <= 0.0:
-        raise PhaseUndefinedError(f"|V|^2 vanishes at (t={t}, eta={eta})")
-    return num / den
 
 
 def reassign_field(model: TwoHarmonicModel, window: GaussianWindow, grid: TFGrid) -> np.ndarray:

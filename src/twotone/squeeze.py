@@ -38,9 +38,9 @@ _NORMAL_EXPONENT = -math.log(sys.float_info.min)
 # the most terms one block of _mollified_sums evaluates, one 512 KB buffer;
 # caps of 2^12-2^14 and 2^18 terms measured slower
 _BLOCK_TERMS = 1 << 16
-# the squeeze band's trapezoid ladder: the most base intervals (even, so T_2h
-# shares its nodes), relative tolerance and the most doublings after a base
-# pass of that many intervals
+# the squeeze ladder: the most base intervals (even, so T_2h shares its
+# nodes), relative tolerance and the doublings from that base to the finest
+# rule, where every piece of the ladder stops
 _BASE_INTERVALS = 4096
 _RTOL = 1e-8
 _MAX_DOUBLINGS = 9
@@ -311,13 +311,14 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     weight rows over the same nodes, T_h (the trapezoid rule) and T_2h (twice
     the T_h weights on the even nodes, 0 on the odd ones), and each doubling
     evaluates only the midpoints, T_{h/2} = T_h/2 + (h/2) sum f(midpoints).
-    The ladder stops at the first rule whose whole vector differs from the
-    one before by <= 1e-8 relative (floored by a tiny absolute
-    term), so a section whose T_h and T_2h already agree costs one kernel
-    pass. On the indicator far fields the reassignment value is xi0 or xi1 to
-    double precision, so each field's integral is its length times the
-    integrand at its midpoint. Sentinel reassignment values contribute zero
-    mass.
+    One loop runs the ladder over a list of pieces, at first the band alone:
+    each round, a piece whose rule differs from the one before by more than
+    1e-8 of the whole section (floored by a tiny absolute term) doubles, and
+    the loop stops at the first round where none does, so a section whose
+    T_h and T_2h already agree costs one kernel pass. On the indicator far
+    fields the reassignment value is xi0 or xi1 to double precision, so each
+    field's integral is its length times the integrand at its midpoint.
+    Sentinel reassignment values contribute zero mass.
 
     The base has 4096 intervals, or fewer where the closed-form bound
     |D| <= C delta^2/(1 + cos 2 pi delta t) on the map derivative shows
@@ -328,16 +329,16 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
 
     Near a zero of V, at and next to the destructive times, the reassignment
     map sends the frequency line through its pole, and only there does the
-    integrand have features narrower than the base step. So when the first
-    doubling has not converged either, the band is split around the zone of
+    integrand have features narrower than the base step. So when the band's
+    first doubling has not converged either, it is split around the zone of
     its nodes where |d eta_s/d eta| 2h > sqrt(alpha) (_zone), if that zone is
-    narrow, with an analytic taper psi: the outer piece f (1 - psi) reuses
-    the band's two rules less their psi-weighted sums over the nodes near
-    the zone, and the inner piece f psi runs a ladder of its own, 4096 base
-    intervals and midpoint doublings, on the zone and the taper's tails.
-    Each piece refines until it moves by <= 1e-8 of the whole section. At
-    t = 5/3 of gap-small-a13 this evaluates 12,721 nodes where the whole band
-    needs 65,537. Every other section runs the one ladder.
+    narrow, with an analytic taper psi, and the list becomes two pieces: the
+    outer piece f (1 - psi) keeps the band's nodes and its two rules less
+    their psi-weighted sums over the nodes near the zone, and the inner piece
+    f psi starts from 4096 base intervals of its own on the zone and the
+    taper's tails. At t = 5/3 of gap-small-a13 this evaluates 12,721 nodes
+    where the whole band needs 65,537. Every other section keeps the band
+    alone.
 
     Each pass sums, for every xi, only over the nodes with
     |Re eta_hat - xi| <= sqrt(708.396 alpha) and |Im eta_hat| within the same
@@ -350,9 +351,9 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     most 2^16 terms (_mollified_sums), each xi still summing only its own
     window.
 
-    Raises SolverFailureError when the band's ladder reaches 2^9 4096
-    intervals, or either piece of a split 9 doublings, without meeting the
-    tolerance.
+    Raises SolverFailureError when a piece that has not met the tolerance has
+    reached the finest rule, 2^9 4096 intervals: the band from any base, the
+    outer piece, which keeps the band's count, and the inner piece alike.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     alpha = config.alpha
@@ -374,45 +375,11 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
         w[:, sent] = 0.0
         return _mollified_sums(hat, w, xis, alpha) / math.sqrt(math.pi * alpha)
 
-    def unconverged(doublings, n, change, target):
-        return SolverFailureError(
-            f"squeeze quadrature at t = {t} did not converge in {doublings} "
-            f"doublings ({n} intervals): last change {change:.3e} > "
-            f"rtol * scale = {target:.3e}",
-            residuals=(change, target),
-        )
-
-    def refine(pieces):
-        # each piece is [start, step, intervals, weight, rule, last rule,
-        # doublings]; a piece whose rule moved by more than the tolerance of
-        # the whole section adds its weighted midpoints
-        while True:
-            total = outside + pieces[0][4] + pieces[1][4]
-            scale = max(float(np.max(np.abs(total))), scale_floor)
-            converged = True
-            for piece in pieces:
-                start, step, count, weight, rule, last, done = piece
-                change = float(np.max(np.abs(rule - last)))
-                if change <= _RTOL * scale:
-                    continue
-                converged = False
-                if done == _MAX_DOUBLINGS:
-                    raise unconverged(done, count, change, _RTOL * scale)
-                mids = start + step * (np.arange(count) + 0.5)
-                rule = rule / 2 + sums(mids, step / 2 * weight(mids)[None])[0]
-                piece[1:] = step / 2, 2 * count, weight, rule, piece[4], done + 1
-            if converged:
-                return total
-
     (lo, hi), *far = _integration_pieces(model, window, config)
     # a band that R clips ends where the integrand is not flat, and there
     # the rule converges only like h^2, so it starts from the most intervals
     clipped = config.weighting == "indicator" and not -config.R < lo < hi < config.R
     n = _BASE_INTERVALS if clipped else _base_intervals(model, window, t, alpha, hi - lo)
-    # a coarser base doubles on to the same finest rule, 2^9 _BASE_INTERVALS
-    # intervals; from its first doubling on |D| 2h <= sqrt(alpha)/4 on every
-    # node, so _zone finds no zone there
-    max_doublings = _MAX_DOUBLINGS + (_BASE_INTERVALS // n).bit_length() - 1
     eta = np.linspace(lo, hi, n + 1)
     h = eta[1] - eta[0]
     fine, coarse = sums(eta, _two_rules(h, n))
@@ -424,44 +391,60 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
                    [[x1 - x0 for x0, x1 in far]])[0] if far else 0.0
 
     scale_floor = 1e-13 / math.sqrt(alpha)
-    total, last = outside + fine, outside + coarse
-    doublings = 0
+    finest = _BASE_INTERVALS << _MAX_DOUBLINGS
+    # each piece is [start, step, intervals, weight, rule, last rule,
+    # doublings], the weight None for the band until the zone split; a piece
+    # whose rule moved by more than the tolerance of the whole section adds
+    # its weighted midpoints
+    pieces = [[lo, h, n, None, fine, coarse, 0]]
     while True:
-        change = float(np.max(np.abs(total - last)))
+        total = sum((piece[4] for piece in pieces), outside)
         scale = max(float(np.max(np.abs(total))), scale_floor)
-        if change <= _RTOL * scale:
+        converged = True
+        for piece in pieces:
+            start, step, count, weight, rule, last, done = piece
+            change = float(np.max(np.abs(rule - last)))
+            if change <= _RTOL * scale:
+                continue
+            converged = False
+            if count >= finest:
+                raise SolverFailureError(
+                    f"squeeze quadrature at t = {t} did not converge in {done} "
+                    f"doublings ({count} intervals): last change {change:.3e} > "
+                    f"rtol * scale = {_RTOL * scale:.3e}",
+                    residuals=(change, _RTOL * scale),
+                )
+            if done == 1 and len(pieces) == 1:
+                # the nodes of the band's first doubling as they were
+                # evaluated: the base nodes and the midpoints between them
+                eta = np.empty(count + 1)
+                eta[::2] = np.linspace(lo, hi, count // 2 + 1)
+                eta[1::2] = lo + 2 * step * (np.arange(count // 2) + 0.5)
+                zone = _zone(model, window, t, alpha, eta, step)
+                if zone is not None:
+                    psi, a, b = zone
+                    # the outer piece f (1 - psi): both rules less their psi
+                    # weighted sums over the nodes in [a, b], beyond which psi
+                    # is negligible; the inner piece f psi: 4096 base
+                    # intervals of its own on [a, b]
+                    near = np.flatnonzero((eta >= a) & (eta <= b))
+                    steps = np.zeros((2, len(near)))
+                    steps[0] = psi(eta[near]) * step
+                    steps[1, near % 2 == 0] = 2.0 * steps[0, near % 2 == 0]
+                    zone_fine, zone_coarse = sums(eta[near], steps)
+                    eta = np.linspace(a, b, _BASE_INTERVALS + 1)
+                    inner = sums(eta, _two_rules(eta[1] - eta[0], _BASE_INTERVALS) * psi(eta))
+                    pieces = [[lo, step, count, lambda x: 1.0 - psi(x), rule - zone_fine,
+                               last - zone_coarse, done],
+                              [a, eta[1] - eta[0], _BASE_INTERVALS, psi, *inner, 0]]
+                    del eta, steps
+                    break
+                del eta
+            mids = start + step * (np.arange(count) + 0.5)
+            steps = [[step / 2]] if weight is None else step / 2 * weight(mids)[None]
+            piece[1:] = step / 2, 2 * count, weight, rule / 2 + sums(mids, steps)[0], rule, done + 1
+        if converged:
             return total
-        if doublings == max_doublings:
-            raise unconverged(doublings, n, change, _RTOL * scale)
-        if doublings == 1:
-            # the nodes of the first doubling's rule as they were evaluated:
-            # the base nodes and the midpoints between them
-            eta = np.empty(n + 1)
-            eta[::2] = np.linspace(lo, hi, n // 2 + 1)
-            eta[1::2] = lo + 2 * h * (np.arange(n // 2) + 0.5)
-            zone = _zone(model, window, t, alpha, eta, h)
-            if zone is not None:
-                psi, a, b = zone
-                # the outer piece f (1 - psi): both rules less their psi
-                # weighted sums over the nodes in [a, b], beyond which psi is
-                # negligible; the inner piece f psi: a ladder of its own on [a, b]
-                near = np.flatnonzero((eta >= a) & (eta <= b))
-                steps = np.zeros((2, len(near)))
-                steps[0] = psi(eta[near]) * h
-                steps[1, near % 2 == 0] = 2.0 * steps[0, near % 2 == 0]
-                zone_fine, zone_coarse = sums(eta[near], steps)
-                eta = np.linspace(a, b, _BASE_INTERVALS + 1)
-                step = eta[1] - eta[0]
-                inner = sums(eta, _two_rules(step, _BASE_INTERVALS) * psi(eta))
-                del eta, steps
-                return refine([[lo, h, n, lambda x: 1.0 - psi(x), fine - zone_fine,
-                               coarse - zone_coarse, doublings],
-                              [a, step, _BASE_INTERVALS, psi, *inner, 0]])
-            del eta
-        mids = sums(lo + h * (np.arange(n) + 0.5), [[h / 2]])[0]
-        fine, coarse = fine / 2 + mids, fine
-        h, n, doublings = h / 2, 2 * n, doublings + 1
-        last, total = total, outside + fine
 
 
 def squeeze_transform(model: TwoHarmonicModel, window: GaussianWindow,

@@ -6,7 +6,10 @@ module defers an import into a function body, where a cycle would hide.
 oracle checks the kernels independently, so it imports only model and errors
 from the package, and no library module imports it.
 Every undecorated top-level function or class is named somewhere in src/,
-tests/ or scripts/ besides its own definition. Every defaulted parameter of a
+tests/ or scripts/ besides its own definition, and a public one that
+twotone/__init__ does not export has a caller in src/, scripts/ or bench/:
+library code only tests call is dead surface (oracle.py, which the tests
+call, is exempt). Every defaulted parameter of a
 top-level function, and every defaulted field of a dataclass, is passed
 somewhere in src/, scripts/ or bench/: a default that only tests override is
 a constant. oracle.py is exempt, since its resolutions are the reference the
@@ -108,6 +111,21 @@ def test_every_top_level_definition_is_used():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not node.decorator_list and node.name not in used]
     assert not unused, f"top-level definitions named nowhere: {unused}"
+
+
+def test_every_unexported_public_definition_has_a_library_caller():
+    init = SRC / "__init__.py"
+    exported = _referenced_names(ast.parse(init.read_text()))
+    used = set()
+    for path in sorted({*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                        *(ROOT / "bench").glob("*.py")} - {init}):
+        used |= _referenced_names(ast.parse(path.read_text()))
+    test_only = [f"{path.name}:{node.name}" for path in MODULES if path.name != "oracle.py"
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and not node.decorator_list and not node.name.startswith("_")
+                 and node.name not in exported | used]
+    assert not test_only, f"public definitions only tests call: {test_only}"
 
 
 def _defaulted_parameters(func: ast.FunctionDef) -> list:

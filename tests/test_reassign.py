@@ -21,7 +21,7 @@ from twotone import (
     stft_closed_form,
 )
 from twotone.errors import DomainError
-from twotone.reassign import eta_s_derivative, eta_s_numeric, imag_correction
+from twotone.reassign import eta_s_derivative, eta_s_numeric
 from tests.test_model import quadratic_signal
 
 
@@ -195,10 +195,15 @@ class TestEtaP:
                 assert abs(complex(eta_s_values(model_a13, window, t, float(eta))).imag) < 1e-12
 
     def test_imag_matches_closed_form(self, window, model_a13):
+        # Im eta_s = a delta e^{-C((eta - xi0)^2 + (eta - xi1)^2)} sin(2 pi delta t)
+        # / |V|^2, the offset between the two reassignment rules
+        a, delta, C = model_a13.a, model_a13.delta, window.C
         for t in (0.21, 0.9, 1.37):
             for eta in (0.95, 1.15, 1.31):
                 direct = complex(eta_s_values(model_a13, window, t, eta)).imag
-                formula = imag_correction(model_a13, window, t, eta)
+                d2 = (eta - model_a13.xi0) ** 2 + (eta - model_a13.xi1) ** 2
+                formula = (a * delta * math.exp(-C * d2) * math.sin(2 * math.pi * delta * t)
+                           / abs(stft_closed_form(model_a13, window, t, eta)) ** 2)
                 assert direct == pytest.approx(formula, abs=1e-10)
 
 

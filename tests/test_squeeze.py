@@ -304,7 +304,9 @@ class TestTransform:
 
     def test_gap_small_a13_destructive_row_evaluates_a_fifth_of_the_nodes(self, window):
         # the t = 5/3 row of the squeeze preset: the ladder on the whole band
-        # evaluates 4097 + 4096 + 8192 + 16384 + 32768 = 65537 nodes
+        # evaluates 4097 + 4096 + 8192 + 16384 + 32768 = 65537 nodes; the split
+        # evaluates the band's base and first doubling, the 431 nodes near the
+        # zone and the inner piece's base, and both pieces converge there
         cfg = PRESETS["gap-small-a13"]
         model = TwoHarmonicModel(xi0=cfg["model.xi0"], delta=cfg["model.delta"],
                                  a=cfg["model.a"])
@@ -320,7 +322,7 @@ class TestTransform:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(squeeze_module, "eta_s_values", eta_spy)
             squeeze_cross_section(model, window, config, 5 / 3, xis)
-        assert sum(nodes) <= 20_000
+        assert nodes == [4097, 4096, 431, 4097] and sum(nodes) == 12_721
 
     @staticmethod
     def _split_zones(monkeypatch):
@@ -361,11 +363,9 @@ class TestTransform:
         ref = _midpoint_rule(model, window, config, t, xis, 2 ** 18)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(vals - ref)) <= 1e-9 * scale
-        if mode == "sync":
-            # the oracle takes the complex rule only
-            oracle = np.array([oracle_quadrature_squeeze(model, window, config, t, float(xi))
-                               for xi in xis])
-            assert np.max(np.abs(vals - oracle)) <= 1e-6 * scale
+        oracle = np.array([oracle_quadrature_squeeze(model, window, config, t, float(xi))
+                           for xi in xis])
+        assert np.max(np.abs(vals - oracle)) <= 1e-6 * scale
 
     def test_phase_section_next_to_a_zero_converges(self, monkeypatch):
         # the ladder on the whole band stops here after 9 doublings, still
@@ -385,13 +385,15 @@ class TestTransform:
         assert np.max(np.abs(vals[::10] - ref)) <= 1e-6 * np.max(np.abs(vals))
 
     def test_starved_split_raises(self, window, model_a13, monkeypatch):
-        # the band doubles once, then each piece of the split twice at most
+        # the finest rule has 4096 << 2 intervals: the band doubles once to
+        # 8192, then the outer piece, which keeps the band's count, once more
+        # and raises there, before the inner piece does from its own 4096
         monkeypatch.setattr(squeeze_module, "_RTOL", 1e-15)
         monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", 2)
         zones = self._split_zones(monkeypatch)
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
         t = destructive_time(model_a13, 0)
-        with pytest.raises(SolverFailureError) as err:
+        with pytest.raises(SolverFailureError, match=r"in 2 doublings \(16384 intervals\)") as err:
             squeeze_cross_section(model_a13, window, config, t, np.linspace(0.6, 1.7, 33))
         assert len(zones) == 1 and zones[0] is not None
         change, target = err.value.residuals
