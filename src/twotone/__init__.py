@@ -32,6 +32,7 @@ from .reassign import (
     arc_circle,
     attraction_bound_check,
     ahm_reassign_error_bound,
+    eta_s_derivative,
     eta_s_values,
     reassign_field,
 )

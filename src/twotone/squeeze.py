@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gabor import TFGrid, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_zero
-from .reassign import eta_s_derivative, eta_s_values
+from .reassign import eta_s_values
 from .ridges import (_candidate_peaks, count_frequency_maxima, critical_gap_stft, default_band,
                      flip_bracket)
 
@@ -38,16 +38,15 @@ _NORMAL_EXPONENT = -math.log(sys.float_info.min)
 # the most terms one block of _mollified_sums evaluates, one 512 KB buffer;
 # caps of 2^12-2^14 and 2^18 terms measured slower
 _BLOCK_TERMS = 1 << 16
-# the squeeze ladder: the most base intervals (even, so T_2h shares its
-# nodes), relative tolerance and the doublings from that base to the finest
-# rule, where every piece of the ladder stops
+# the squeeze ladder: the fewest base intervals, the base of a band that R
+# clips, the tolerance and the doublings from there to the finest rule
+_MIN_BASE_INTERVALS = 256
 _BASE_INTERVALS = 4096
 _RTOL = 1e-8
 _MAX_DOUBLINGS = 9
-# a coarser base (_base_intervals) has at least this many intervals and a step
-# h with h |D| <= sqrt(alpha)/4 on the whole band
-_MIN_BASE_INTERVALS = 256
+# the step in u of _graded_nodes, and its floor on 1 + cos 2 pi delta t in phase mode
 _STEP_RESOLUTION = 0.25
+_PHASE_ROOM = 1e-9
 
 
 @dataclass(frozen=True)
@@ -143,68 +142,93 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
     return raw[start:start + size].reshape(shape)
 
 
-def _two_rules(h: float, n: int) -> np.ndarray:
-    """The step weights of the trapezoid rules of steps h and 2h on n + 1
-    nodes (n even), as a (2, n + 1) array."""
-    steps = np.zeros((2, n + 1))
-    steps[0] = h
-    steps[1, ::2] = 2.0 * h
-    steps[:, [0, -1]] /= 2.0
-    return steps
-
-
-def _base_intervals(model: TwoHarmonicModel, window: GaussianWindow, t: float, alpha: float,
-                    width: float) -> int:
-    """The base interval count n0 of the squeeze band's ladder at time t.
-
-    With q = e^{s + i phi}, phi = 2 pi delta t, the map derivative is
-    |D| = C delta^2/(cosh s + cos phi) <= C delta^2/(1 + cos phi) on the whole
-    line t = const, so the mollifier pulled back through eta_s is at least
-    sqrt(alpha)/|D| wide, and the weight's Gaussians 1/sqrt(C). With r =
-    max(C delta^2/((1 + cos phi) sqrt(alpha)), sqrt(C)), n0 is the smallest
-    power of two >= 256 with width r/n0 <= 1/4, capped at _BASE_INTERVALS.
-    Then h |D| <= sqrt(alpha)/4 for the base step h on the whole band. n0 is
-    the cap whenever 1 + cos phi is not > 0: at the destructive times, where
-    the line meets the map's pole, |D| has no bound.
+def _image_arc(model: TwoHarmonicModel, window: GaussianWindow, T: float, x) -> tuple:
+    """(z, dz/dx) over an x array, with th = tanh(C delta x) and z = atan(T th)/T
+    (th at T = 0). At T = tan(p/2), p = arccos(cos 2 pi delta t), the image arc
+    of eta_s from eta_avg to eta_avg + x is (delta/sin p) atan(T th) = (delta/2)
+    (1 + T^2) z long: the integral of |D| = C delta^2/(cosh s + cos p), s = 2 C
+    delta x. The whole arc, delta p/sin p, is delta at the constructive times
+    and grows without bound toward the destructive ones.
     """
-    room = 1.0 + math.cos(2.0 * math.pi * model.delta * t)
-    if not room > 0:
-        return _BASE_INTERVALS
-    rate = max(window.C * model.delta ** 2 / (room * math.sqrt(alpha)), math.sqrt(window.C))
-    n = _MIN_BASE_INTERVALS
-    while n < _BASE_INTERVALS and width * rate > _STEP_RESOLUTION * n:
-        n *= 2
-    return min(n, _BASE_INTERVALS)
+    th = np.tanh(window.C * model.delta * x)
+    z = np.arctan(T * th) / T if T else th
+    return z, window.C * model.delta * (1.0 - th * th) / (1.0 + (T * th) ** 2)
 
 
-def _zone(model: TwoHarmonicModel, window: GaussianWindow, t: float, alpha: float,
-          eta: np.ndarray, h: float):
-    """(psi, a, b): the taper of the zone split of the nodes eta of step h, or
-    None.
+def _graded_nodes(model: TwoHarmonicModel, window: GaussianWindow, config: SqueezeConfig,
+                  t: float, xis: np.ndarray, lo: float, hi: float) -> tuple:
+    """(u_lo, u_hi, place): the band [lo, hi] in the node variable u(eta) = c
+    (eta - eta_avg) + Phi(eta)/sqrt(alpha), c = max(sqrt(C), C delta), with
+    Phi the image arc's length (_image_arc), and place(u), the nodes eta at an
+    array of u and the Jacobian 1/u' there.
 
-    The zone [z_lo, z_hi] spans the nodes where eta_s moves by more than
-    sqrt(alpha) over two steps, |D| 2h > sqrt(alpha) with D = d eta_s/d eta:
-    near a zero of V, where the reassignment map sends the frequency line
-    through its pole. With eps = 4h, psi(x) = [tanh((x - z_lo + 12 eps)/eps)
-    - tanh((x - z_hi - 12 eps)/eps)]/2 is analytic, within 2e^-24 of 1 on the
-    zone and below e^-37 outside [a, b] = [z_lo - 31 eps, z_hi + 31 eps].
-    None when no node is in the zone, or [a, b] is not inside the nodes'
-    span or covers a quarter of it or more.
+    u' = c + |D|/sqrt(alpha) counts the mollifier widths that eta_s sweeps and
+    the widths 1/sqrt(C) of the weight's Gaussians. u' continues analytically
+    to 0 at Im u = c pi/(2 C delta), which bounds the strip where the rule in u
+    converges geometrically; c >= C delta keeps it pi/2 wide, so the rules of
+    steps 1/4 and 1/2 err by about e^-39 and e^-20.
+
+    The arc is taken with r = 1 + cos 2 pi delta t raised to a floor >= 1e-9:
+    - in sync mode, and at r = 0, |eta_s - xibar|^2 >= (delta^2/4)(2|D|/(C
+      delta^2) - 1), so eta_s leaves every xi window where |D| > C delta^2/2 +
+      2 C X^2, X = max |xi - xibar| + sqrt(708.4 alpha). The floor 2 delta^2/
+      (delta^2 + 4 X^2) caps |D| there and keeps it within a factor 2 below;
+    - in phase mode at r > 0, Re eta_s sweeps every window in the core, where
+      |D| reaches C delta^2/r, and a xi takes about r/(C delta^2) from there
+      against order 1/(C delta^2) elsewhere: the floor is 1e-9.
+    At a = 0 eta_s is constant and u = c (eta - xibar).
+
+    u is odd about eta_avg and concave in x = eta - eta_avg >= 0, where place
+    solves u(x) = |u_k|. On a table of x at equal steps of x and of the arc,
+    the chord of x -> (x, z) lies below the curve, so its x bounds the root
+    above and the x of its z below. Newton's method from below rises to the
+    root; it raises SolverFailureError unless every residual is at most
+    1e-14 max(|u_k|, 1) within 16 steps.
     """
-    hot = np.flatnonzero(np.abs(eta_s_derivative(model, window, t, eta)) * (2.0 * h)
-                         > math.sqrt(alpha))
-    if not hot.size:
-        return None
-    eps = 4.0 * h
-    z_lo, z_hi = eta[hot[0]], eta[hot[-1]]
-    a, b = z_lo - 31.0 * eps, z_hi + 31.0 * eps
-    if not (eta[0] < a and b < eta[-1] and b - a < (eta[-1] - eta[0]) / 4):
-        return None
+    delta, alpha = model.delta, config.alpha
+    room = 1.0 + math.cos(2.0 * math.pi * delta * t)
+    if config.reassignment_mode == "phase" and room > 0:
+        room = max(room, _PHASE_ROOM)
+    else:
+        # float() makes a square that overflows inf without a warning
+        reach = float(np.max(np.abs(xis - model.xibar), initial=0.0))
+        ratio = 2.0 * (reach + math.sqrt(_NORMAL_EXPONENT * alpha)) / delta
+        room = max(room, 2.0 / (1.0 + ratio * ratio), _PHASE_ROOM)
+    T = math.sqrt((2.0 - room) / room)
+    centre, arc = model.xibar, 0.0
+    if model.a > 0:
+        centre, arc = destructive_zero(model, window), delta / (room * math.sqrt(alpha))
+    c = max(math.sqrt(window.C), window.C * delta)
 
-    def psi(x):
-        return 0.5 * (np.tanh((x - z_lo) / eps + 12.0) - np.tanh((x - z_hi) / eps - 12.0))
+    def u(x):
+        z, dz = _image_arc(model, window, T, x)
+        return c * x + arc * z, c + arc * dz, z
 
-    return psi, a, b
+    def x_of(z):
+        # z at the end of the arc can round to its limit, where th would reach 1
+        th = np.minimum(np.tan(T * z) / T if T else z, 1.0 - 2.0 ** -53)
+        return np.arctanh(th) / (window.C * delta)
+
+    (u_lo, u_hi), _, ends = u(np.array([lo, hi]) - centre)
+    end = max(abs(lo - centre), abs(hi - centre))
+    x_tab = np.concatenate([np.linspace(0.0, end, 256),
+                            x_of(np.linspace(0.0, np.max(np.abs(ends)), 256))])
+    x_tab = np.sort(x_tab[x_tab <= end])
+    u_tab, _, z_tab = u(x_tab)
+
+    def place(targets):
+        w = np.abs(targets)
+        x = np.minimum(x_of(np.interp(w, u_tab, z_tab)), np.interp(w, u_tab, x_tab))
+        tol = 1e-14 * max(float(np.max(w)), 1.0)
+        for _ in range(16):
+            value, slope, _ = u(x)
+            miss = w - value
+            if np.max(np.abs(miss)) <= tol:
+                return centre + np.copysign(x, targets), 1.0 / slope
+            x += miss / slope
+        raise SolverFailureError(f"squeeze nodes at t = {t} did not settle in 16 Newton steps")
+
+    return u_lo, u_hi, place
 
 
 def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
@@ -304,56 +328,29 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
                           config: SqueezeConfig, t: float, xis) -> np.ndarray:
     """S_G(t, xi) for an array of xi at fixed t.
 
-    Nested trapezoid refinement on the whole band of _integration_pieces,
-    where the integrand is analytic and flat at both ends, so the rule
-    converges geometrically once its step resolves the integrand. The
-    ladder starts one level below the base: the base pass sums two
-    weight rows over the same nodes, T_h (the trapezoid rule) and T_2h (twice
-    the T_h weights on the even nodes, 0 on the odd ones), and each doubling
-    evaluates only the midpoints, T_{h/2} = T_h/2 + (h/2) sum f(midpoints).
-    One loop runs the ladder over a list of pieces, at first the band alone:
-    each round, a piece whose rule differs from the one before by more than
-    1e-8 of the whole section (floored by a tiny absolute term) doubles, and
-    the loop stops at the first round where none does, so a section whose
-    T_h and T_2h already agree costs one kernel pass. On the indicator far
-    fields the reassignment value is xi0 or xi1 to double precision, so each
-    field's integral is its length times the integrand at its midpoint.
-    Sentinel reassignment values contribute zero mass.
+    Nested trapezoid rules on the band of _integration_pieces, where the
+    integrand is analytic and flat at both ends, at equal steps of the graded
+    variable u of _graded_nodes, with the Jacobian 1/u'. A step of u = 1/4
+    resolves the integrand everywhere, also next to a zero of V, where eta_s
+    sweeps a long arc over a short stretch of eta. The base has the smallest
+    power of two >= 256 intervals with that step; a band that R clips ends
+    where the integrand is not flat, and the rule converges there only like
+    h^2, so it starts from at least 4096.
 
-    The base has 4096 intervals, or fewer where the closed-form bound
-    |D| <= C delta^2/(1 + cos 2 pi delta t) on the map derivative shows
-    that a coarser step already resolves the integrand in T_2h
-    (_base_intervals): down to 256 near the constructive times, 4096 at and
-    next to the destructive times and on an indicator band that R clips,
-    whose ends are not flat.
+    The base pass sums two weight rows over the same nodes, T_h and T_2h
+    (twice the T_h weights on the even nodes), and each doubling evaluates
+    only the midpoints in u, T_{h/2} = T_h/2 + (h/2) sum f(midpoints). The
+    ladder returns the first rule within 1e-8 of the whole section (floored
+    by a tiny absolute term) of the one before, so a section whose T_h and
+    T_2h agree costs one kernel pass. On the indicator far fields the
+    reassignment value is xi0 or xi1 to double precision: each field's
+    integral is its length times the integrand at its midpoint. Sentinel
+    reassignment values contribute zero mass. Each xi sums only the nodes
+    whose terms are normal doubles (_mollified_sums), so a value below ~1e-292
+    may read 0.0.
 
-    Near a zero of V, at and next to the destructive times, the reassignment
-    map sends the frequency line through its pole, and only there does the
-    integrand have features narrower than the base step. So when the band's
-    first doubling has not converged either, it is split around the zone of
-    its nodes where |d eta_s/d eta| 2h > sqrt(alpha) (_zone), if that zone is
-    narrow, with an analytic taper psi, and the list becomes two pieces: the
-    outer piece f (1 - psi) keeps the band's nodes and its two rules less
-    their psi-weighted sums over the nodes near the zone, and the inner piece
-    f psi starts from 4096 base intervals of its own on the zone and the
-    taper's tails. At t = 5/3 of gap-small-a13 this evaluates 12,721 nodes
-    where the whole band needs 65,537. Every other section keeps the band
-    alone.
-
-    Each pass sums, for every xi, only over the nodes with
-    |Re eta_hat - xi| <= sqrt(708.396 alpha) and |Im eta_hat| within the same
-    reach, where both Gaussian factors of exp(-|eta_hat - xi|^2 / alpha) are
-    still normal doubles. A dropped term is below 2.2e-308 times its weight,
-    so no value above ~1e-292 moves; values below that may read 0.0 where
-    the sum over all nodes would give a subnormal number. A smaller reach
-    would drop the exponentially small off-support tails. Runs of
-    neighbouring xi share one exp and one matrix product per block of at
-    most 2^16 terms (_mollified_sums), each xi still summing only its own
-    window.
-
-    Raises SolverFailureError when a piece that has not met the tolerance has
-    reached the finest rule, 2^9 4096 intervals: the band from any base, the
-    outer piece, which keeps the band's count, and the inner piece alike.
+    Raises SolverFailureError when the rule has not met the tolerance at the
+    finest rule, 2^9 4096 intervals, or the base would need more than that.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     alpha = config.alpha
@@ -376,75 +373,47 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
         return _mollified_sums(hat, w, xis, alpha) / math.sqrt(math.pi * alpha)
 
     (lo, hi), *far = _integration_pieces(model, window, config)
-    # a band that R clips ends where the integrand is not flat, and there
-    # the rule converges only like h^2, so it starts from the most intervals
+    u_lo, u_hi, place = _graded_nodes(model, window, config, t, xis, lo, hi)
     clipped = config.weighting == "indicator" and not -config.R < lo < hi < config.R
-    n = _BASE_INTERVALS if clipped else _base_intervals(model, window, t, alpha, hi - lo)
-    eta = np.linspace(lo, hi, n + 1)
-    h = eta[1] - eta[0]
-    fine, coarse = sums(eta, _two_rules(h, n))
+    n = _BASE_INTERVALS if clipped else _MIN_BASE_INTERVALS
+    finest = _BASE_INTERVALS << _MAX_DOUBLINGS
+    while n <= finest and u_hi - u_lo > _STEP_RESOLUTION * n:
+        n *= 2
+    if n > finest:
+        raise SolverFailureError(f"squeeze quadrature at t = {t} needs more than the "
+                                 f"finest rule's {finest} intervals")
+    h = (u_hi - u_lo) / n
+    eta, jac = place(u_lo + h * np.arange(n + 1))
+    # T_h, and T_2h with twice its weights on the even nodes (n is even)
+    rules = np.full((2, n + 1), h)
+    rules[1] = np.where(np.arange(n + 1) % 2, 0.0, 2.0 * h)
+    rules[:, [0, -1]] /= 2.0
+    fine, coarse = sums(eta, rules * jac)
     # the largest midpoint level sets the memory peak; the base arrays go first
-    del eta
+    del eta, jac
     # the integrand is constant on each far field: its length times the value
     # at its midpoint
     outside = sums(np.array([(x0 + x1) / 2 for x0, x1 in far]),
                    [[x1 - x0 for x0, x1 in far]])[0] if far else 0.0
 
     scale_floor = 1e-13 / math.sqrt(alpha)
-    finest = _BASE_INTERVALS << _MAX_DOUBLINGS
-    # each piece is [start, step, intervals, weight, rule, last rule,
-    # doublings], the weight None for the band until the zone split; a piece
-    # whose rule moved by more than the tolerance of the whole section adds
-    # its weighted midpoints
-    pieces = [[lo, h, n, None, fine, coarse, 0]]
+    done = 0
     while True:
-        total = sum((piece[4] for piece in pieces), outside)
+        total = fine + outside
         scale = max(float(np.max(np.abs(total))), scale_floor)
-        converged = True
-        for piece in pieces:
-            start, step, count, weight, rule, last, done = piece
-            change = float(np.max(np.abs(rule - last)))
-            if change <= _RTOL * scale:
-                continue
-            converged = False
-            if count >= finest:
-                raise SolverFailureError(
-                    f"squeeze quadrature at t = {t} did not converge in {done} "
-                    f"doublings ({count} intervals): last change {change:.3e} > "
-                    f"rtol * scale = {_RTOL * scale:.3e}",
-                    residuals=(change, _RTOL * scale),
-                )
-            if done == 1 and len(pieces) == 1:
-                # the nodes of the band's first doubling as they were
-                # evaluated: the base nodes and the midpoints between them
-                eta = np.empty(count + 1)
-                eta[::2] = np.linspace(lo, hi, count // 2 + 1)
-                eta[1::2] = lo + 2 * step * (np.arange(count // 2) + 0.5)
-                zone = _zone(model, window, t, alpha, eta, step)
-                if zone is not None:
-                    psi, a, b = zone
-                    # the outer piece f (1 - psi): both rules less their psi
-                    # weighted sums over the nodes in [a, b], beyond which psi
-                    # is negligible; the inner piece f psi: 4096 base
-                    # intervals of its own on [a, b]
-                    near = np.flatnonzero((eta >= a) & (eta <= b))
-                    steps = np.zeros((2, len(near)))
-                    steps[0] = psi(eta[near]) * step
-                    steps[1, near % 2 == 0] = 2.0 * steps[0, near % 2 == 0]
-                    zone_fine, zone_coarse = sums(eta[near], steps)
-                    eta = np.linspace(a, b, _BASE_INTERVALS + 1)
-                    inner = sums(eta, _two_rules(eta[1] - eta[0], _BASE_INTERVALS) * psi(eta))
-                    pieces = [[lo, step, count, lambda x: 1.0 - psi(x), rule - zone_fine,
-                               last - zone_coarse, done],
-                              [a, eta[1] - eta[0], _BASE_INTERVALS, psi, *inner, 0]]
-                    del eta, steps
-                    break
-                del eta
-            mids = start + step * (np.arange(count) + 0.5)
-            steps = [[step / 2]] if weight is None else step / 2 * weight(mids)[None]
-            piece[1:] = step / 2, 2 * count, weight, rule / 2 + sums(mids, steps)[0], rule, done + 1
-        if converged:
+        change = float(np.max(np.abs(fine - coarse)))
+        if change <= _RTOL * scale:
             return total
+        if n >= finest:
+            raise SolverFailureError(
+                f"squeeze quadrature at t = {t} did not converge in {done} "
+                f"doublings ({n} intervals): last change {change:.3e} > "
+                f"rtol * scale = {_RTOL * scale:.3e}",
+                residuals=(change, _RTOL * scale),
+            )
+        eta, jac = place(u_lo + h * (np.arange(n) + 0.5))
+        fine, coarse = fine / 2 + sums(eta, h / 2 * jac[None])[0], fine
+        h, n, done = h / 2, 2 * n, done + 1
 
 
 def squeeze_transform(model: TwoHarmonicModel, window: GaussianWindow,

@@ -144,13 +144,13 @@ class TestOracleNearAZero:
     and the oracle grades its nodes around the zero of V."""
 
     # (a, delta, sigma, alpha, t): indicator weighting, phase mode, R = 100,
-    # 1 + cos 2 pi delta t below 5e-4. The library's sections of 120 xi on
-    # [1 - delta, 1 + 2 delta] converge and are off by 1.2e-6, 4.5e-7 and
-    # 1.3e-8 of their max, nearly alike at every xi: the base step does not
-    # resolve the narrow features by the zero, and T_h and T_2h agree there
-    # because neither samples them. A midpoint rule with 2^23 nodes on
-    # eta_avg +- 0.05 and 2^22 on either side agrees with the oracle within
-    # 1.8e-11 of the max
+    # 1 + cos 2 pi delta t below 5e-4. A squeeze ladder that starts from
+    # uniform nodes converged on the sections of 120 xi on [1 - delta, 1 + 2
+    # delta] 1.2e-6, 4.5e-7 and 1.3e-8 of their max away from the oracle,
+    # nearly alike at every xi: its base step did not resolve the narrow
+    # features by the zero, and T_h and T_2h agreed there because neither
+    # sampled them. A midpoint rule with 2^23 nodes on eta_avg +- 0.05 and
+    # 2^22 on either side agrees with the oracle within 1.8e-11 of the max
     MISSED = [
         (1.2500508678589979, 0.07976481384425001, 2.142995929165372,
          0.0025129120713025463, 6.208792051982055),
@@ -160,9 +160,6 @@ class TestOracleNearAZero:
          0.000271226296601904, 1.6039880138062712),
     ]
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the squeeze ladder misses the features next to the zero of V "
-                              "(ROADMAP item 23)")
     @pytest.mark.parametrize("a, delta, sigma, alpha, t", MISSED)
     def test_library_resolves_the_zero(self, a, delta, sigma, alpha, t):
         model = TwoHarmonicModel(xi0=1.0, delta=delta, a=a)
@@ -173,6 +170,16 @@ class TestOracleNearAZero:
         vals = squeeze_cross_section(model, window, config, t, xis)
         ref = _oracle_section(model, window, config, t, xis[::40])
         assert np.max(np.abs(vals[::40] - ref)) <= 1e-8 * np.max(np.abs(vals))
+
+    def test_library_resolves_the_zero_with_stft_weighting(self, window, model_a13):
+        # the uniform-node ladder also missed this section by 1.9e-7 of its
+        # max; the oracle and the composite rule above agree within 1.7e-14
+        config = SqueezeConfig(alpha=1e-5, weighting="stft", reassignment_mode="phase")
+        t = destructive_time(model_a13, 0) + 0.01
+        xis = np.linspace(model_a13.xi0 - model_a13.delta, model_a13.xi1 + model_a13.delta, 7)
+        vals = squeeze_cross_section(model_a13, window, config, t, xis)
+        ref = _oracle_section(model_a13, window, config, t, xis)
+        assert np.max(np.abs(vals - ref)) <= 1e-8 * np.max(np.abs(ref))
 
     def test_indicator_phase_section_next_to_a_zero(self, window, model_a13):
         # Re eta_s spikes next to t_0^-, and a uniform midpoint rule over

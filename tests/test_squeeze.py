@@ -21,6 +21,7 @@ from twotone import (
     destructive_time,
     destructive_zero,
     erf_closed_form,
+    eta_s_derivative,
     preimage_intervals,
     pushforward_density,
     squeeze_cross_section,
@@ -37,7 +38,7 @@ from twotone.errors import (
 )
 from twotone.oracle import oracle_quadrature_squeeze
 from twotone.presets import PRESETS
-from twotone.reassign import eta_s_derivative, eta_s_values
+from twotone.reassign import eta_s_values
 from twotone.ridges import _candidate_peaks, flip_bracket
 from twotone.squeeze import (
     _BLOCK_TERMS,
@@ -245,68 +246,54 @@ class TestTransform:
         return sums, etas
 
     @staticmethod
-    def _assert_nested(base, levels, lo, hi):
+    def _assert_nested(model, window, config, t, xis, base, levels):
         """The base nodes and the midpoint levels evaluate every node of the
-        finest nested grid on [lo, hi] exactly once, and no other node."""
-        nodes = np.sort(np.concatenate([base] + levels))
-        inside = nodes[(nodes >= lo) & (nodes <= hi)]
-        fine = np.linspace(lo, hi, (len(levels[0]) << (len(levels) - 1)) * 2 + 1)
-        assert len(inside) == len(fine) and np.all(np.diff(nodes) > 0)
-        assert np.max(np.abs(inside - fine)) <= 1e-12 * (hi - lo)
-
-    @staticmethod
-    def _sized_base(model, window, config, t):
-        """The base interval count the band of this section starts from."""
+        finest graded rule on the band exactly once, and no other node: its
+        nodes at equal steps of u from u(lo) to u(hi)."""
         (lo, hi), *_ = squeeze_module._integration_pieces(model, window, config)
-        return squeeze_module._base_intervals(model, window, t, config.alpha, hi - lo)
+        u_lo, u_hi, place = squeeze_module._graded_nodes(model, window, config, t,
+                                                         np.asarray(xis, dtype=float), lo, hi)
+        fine, _ = place(np.linspace(u_lo, u_hi, (len(levels[0]) << (len(levels) - 1)) * 2 + 1))
+        nodes = np.sort(np.concatenate([base] + levels))
+        assert len(nodes) == len(fine) and np.all(np.diff(nodes) > 0)
+        assert np.max(np.abs(nodes - fine)) <= 1e-12 * (hi - lo)
 
     def test_whole_grid_window_sums_each_level_once(self, window, model_a13, monkeypatch):
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        # at the constructive time the base is sized below the largest
-        n0 = self._sized_base(model_a13, window, config, 0.0)
-        assert n0 < squeeze_module._BASE_INTERVALS
         sums, etas = self._record_passes(monkeypatch)
         squeeze_cross_section(model_a13, window, config, 0.0, np.linspace(0.9, 1.4, 11))
-        # the base trapezoid T_h and the rule T_2h on its even nodes are two
-        # weight rows of one pass over the band, and they agree, so no
-        # midpoint level is added
-        assert sums == [(2, n0 + 1)] and len(etas) == 1
-        assert len(etas[0]) == n0 + 1
+        # at the constructive time the graded base is the smallest, 256
+        # intervals; the base trapezoid T_h and the rule T_2h on its even
+        # nodes are two weight rows of one pass over the band, and they agree,
+        # so no midpoint level is added
+        assert sums == [(2, 257)] and len(etas) == 1
+        assert len(etas[0]) == 257
 
-    def test_destructive_section_splits_around_the_zero(self, window, model_a13, monkeypatch):
-        # 1024 base intervals, where the zone's own ladder doubles
-        n0 = 1024
-        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", n0)
+    def test_midpoint_levels_nest_in_u(self, window, model_a13, monkeypatch):
+        # a tolerance no rule meets drives the destructive section from its
+        # graded base to the finest rule, 4096 << 2 intervals
+        monkeypatch.setattr(squeeze_module, "_RTOL", 0.0)
+        monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", 2)
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        sums, etas = self._record_passes(monkeypatch)
         t = destructive_time(model_a13, 0)
-        squeeze_cross_section(model_a13, window, config, t, np.linspace(0.6, 1.7, 257))
-        # the band's T_h and T_2h over its n0 + 1 base nodes differ, and so
-        # does the first doubling over the n0 midpoints
-        base, mids, near, zone, *levels = etas
-        assert sums[:2] == [(2, n0 + 1), (1, n0)]
-        lo, hi = base[0], base[-1]
-        band = np.sort(np.concatenate([base, mids]))
-        # the zone's ladder runs on [a, b] around the zero of V, a small part
-        # of the band
-        a, b = zone[0], zone[-1]
-        assert lo < a < destructive_zero(model_a13, window) < b < hi
-        assert b - a < (hi - lo) / 4
-        # the psi-weighted pass sums both rules over the band's nodes in
-        # [a, b] as they were evaluated, and over no other node
-        assert sums[2] == (2, len(near)) and len(near) > 0
-        assert np.array_equal(near, band[(band >= a) & (band <= b)])
-        # then two rules on the zone's own n0 + 1 base nodes, and midpoint
-        # levels nested on [a, b]; the outer piece needs no doubling
-        assert len(levels) >= 1
-        assert sums[3:] == [(2, n0 + 1)] + [(1, n0 << k) for k in range(len(levels))]
-        self._assert_nested(zone, levels, a, b)
+        xis = np.linspace(0.6, 1.7, 257)
+        sums, etas = self._record_passes(monkeypatch)
+        with pytest.raises(SolverFailureError):
+            squeeze_cross_section(model_a13, window, config, t, xis)
+        base, *levels = etas
+        n0 = len(base) - 1
+        assert len(levels) >= 1 and n0 << len(levels) == 4096 << 2
+        assert sums == [(2, n0 + 1)] + [(1, n0 << k) for k in range(len(levels))]
+        self._assert_nested(model_a13, window, config, t, xis, base, levels)
+        # the graded nodes crowd around the zero of V
+        steps = np.diff(np.sort(np.concatenate(etas)))
+        assert np.min(steps) < np.max(steps) / 100
 
-    def test_gap_small_a13_destructive_row_evaluates_a_fifth_of_the_nodes(self, window):
-        # the t = 5/3 row of the squeeze preset: the ladder on the whole band
-        # evaluates 4097 + 4096 + 8192 + 16384 + 32768 = 65537 nodes; the split
-        # evaluates the band's base and first doubling, the 431 nodes near the
-        # zone and the inner piece's base, and both pieces converge there
+    def test_gap_small_a13_destructive_row_is_one_pass(self, window):
+        # the t = 5/3 row of the squeeze preset: a ladder from uniform nodes
+        # evaluated 4097 + 4096 + 8192 + 16384 + 32768 = 65537 nodes there,
+        # and 12,721 after splitting the band around the zone by the zero of
+        # V; the graded rule's base pass of 2049 nodes converges
         cfg = PRESETS["gap-small-a13"]
         model = TwoHarmonicModel(xi0=cfg["model.xi0"], delta=cfg["model.delta"],
                                  a=cfg["model.a"])
@@ -322,23 +309,10 @@ class TestTransform:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(squeeze_module, "eta_s_values", eta_spy)
             squeeze_cross_section(model, window, config, 5 / 3, xis)
-        assert nodes == [4097, 4096, 431, 4097] and sum(nodes) == 12_721
+        assert nodes == [2049]
 
-    @staticmethod
-    def _split_zones(monkeypatch):
-        """The result of every _zone call squeeze_cross_section makes."""
-        zones = []
-        zone_fn = squeeze_module._zone
-
-        def zone_spy(*args):
-            zones.append(zone_fn(*args))
-            return zones[-1]
-
-        monkeypatch.setattr(squeeze_module, "_zone", zone_spy)
-        return zones
-
-    # sections through and next to the zero of V that split: the phase rule
-    # sits 0.05 off the destructive time, where a 2^18-node rule resolves it
+    # sections through and next to the zero of V: the phase rule sits 0.05
+    # off the destructive time, where a 2^18-node rule resolves it
     @pytest.mark.parametrize("offset, weighting, mode, a, alpha", [
         (0.0, "stft", "sync", 0.4, 1e-5),
         (0.0, "indicator", "phase", 1.0, 1e-4),
@@ -349,16 +323,13 @@ class TestTransform:
         (0.05, "indicator", "phase", 1.3, 1e-3),
         (0.005, "stft", "sync", 0.4, 1e-5),
     ])
-    def test_split_matches_a_fine_uniform_rule(self, window, monkeypatch, offset, weighting,
-                                               mode, a, alpha):
+    def test_split_matches_a_fine_uniform_rule(self, window, offset, weighting, mode, a, alpha):
         model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=a)
         t = destructive_time(model, 0) + offset
         R = 8.0 if weighting == "indicator" else None
         config = SqueezeConfig(alpha=alpha, weighting=weighting, R=R, reassignment_mode=mode)
         xis = model.xi0 + model.delta * np.linspace(-1.0, 2.0, 7)
-        zones = self._split_zones(monkeypatch)
         vals = squeeze_cross_section(model, window, config, t, xis)
-        assert zones and zones[-1] is not None
         # one midpoint rule over the band, or over all of [-R, R]
         ref = _midpoint_rule(model, window, config, t, xis, 2 ** 18)
         scale = np.max(np.abs(ref))
@@ -367,45 +338,42 @@ class TestTransform:
                            for xi in xis])
         assert np.max(np.abs(vals - oracle)) <= 1e-6 * scale
 
-    def test_phase_section_next_to_a_zero_converges(self, monkeypatch):
-        # the ladder on the whole band stops here after 9 doublings, still
-        # 2.8 times over the tolerance; the split matches a 2^22-node midpoint
-        # rule to 7.0e-9 of the section's max, and this 2^20-node one on every
-        # tenth xi to 4.9e-8
+    def test_phase_section_next_to_a_zero_converges(self):
+        # a ladder from uniform nodes stopped here after 9 doublings, still
+        # 2.8 times over the tolerance; the graded rule matches a 2^22-node
+        # midpoint rule to 7.0e-9 of the section's max, and this 2^20-node
+        # one on every tenth xi to 4.9e-8
         model = TwoHarmonicModel(xi0=1.0, delta=0.6658918842004374, a=0.4052904036302374)
         window = GaussianWindow(sigma=1.2242797887726682)
         config = SqueezeConfig(alpha=4.849063391677871e-05, weighting="stft",
                                reassignment_mode="phase")
         t = 0.7442895458264165
         xis = np.linspace(model.xi0 - 0.8, model.xi1 + 0.8, 200)
-        zones = self._split_zones(monkeypatch)
         vals = squeeze_cross_section(model, window, config, t, xis)
-        assert zones and zones[-1] is not None
         ref = _midpoint_rule(model, window, config, t, xis[::10], 2 ** 20)
         assert np.max(np.abs(vals[::10] - ref)) <= 1e-6 * np.max(np.abs(vals))
 
-    def test_starved_split_raises(self, window, model_a13, monkeypatch):
-        # the finest rule has 4096 << 2 intervals: the band doubles once to
-        # 8192, then the outer piece, which keeps the band's count, once more
-        # and raises there, before the inner piece does from its own 4096
-        monkeypatch.setattr(squeeze_module, "_RTOL", 1e-15)
+    def test_starved_destructive_section_raises(self, window, model_a13, monkeypatch):
+        # the finest rule has 4096 << 2 intervals: the destructive section's
+        # graded base of 2048 doubles three times to it and raises there
+        monkeypatch.setattr(squeeze_module, "_RTOL", 1e-18)
         monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", 2)
-        zones = self._split_zones(monkeypatch)
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
         t = destructive_time(model_a13, 0)
-        with pytest.raises(SolverFailureError, match=r"in 2 doublings \(16384 intervals\)") as err:
+        with pytest.raises(SolverFailureError, match=r"in 3 doublings \(16384 intervals\)") as err:
             squeeze_cross_section(model_a13, window, config, t, np.linspace(0.6, 1.7, 33))
-        assert len(zones) == 1 and zones[0] is not None
         change, target = err.value.residuals
         assert math.isfinite(change) and change > target > 0
 
     @pytest.mark.parametrize("R", [5.0, 50.0])
     def test_indicator_far_fields_are_one_closed_form_sum(self, window, model_a13,
                                                           monkeypatch, R):
-        # 512 base intervals, where the band is refined
-        n0 = 512
-        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", n0)
+        # a tolerance no rule meets refines the band to the finest rule,
+        # 4096 intervals
+        monkeypatch.setattr(squeeze_module, "_RTOL", 0.0)
+        monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", 0)
         config = SqueezeConfig(alpha=ALPHA, weighting="indicator", R=R)
+        xis = np.array([1.08, 1.15, 1.22])
         sums, etas = self._record_passes(monkeypatch)
         weights = []
         sum_fn = squeeze_module._mollified_sums
@@ -415,33 +383,35 @@ class TestTransform:
             return sum_fn(hat, w, *args)
 
         monkeypatch.setattr(squeeze_module, "_mollified_sums", weights_spy)
-        squeeze_cross_section(model_a13, window, config, 0.0, np.array([1.08, 1.15, 1.22]))
+        with pytest.raises(SolverFailureError, match=r"\(4096 intervals\)"):
+            squeeze_cross_section(model_a13, window, config, 0.0, xis)
         # the band's two rules in one sum over its n0 + 1 base nodes, then the
         # far fields [-R, band] and [band, R] in one more: their midpoints,
         # each weighted by its length
+        (lo, hi), *_ = squeeze_module._integration_pieces(model_a13, window, config)
         band, far = etas[:2]
-        lo, hi = band[0], band[-1]
-        assert -R < lo and hi < R
+        n0 = len(band) - 1
+        assert -R < lo and hi < R and n0 < 4096
         assert sums[:2] == [(2, n0 + 1), (1, 2)]
         assert far.tolist() == [(-R + lo) / 2, (hi + R) / 2]
         assert weights[1].tolist() == [[lo + R, R - hi]]
         # the midpoint levels n0, 2 n0, ... are nested on the whole band
         levels = etas[2:]
         assert len(levels) >= 1 and sums[2:] == [(1, n0 << k) for k in range(len(levels))]
-        self._assert_nested(band, levels, lo, hi)
+        self._assert_nested(model_a13, window, config, 0.0, xis, band, levels)
 
     def test_converged_base_pass_is_one_kernel_pass(self, window, model_a13, monkeypatch):
         # T_h is returned when it agrees with T_2h; it matches the value one
         # doubling later, T_{h/2}, which a base pass of 2 n0 intervals gives
         xis = np.linspace(0.9, 1.4, 101)
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        n0 = self._sized_base(model_a13, window, config, 0.0)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(squeeze_module, "_base_intervals", lambda *args: 2 * n0)
-            ref = squeeze_cross_section(model_a13, window, config, 0.0, xis)
         sums, etas = self._record_passes(monkeypatch)
         vals = squeeze_cross_section(model_a13, window, config, 0.0, xis)
+        n0 = sums[0][1] - 1
         assert sums == [(2, n0 + 1)] and len(etas) == 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(squeeze_module, "_MIN_BASE_INTERVALS", 2 * n0)
+            ref = squeeze_cross_section(model_a13, window, config, 0.0, xis)
         assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # at R = 2.5 the band is clipped at R and only the left far field remains;
@@ -477,12 +447,13 @@ class TestTransform:
 
     @pytest.mark.parametrize("max_doublings", [0, 1])
     def test_starved_refinement_raises(self, window, model_a13, monkeypatch, max_doublings):
-        # with no doubling the base pass still compares T_h with T_2h
-        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", 64)
-        monkeypatch.setattr(squeeze_module, "_RTOL", 1e-15)
+        # the finest rule is the graded base of 256 intervals, or one doubling
+        # past it; with no doubling the base pass still compares T_h with T_2h
+        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", 256)
+        monkeypatch.setattr(squeeze_module, "_RTOL", 1e-18)
         monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", max_doublings)
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
-        with pytest.raises(SolverFailureError) as err:
+        with pytest.raises(SolverFailureError, match=f"in {max_doublings} doublings") as err:
             squeeze_cross_section(model_a13, window, config, 0.4, np.linspace(1.0, 1.3, 7))
         change, target = err.value.residuals
         assert math.isfinite(change) and change > target > 0
@@ -503,7 +474,8 @@ class TestTransform:
 
 
 class TestBaseIntervals:
-    """The base of the band's ladder, sized from |D| <= C delta^2/(1 + cos 2 pi delta t)."""
+    """The base of the graded ladder: the smallest power of two n0 >= 256 with
+    u(hi) - u(lo) <= n0/4, where u' = max(sqrt(C), C delta) + |D|/sqrt(alpha)."""
 
     @staticmethod
     def _random_case(rng):
@@ -526,77 +498,94 @@ class TestBaseIntervals:
             assert peak <= bound * (1 + 1e-12)
             assert peak >= bound * (1 - 1e-9)
 
+    @staticmethod
+    def _base(model, window, config, t, xis):
+        """The interval count of the first kernel pass, which is then cut
+        short, and u(hi) - u(lo) on the band."""
+        shapes = []
+
+        class Stop(Exception):
+            pass
+
+        def first_pass(hat, weights, *args):
+            shapes.append(weights.shape)
+            raise Stop
+
+        (lo, hi), *_ = squeeze_module._integration_pieces(model, window, config)
+        u_lo, u_hi, _ = squeeze_module._graded_nodes(model, window, config, t, xis, lo, hi)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(squeeze_module, "_mollified_sums", first_pass)
+            with pytest.raises(Stop):
+                squeeze_cross_section(model, window, config, t, xis)
+        assert shapes[0][0] == 2
+        return shapes[0][1] - 1, u_hi - u_lo
+
     def test_smallest_power_of_two_that_resolves_the_band(self):
         rng = np.random.default_rng(31)
-        cap = squeeze_module._BASE_INTERVALS
         sizes = set()
-        for _ in range(300):
+        for i in range(300):
             model, window, t = self._random_case(rng)
-            alpha = 10.0 ** rng.uniform(-5.0, -2.5)
-            width = rng.uniform(1.0, 20.0)
-            n0 = squeeze_module._base_intervals(model, window, t, alpha, width)
+            config = SqueezeConfig(alpha=10.0 ** rng.uniform(-5.0, -2.5),
+                                   reassignment_mode=squeeze_module.REASSIGN_MODES[i % 2])
+            xis = np.linspace(model.xi0 - model.delta, model.xi1 + model.delta, 5)
+            n0, span = self._base(model, window, config, t, xis)
             sizes.add(n0)
-            assert n0 in (256, 512, 1024, 2048, 4096)
-            room = 1.0 + math.cos(2 * math.pi * model.delta * t)
-            r = max(window.C * model.delta ** 2 / (room * math.sqrt(alpha)),
-                    math.sqrt(window.C))
-            if n0 < cap:
-                assert width * r / n0 <= 0.25
+            assert n0 >= 256 and n0 & (n0 - 1) == 0
+            assert span / n0 <= 0.25
             if n0 > 256:
-                assert width * r / (n0 // 2) > 0.25
-        assert len(sizes) == 5
+                assert span / (n0 // 2) > 0.25
+        assert len(sizes) >= 5
 
-    def test_destructive_times_take_the_largest_base(self):
-        rng = np.random.default_rng(32)
-        for _ in range(100):
-            model, window, _ = self._random_case(rng)
-            for k in range(-3, 4):
-                n0 = squeeze_module._base_intervals(model, window, destructive_time(model, k),
-                                                    1e-3, 1.0)
-                assert n0 == squeeze_module._BASE_INTERVALS
+    def test_arc_length_sets_the_base(self, window, model_a13):
+        # away from a zero of V the base follows N(t) = (c width + L(t)/sqrt(alpha))/(1/4)
+        # with the closed-form arc length L = delta p/sin p
+        config = SqueezeConfig(alpha=ALPHA)
+        (lo, hi), = squeeze_module._integration_pieces(model_a13, window, config)
+        xis = np.linspace(0.9, 1.4, 11)
+        c = max(math.sqrt(window.C), window.C * model_a13.delta)
+        for t in (0.0, 0.5, 1.2):
+            p = math.acos(math.cos(2 * math.pi * model_a13.delta * t))
+            length = model_a13.delta * (p / math.sin(p) if p else 1.0)
+            _, span = self._base(model_a13, window, config, t, xis)
+            assert span == pytest.approx(c * (hi - lo) + length / math.sqrt(ALPHA), rel=1e-12)
 
-    def test_a_cap_below_the_floor_bounds_the_base(self, window, model_a13, monkeypatch):
-        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", 64)
-        assert squeeze_module._base_intervals(model_a13, window, 0.0, 1e-3, 1.0) == 64
+    def test_a_base_past_the_finest_rule_raises_before_any_pass(self, window, model_a13,
+                                                                monkeypatch):
+        # next to t_0^- in phase mode the core of the arc needs more than the
+        # finest rule's 2^21 intervals at alpha = 1e-5; the destructive row,
+        # 2048 intervals, needs more than a finest rule of 1024
+        sums, etas = TestTransform._record_passes(monkeypatch)
+        t = destructive_time(model_a13, 0)
+        xis = np.linspace(0.6, 1.7, 33)
+        phase = SqueezeConfig(alpha=1e-5, reassignment_mode="phase")
+        with pytest.raises(SolverFailureError, match="more than the finest rule's 2097152"):
+            squeeze_cross_section(model_a13, window, phase, t + 1e-6, xis)
+        monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", 1024)
+        monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", 0)
+        with pytest.raises(SolverFailureError, match="more than the finest rule's 1024"):
+            squeeze_cross_section(model_a13, window, SqueezeConfig(alpha=ALPHA), t, xis)
+        assert sums == [] and etas == []
 
     def test_starved_coarse_start_doubles_to_the_same_finest_rule(self, monkeypatch):
-        # with the cap at 1024 and 2 doublings the finest rule has 4096
-        # intervals; a start at 256 reaches it after 4 doublings, then raises
+        # with the finest rule at 1024 << 2 = 4096 intervals, a start at 256
+        # reaches it after 4 doublings, then raises
         monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", 1024)
         monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", 2)
         monkeypatch.setattr(squeeze_module, "_RTOL", 0.0)
         model = TwoHarmonicModel(xi0=1.0, delta=0.15, a=1.3)
         window = GaussianWindow(sigma=0.7)
         config = SqueezeConfig(alpha=1e-3, weighting="stft")
-        bases = self._record_bases(monkeypatch)
         sums, _ = TestTransform._record_passes(monkeypatch)
-        zones = TestTransform._split_zones(monkeypatch)
         with pytest.raises(SolverFailureError, match=r"in 4 doublings \(4096 intervals\)") as err:
             squeeze_cross_section(model, window, config, 0.0, np.linspace(1.0, 1.15, 5))
-        # |D| 2h <= sqrt(alpha)/4 from the first doubling on: no zone to split
-        assert bases == [256] and zones == [None]
         assert sums == [(2, 257)] + [(1, 256 << k) for k in range(4)]
         change, target = err.value.residuals
         assert math.isfinite(change) and change > target == 0.0
 
     @staticmethod
-    def _record_bases(monkeypatch):
-        """The base interval count of every _base_intervals call."""
-        bases = []
-        base_fn = squeeze_module._base_intervals
-
-        def base_spy(*args):
-            bases.append(base_fn(*args))
-            return bases[-1]
-
-        monkeypatch.setattr(squeeze_module, "_base_intervals", base_spy)
-        return bases
-
-    @staticmethod
     def _largest_base(monkeypatch):
-        """Every section starts from _BASE_INTERVALS, as before the sizing."""
-        monkeypatch.setattr(squeeze_module, "_base_intervals",
-                            lambda *args: squeeze_module._BASE_INTERVALS)
+        """Every section starts from at least _BASE_INTERVALS intervals."""
+        monkeypatch.setattr(squeeze_module, "_MIN_BASE_INTERVALS", squeeze_module._BASE_INTERVALS)
 
     # both weightings and both modes at and near constructive times; t is
     # (k + frac)/delta
@@ -625,9 +614,9 @@ class TestBaseIntervals:
             R = max(-lo, hi) + 1.0
         config = SqueezeConfig(alpha=alpha, weighting=weighting, R=R, reassignment_mode=mode)
         xis = model.xi0 + delta * np.linspace(-1.0, 2.0, 7)
-        bases = self._record_bases(monkeypatch)
+        sums, _ = TestTransform._record_passes(monkeypatch)
         vals = squeeze_cross_section(model, window, config, t, xis)
-        assert len(bases) == 1 and bases[0] < squeeze_module._BASE_INTERVALS
+        assert sums[0][1] - 1 < squeeze_module._BASE_INTERVALS
         # one midpoint rule over the band, or over all of [-R, R]
         ref = _midpoint_rule(model, window, config, t, xis, 2 ** 18)
         assert np.max(np.abs(vals - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -641,11 +630,9 @@ class TestBaseIntervals:
         for R, expected in ((8.0, squeeze_module._BASE_INTERVALS), (30.0, 512)):
             config = SqueezeConfig(alpha=1e-3, weighting="indicator", R=R)
             with pytest.MonkeyPatch.context() as patch:
-                bases = self._record_bases(patch)
                 sizes, _ = TestTransform._record_passes(patch)
                 squeeze_cross_section(model, window, config, 0.0, xis)
             assert sizes[0] == (2, expected + 1)
-            assert bases == ([] if R == 8.0 else [expected])
 
     def test_random_sections_match_the_largest_base(self):
         # near constructive times, both weightings and modes, R from
@@ -662,17 +649,18 @@ class TestBaseIntervals:
                                    R=R, reassignment_mode=mode)
             xis = np.linspace(model.xi0 - model.delta, model.xi1 + model.delta, 60)
             with pytest.MonkeyPatch.context() as patch:
-                bases = self._record_bases(patch)
+                sizes, _ = TestTransform._record_passes(patch)
                 vals = squeeze_cross_section(model, window, config, t, xis)
             with pytest.MonkeyPatch.context() as patch:
                 self._largest_base(patch)
                 ref = squeeze_cross_section(model, window, config, t, xis)
-            coarse += bool(bases) and bases[0] < squeeze_module._BASE_INTERVALS
+            coarse += sizes[0][1] - 1 < squeeze_module._BASE_INTERVALS
             assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert coarse >= 10
 
     def test_criterion_8_sections_match_the_largest_base(self, window):
-        # the 641-xi STFT sections of criterion 8's flip search, at t = 0
+        # the 641-xi STFT sections of criterion 8's flip search, at t = 0,
+        # each one pass of 257 nodes
         config = SqueezeConfig(alpha=1e-4, weighting="stft")
         for delta in (0.15, 0.18, 0.19, 0.2, 0.25):
             model = TwoHarmonicModel(xi0=1.0, delta=delta, a=1.0)
@@ -682,12 +670,38 @@ class TestBaseIntervals:
                 ref = squeeze_cross_section(model, window, config, 0.0, xis)
                 ref_count = squeeze_module.count_squeeze_maxima(model, window, config)
             with pytest.MonkeyPatch.context() as patch:
-                bases = self._record_bases(patch)
+                sizes, _ = TestTransform._record_passes(patch)
                 vals = squeeze_cross_section(model, window, config, 0.0, xis)
                 count = squeeze_module.count_squeeze_maxima(model, window, config)
-            assert bases[0] < squeeze_module._BASE_INTERVALS
+            assert sizes == [(2, 257)] * 2
             assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert count == ref_count
+
+
+class TestImageArc:
+    """The closed-form length of the image arc of eta_s on a line t = const."""
+
+    # L(t) = delta p/sin p at a = 1.3, delta = 0.3, sigma = sqrt 2
+    @pytest.mark.parametrize("t, length", [
+        (0.0, 0.3), (0.5, 0.349490), (1.2, 0.880691), (1.5, 2.744930), (1.65, 29.704886),
+    ])
+    def test_arc_length_is_the_integral_of_the_map_derivative(self, window, model_a13,
+                                                               t, length):
+        model = model_a13
+        p = math.acos(math.cos(2 * math.pi * model.delta * t))
+        T = math.tan(p / 2)
+        eta = np.linspace(-20.0, 22.0, 400_001)
+        centre = destructive_zero(model, window)
+        z, dz = squeeze_module._image_arc(model, window, T, eta - centre)
+        phi = model.delta / 2 * (1 + T * T) * z
+        total = model.delta * (p / math.sin(p) if p else 1.0)
+        assert phi[-1] - phi[0] == pytest.approx(total, rel=1e-12)
+        assert total == pytest.approx(length, abs=5e-7)
+        # Phi' = |D| at every eta, and the trapezoid rule, which converges
+        # geometrically on the whole line, integrates |D| to the whole arc
+        d = np.abs(eta_s_derivative(model, window, t, eta))
+        assert np.max(np.abs(model.delta / 2 * (1 + T * T) * dz - d)) <= 1e-12 * np.max(d)
+        assert np.sum(d[1:] + d[:-1]) / 2 * (42.0 / 400_000) == pytest.approx(total, rel=1e-12)
 
 
 def _midpoint_rule(model, window, config, t, xis, n):
