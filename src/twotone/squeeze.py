@@ -44,9 +44,8 @@ _MIN_BASE_INTERVALS = 256
 _BASE_INTERVALS = 4096
 _RTOL = 1e-8
 _MAX_DOUBLINGS = 9
-# the step in u of _graded_nodes, and its floor on 1 + cos 2 pi delta t in phase mode
+# the step in u of _graded_nodes
 _STEP_RESOLUTION = 0.25
-_PHASE_ROOM = 1e-9
 
 
 @dataclass(frozen=True)
@@ -159,73 +158,104 @@ def _graded_nodes(model: TwoHarmonicModel, window: GaussianWindow, config: Squee
                   t: float, xis: np.ndarray, lo: float, hi: float) -> tuple:
     """(u_lo, u_hi, place): the band [lo, hi] in the node variable u(eta) = c
     (eta - eta_avg) + Phi(eta)/sqrt(alpha), c = max(sqrt(C), C delta), with
-    Phi the image arc's length (_image_arc), and place(u), the nodes eta at an
-    array of u and the Jacobian 1/u' there.
+    Phi the length of the part of the image arc (_image_arc) that reaches a
+    xi window, and place(u), the nodes eta at an array of u and 1/u' there.
 
     u' = c + |D|/sqrt(alpha) counts the mollifier widths that eta_s sweeps and
     the widths 1/sqrt(C) of the weight's Gaussians. u' continues analytically
     to 0 at Im u = c pi/(2 C delta), which bounds the strip where the rule in u
     converges geometrically; c >= C delta keeps it pi/2 wide, so the rules of
-    steps 1/4 and 1/2 err by about e^-39 and e^-20.
+    steps 1/4 and 1/2 err by about e^-39 and e^-20. A band that R clips ends
+    where the integrand is not flat, and the rule converges there only like
+    h^2: c is raised so that its ends take at least the step of 4096
+    uniform intervals.
 
-    The arc is taken with r = 1 + cos 2 pi delta t raised to a floor >= 1e-9:
-    - in sync mode, and at r = 0, |eta_s - xibar|^2 >= (delta^2/4)(2|D|/(C
-      delta^2) - 1), so eta_s leaves every xi window where |D| > C delta^2/2 +
-      2 C X^2, X = max |xi - xibar| + sqrt(708.4 alpha). The floor 2 delta^2/
-      (delta^2 + 4 X^2) caps |D| there and keeps it within a factor 2 below;
-    - in phase mode at r > 0, Re eta_s sweeps every window in the core, where
-      |D| reaches C delta^2/r, and a xi takes about r/(C delta^2) from there
-      against order 1/(C delta^2) elsewhere: the floor is 1e-9.
-    At a = 0 eta_s is constant and u = c (eta - xibar).
+    A window's terms are below e^-708.4 farther than X = max |xi - xibar| +
+    sqrt(708.4 alpha) from xibar. In sync mode, and at r = 1 + cos 2 pi delta
+    t = 0, |eta_s - xibar|^2 >= (delta^2/4)(2|D|/(C delta^2) - 1), so eta_s
+    leaves every window where |D| > C delta^2/2 + 2 C X^2; r is raised to 2
+    delta^2/(delta^2 + 4 X^2), which caps |D| there and keeps it within a
+    factor 2 below. In phase mode at r > 0, Re eta_s - xibar = rho sin psi on
+    a circle of radius rho = delta/(2 sin p), at the angle psi = 2 atan(T th)
+    from the core. Where rho > X the arc from psi = beta = asin(X/rho) to pi
+    - beta lies past every window and does not count, so the counted arc is
+    at most 2 pi X long however close t is to t_k^-, and u has kinks only
+    where every window's terms are below e^-708.4. At a = 0, u = c (eta -
+    xibar).
 
-    u is odd about eta_avg and concave in x = eta - eta_avg >= 0, where place
-    solves u(x) = |u_k|. On a table of x at equal steps of x and of the arc,
-    the chord of x -> (x, z) lies below the curve, so its x bounds the root
-    above and the x of its z below. Newton's method from below rises to the
-    root; it raises SolverFailureError unless every residual is at most
-    1e-14 max(|u_k|, 1) within 16 steps.
+    u is odd about eta_avg. On x = eta - eta_avg >= 0 it is concave up to pi
+    - beta and equal to another concave function past it; place runs
+    Newton's method on the one that holds at the root, from a table of x at
+    equal steps of x and of the counted arc. The chord's x lies above the
+    root and, where no arc is skipped, the x of its z below it, from where
+    the steps rise. It raises SolverFailureError unless every residual is at
+    most 1e-14 max(|u_k|, 1) within 16 steps.
     """
-    delta, alpha = model.delta, config.alpha
+    delta, alpha, rate = model.delta, config.alpha, window.C * model.delta
     room = 1.0 + math.cos(2.0 * math.pi * delta * t)
-    if config.reassignment_mode == "phase" and room > 0:
-        room = max(room, _PHASE_ROOM)
-    else:
-        # float() makes a square that overflows inf without a warning
-        reach = float(np.max(np.abs(xis - model.xibar), initial=0.0))
-        ratio = 2.0 * (reach + math.sqrt(_NORMAL_EXPONENT * alpha)) / delta
-        room = max(room, 2.0 / (1.0 + ratio * ratio), _PHASE_ROOM)
+    # float() makes a square that overflows inf without a warning
+    reach = float(np.max(np.abs(xis - model.xibar), initial=0.0))
+    reach += math.sqrt(_NORMAL_EXPONENT * alpha)
+    phase = config.reassignment_mode == "phase" and room > 0 and model.a > 0
+    if not phase:
+        # r below 2^-52 is 0 to rounding (cos rounds to multiples of 2^-53 near
+        # -1); that floor keeps T and the arc finite where the square overflows
+        ratio = 2.0 * reach / delta
+        room = max(room, 2.0 / (1.0 + ratio * ratio), sys.float_info.epsilon)
     T = math.sqrt((2.0 - room) / room)
     centre, arc = model.xibar, 0.0
     if model.a > 0:
         centre, arc = destructive_zero(model, window), delta / (room * math.sqrt(alpha))
     c = max(math.sqrt(window.C), window.C * delta)
-
-    def u(x):
-        z, dz = _image_arc(model, window, T, x)
-        return c * x + arc * z, c + arc * dz, z
+    if config.weighting == "indicator" and not -config.R < lo < hi < config.R:
+        c = max(c, _BASE_INTERVALS * _STEP_RESOLUTION / (hi - lo))
+    # the counted arc in units of z = psi/(2 T): z up to top, then from pi -
+    # beta on, at x >= x_far, where the arc left to its end, tail, is below skip
+    top, skip, x_far = math.inf, -math.inf, math.inf
+    if phase and 0 < 2.0 * reach * T * room < delta:
+        beta = math.asin(2.0 * reach * T * room / delta)
+        top, skip = beta / (2.0 * T), (beta - 2.0 * math.atan(1.0 / T)) / (2.0 * T)
+        if skip > 0:
+            x_far = math.atanh(min(1.0 / (T * math.tan(beta / 2)), 1.0 - 2.0 ** -53)) / rate
 
     def x_of(z):
         # z at the end of the arc can round to its limit, where th would reach 1
         th = np.minimum(np.tan(T * z) / T if T else z, 1.0 - 2.0 ** -53)
-        return np.arctanh(th) / (window.C * delta)
+        return np.arctanh(th) / rate
 
-    (u_lo, u_hi), _, ends = u(np.array([lo, hi]) - centre)
-    end = max(abs(lo - centre), abs(hi - centre))
-    x_tab = np.concatenate([np.linspace(0.0, end, 256),
-                            x_of(np.linspace(0.0, np.max(np.abs(ends)), 256))])
-    x_tab = np.sort(x_tab[x_tab <= end])
+    def u(x, far=None):
+        # (u, u', z) on x >= 0; far selects the concave function past pi - beta
+        z, dz = _image_arc(model, window, T, x)
+        if top == math.inf:
+            return c * x + arc * z, c + arc * dz, z
+        q = np.exp(-2.0 * rate * x)  # (1 - th)/(1 + th)
+        tail = np.arctan(2.0 * T * q / (1.0 + q + T * T * (1.0 - q))) / T
+        far = tail < skip if far is None else far
+        counted = np.where(far, top + skip - tail, np.minimum(z, top))
+        return c * x + arc * counted, c + arc * dz * (far | (z < top)), z
+
+    bounds = np.array([lo, hi]) - centre
+    ends, _, z_ends = u(np.abs(bounds))
+    u_lo, u_hi = np.copysign(ends, bounds)
+    end = float(np.max(np.abs(bounds)))
+    x_tab = np.sort(np.concatenate([np.linspace(0.0, end, 256), [min(x_far, end)],
+                                    x_of(np.linspace(0.0, min(top, np.max(z_ends)), 256))]))
     u_tab, _, z_tab = u(x_tab)
+    u_far = float(u(np.array([x_far]))[0][0]) if x_far < end else math.inf
 
     def place(targets):
         w = np.abs(targets)
-        x = np.minimum(x_of(np.interp(w, u_tab, z_tab)), np.interp(w, u_tab, x_tab))
+        far = w > u_far
+        x = np.interp(w, u_tab, x_tab)
+        if top == math.inf:
+            x = np.minimum(x, x_of(np.interp(w, u_tab, z_tab)))
         tol = 1e-14 * max(float(np.max(w)), 1.0)
         for _ in range(16):
-            value, slope, _ = u(x)
+            value, slope, _ = u(x, far)
             miss = w - value
             if np.max(np.abs(miss)) <= tol:
                 return centre + np.copysign(x, targets), 1.0 / slope
-            x += miss / slope
+            x = np.maximum(x + miss / slope, 0.0)
         raise SolverFailureError(f"squeeze nodes at t = {t} did not settle in 16 Newton steps")
 
     return u_lo, u_hi, place
@@ -333,9 +363,8 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     variable u of _graded_nodes, with the Jacobian 1/u'. A step of u = 1/4
     resolves the integrand everywhere, also next to a zero of V, where eta_s
     sweeps a long arc over a short stretch of eta. The base has the smallest
-    power of two >= 256 intervals with that step; a band that R clips ends
-    where the integrand is not flat, and the rule converges there only like
-    h^2, so it starts from at least 4096.
+    power of two >= 256 intervals with that step, at least 4096 on a band
+    that R clips.
 
     The base pass sums two weight rows over the same nodes, T_h and T_2h
     (twice the T_h weights on the even nodes), and each doubling evaluates
@@ -374,8 +403,7 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
 
     (lo, hi), *far = _integration_pieces(model, window, config)
     u_lo, u_hi, place = _graded_nodes(model, window, config, t, xis, lo, hi)
-    clipped = config.weighting == "indicator" and not -config.R < lo < hi < config.R
-    n = _BASE_INTERVALS if clipped else _MIN_BASE_INTERVALS
+    n = _MIN_BASE_INTERVALS
     finest = _BASE_INTERVALS << _MAX_DOUBLINGS
     while n <= finest and u_hi - u_lo > _STEP_RESOLUTION * n:
         n *= 2

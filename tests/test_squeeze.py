@@ -246,17 +246,36 @@ class TestTransform:
         return sums, etas
 
     @staticmethod
-    def _assert_nested(model, window, config, t, xis, base, levels):
+    def _sync_node_variable(model, window, config, t, xis, eta):
+        """u(eta) in sync mode, written out from the arc length: c x +
+        (delta/(r sqrt alpha)) atan(T tanh(C delta x))/T, x = eta - eta_avg,
+        c = max(sqrt C, C delta), T = tan(p/2), with r = 1 + cos 2 pi delta t
+        = 1 + cos p raised to 2 delta^2/(delta^2 + 4 X^2), X = max |xi -
+        xibar| + sqrt(708.4 alpha)."""
+        reach = np.max(np.abs(np.asarray(xis) - model.xibar)) + math.sqrt(
+            -math.log(sys.float_info.min) * config.alpha)
+        r = max(1.0 + math.cos(2 * math.pi * model.delta * t),
+                2 * model.delta ** 2 / (model.delta ** 2 + 4 * reach ** 2))
+        T = math.sqrt((2.0 - r) / r)
+        th = np.tanh(window.C * model.delta * (eta - destructive_zero(model, window)))
+        arc = np.arctan(T * th) / T if T else th
+        c = max(math.sqrt(window.C), window.C * model.delta)
+        return (c * (eta - destructive_zero(model, window))
+                + model.delta / (r * math.sqrt(config.alpha)) * arc)
+
+    @classmethod
+    def _assert_nested(cls, model, window, config, t, xis, base, levels):
         """The base nodes and the midpoint levels evaluate every node of the
         finest graded rule on the band exactly once, and no other node: its
         nodes at equal steps of u from u(lo) to u(hi)."""
         (lo, hi), *_ = squeeze_module._integration_pieces(model, window, config)
-        u_lo, u_hi, place = squeeze_module._graded_nodes(model, window, config, t,
-                                                         np.asarray(xis, dtype=float), lo, hi)
-        fine, _ = place(np.linspace(u_lo, u_hi, (len(levels[0]) << (len(levels) - 1)) * 2 + 1))
         nodes = np.sort(np.concatenate([base] + levels))
-        assert len(nodes) == len(fine) and np.all(np.diff(nodes) > 0)
-        assert np.max(np.abs(nodes - fine)) <= 1e-12 * (hi - lo)
+        n = (len(levels[0]) << (len(levels) - 1)) * 2
+        assert len(nodes) == n + 1 and np.all(np.diff(nodes) > 0)
+        assert nodes[0] == pytest.approx(lo, abs=1e-12) and nodes[-1] == pytest.approx(hi, abs=1e-12)
+        u = cls._sync_node_variable(model, window, config, t, xis, nodes)
+        span = u[-1] - u[0]
+        assert np.max(np.abs(u - (u[0] + span / n * np.arange(n + 1)))) <= 1e-12 * span
 
     def test_whole_grid_window_sums_each_level_once(self, window, model_a13, monkeypatch):
         config = SqueezeConfig(alpha=ALPHA, weighting="stft")
@@ -551,20 +570,35 @@ class TestBaseIntervals:
 
     def test_a_base_past_the_finest_rule_raises_before_any_pass(self, window, model_a13,
                                                                 monkeypatch):
-        # next to t_0^- in phase mode the core of the arc needs more than the
-        # finest rule's 2^21 intervals at alpha = 1e-5; the destructive row,
-        # 2048 intervals, needs more than a finest rule of 1024
+        # the destructive row, 2048 intervals, needs more than a finest rule
+        # of 1024
         sums, etas = TestTransform._record_passes(monkeypatch)
         t = destructive_time(model_a13, 0)
         xis = np.linspace(0.6, 1.7, 33)
-        phase = SqueezeConfig(alpha=1e-5, reassignment_mode="phase")
-        with pytest.raises(SolverFailureError, match="more than the finest rule's 2097152"):
-            squeeze_cross_section(model_a13, window, phase, t + 1e-6, xis)
         monkeypatch.setattr(squeeze_module, "_BASE_INTERVALS", 1024)
         monkeypatch.setattr(squeeze_module, "_MAX_DOUBLINGS", 0)
         with pytest.raises(SolverFailureError, match="more than the finest rule's 1024"):
             squeeze_cross_section(model_a13, window, SqueezeConfig(alpha=ALPHA), t, xis)
         assert sums == [] and etas == []
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-6, 3e-4, -1e-4, 1e-2])
+    def test_phase_sections_next_to_t0_count_only_the_arc_in_reach(self, window, model_a13,
+                                                                     offset):
+        # in phase mode next to t_0^- Re eta_s sweeps out to about delta/(2
+        # sqrt(2 r)) on either side of xibar, r = 1 + cos 2 pi delta t: the
+        # whole arc would take from 6.3e4 intervals at offset 1e-2 to 6.3e8
+        # at 1e-6. The part that reaches a xi window is one pass of 4097
+        # nodes at each offset, as is t_0^- itself, where r = 0
+        t = destructive_time(model_a13, 0) + offset
+        xis = np.linspace(0.6, 1.7, 33)
+        config = SqueezeConfig(alpha=1e-5, reassignment_mode="phase")
+        with pytest.MonkeyPatch.context() as patch:
+            sums, _ = TestTransform._record_passes(patch)
+            vals = squeeze_cross_section(model_a13, window, config, t, xis)
+        assert sums == [(2, 4097)]
+        ref = np.array([oracle_quadrature_squeeze(model_a13, window, config, t, float(xi))
+                        for xi in xis[::4]])
+        assert np.max(np.abs(vals[::4] - ref)) <= 1e-8 * np.max(np.abs(ref))
 
     def test_starved_coarse_start_doubles_to_the_same_finest_rule(self, monkeypatch):
         # with the finest rule at 1024 << 2 = 4096 intervals, a start at 256
@@ -623,16 +657,20 @@ class TestBaseIntervals:
 
     def test_a_band_clipped_at_r_takes_the_largest_base(self, monkeypatch):
         # R = 8 clips the band, which needs 26 on either side of xibar; its
-        # ends are not flat, where a coarser start would lose accuracy
+        # ends are not flat, where a coarser start would lose accuracy: they
+        # take at most the step of 4096 uniform intervals
         model = TwoHarmonicModel(xi0=1.0, delta=0.15, a=1.0)
         window = GaussianWindow(sigma=0.7)
         xis = np.array([1.0, 1.075, 1.15])
-        for R, expected in ((8.0, squeeze_module._BASE_INTERVALS), (30.0, 512)):
+        for R, expected in ((8.0, 2 * squeeze_module._BASE_INTERVALS), (30.0, 512)):
             config = SqueezeConfig(alpha=1e-3, weighting="indicator", R=R)
             with pytest.MonkeyPatch.context() as patch:
-                sizes, _ = TestTransform._record_passes(patch)
+                sizes, etas = TestTransform._record_passes(patch)
                 squeeze_cross_section(model, window, config, 0.0, xis)
             assert sizes[0] == (2, expected + 1)
+            if R == 8.0:
+                steps = np.diff(etas[0])
+                assert max(steps[0], steps[-1]) <= 16.0 / squeeze_module._BASE_INTERVALS
 
     def test_random_sections_match_the_largest_base(self):
         # near constructive times, both weightings and modes, R from
