@@ -183,11 +183,11 @@ def _graded_nodes(model: TwoHarmonicModel, window: GaussianWindow, config: Squee
     where every window's terms are below e^-708.4. At a = 0, u = c (eta -
     xibar).
 
-    u is odd about eta_avg. On x = eta - eta_avg >= 0 it is concave up to pi
-    - beta and equal to another concave function past it; place runs
-    Newton's method on the one that holds at the root, from a table of x at
-    equal steps of x and of the counted arc. The chord's x lies above the
-    root and, where no arc is skipped, the x of its z below it, from where
+    u is odd about eta_avg. On x = eta - eta_avg >= 0 it is concave up to pi -
+    beta and equal to another concave function past it; place runs Newton's
+    method on the one that holds at the root, from a table of x at equal steps
+    of x and of the arc up to beta, and at pi - beta. The chord's x lies above
+    the root and, where no arc is skipped, the x of its z below it, from where
     the steps rise. It raises SolverFailureError unless every residual is at
     most 1e-14 max(|u_k|, 1) within 16 steps.
     """
