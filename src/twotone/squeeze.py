@@ -188,8 +188,9 @@ def _graded_nodes(model: TwoHarmonicModel, window: GaussianWindow, config: Squee
     method on the one that holds at the root, from a table of x at equal steps
     of x and of the arc up to beta, and at pi - beta. The chord's x lies above
     the root and, where no arc is skipped, the x of its z below it, from where
-    the steps rise. It raises SolverFailureError unless every residual is at
-    most 1e-14 max(|u_k|, 1) within 16 steps.
+    the steps rise; a step that lands below x = 0, or below pi - beta for a
+    root past it, restarts there. It raises SolverFailureError unless every
+    residual is at most 1e-14 max(|u_k|, 1) within 16 steps.
     """
     delta, alpha, rate = model.delta, config.alpha, window.C * model.delta
     room = 1.0 + math.cos(2.0 * math.pi * delta * t)
@@ -246,6 +247,8 @@ def _graded_nodes(model: TwoHarmonicModel, window: GaussianWindow, config: Squee
     def place(targets):
         w = np.abs(targets)
         far = w > u_far
+        # a root past pi - beta lies past x_far, and Newton's steps rise from there
+        floor = np.where(far, x_far, 0.0)
         x = np.interp(w, u_tab, x_tab)
         if top == math.inf:
             x = np.minimum(x, x_of(np.interp(w, u_tab, z_tab)))
@@ -255,7 +258,7 @@ def _graded_nodes(model: TwoHarmonicModel, window: GaussianWindow, config: Squee
             miss = w - value
             if np.max(np.abs(miss)) <= tol:
                 return centre + np.copysign(x, targets), 1.0 / slope
-            x = np.maximum(x + miss / slope, 0.0)
+            x = np.maximum(x + miss / slope, floor)
         raise SolverFailureError(f"squeeze nodes at t = {t} did not settle in 16 Newton steps")
 
     return u_lo, u_hi, place
