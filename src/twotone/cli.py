@@ -109,6 +109,8 @@ def build_config(args, extra: list[str]) -> ExperimentConfig:
         merged["output.dir"] = args.out
     alpha, weighting = merged["squeeze.alpha"], merged["squeeze.weighting"]
     radius, mode = merged.get("squeeze.r"), merged["squeeze.reassignment_mode"]
+    if radius is not None and not 0 < radius < math.inf:
+        raise ConfigError(f"squeeze.r must be positive and finite, got {radius!r}")
     try:
         thetas = tuple(float(x) for x in str(merged["reassign.arc_thetas"]).split(",") if x)
     except ValueError as exc:

@@ -38,6 +38,8 @@ _NORMAL_EXPONENT = -math.log(sys.float_info.min)
 # the most terms one block of _mollified_sums evaluates, one 512 KB buffer;
 # caps of 2^12-2^14 and 2^18 terms measured slower
 _BLOCK_TERMS = 1 << 16
+# the most xi one block sums: 32 measured near the fastest of 16-64 on every workload
+_BLOCK_ROWS = 32
 # the squeeze ladder: the fewest base intervals, the base of a band that R
 # clips, the tolerance and the doublings from there to the finest rule
 _MIN_BASE_INTERVALS = 256
@@ -282,16 +284,16 @@ def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
     factor exp(-(Im hat_k)^2 / alpha) is folded into the weights, and nodes
     whose factor is below the smallest normal double, or whose weights are
     all 0, sort past every window.
-    The xi are taken in their given order in blocks of neighbours with
-    non-empty windows. A block grows while its rows times the union of their
-    windows stay within 2^16 terms and within 1.125 times the rows' own
-    terms. Each block takes one broadcast exponent, one exp and one
-    (rows, union) @ (union, 2m) matrix product. A row's entries outside its
-    own window are set to -inf, whose exp is exactly 0.0, so every other
-    argument to exp lies in [-708.4, 0] and each xi sums only its own
-    terms. A xi with an empty window reads 0.0. Memory is
-    O(m (nodes + xis)) plus one buffer of 2^16 terms, or of the widest
-    window when that is larger.
+    The xi are sorted once, so each window starts and stops no earlier than
+    the one before, and taken in blocks of up to 32 neighbours, fewer where
+    the rows times the union of their windows would pass 2^16 terms. Each
+    block takes one broadcast exponent, one exp and one (rows, union) @
+    (union, 2m) matrix product. Where a block has two or more rows, each
+    exponent below -708.396, or nan, is set to -inf, whose exp is 0.0: every
+    other argument to exp lies in [-708.4, 0], and each xi sums only its own
+    terms, up to rounding at its window's edge. A xi with an empty window, or
+    a nan xi, reads 0.0. Memory is O(m (nodes + xis)) plus one buffer of
+    2^16 terms, or of the widest window when that is larger.
     """
     m = len(weights)
     fold = np.exp(-hat.imag ** 2 / alpha)
@@ -312,49 +314,39 @@ def _mollified_sums(hat: np.ndarray, weights: np.ndarray, xis: np.ndarray,
     del fold
     folded = folded.reshape(2 * m, -1)
     reach = math.sqrt(_NORMAL_EXPONENT * alpha)
+    perm = np.argsort(xis, kind="stable")
+    xis = xis[perm]
     starts = np.searchsorted(re, xis - reach, side="left")
     stops = np.searchsorted(re, xis + reach, side="right")
     buf = _aligned_empty((max(_BLOCK_TERMS, int(np.max(stops - starts, initial=0))),))
     starts, stops = starts.tolist(), stops.tolist()
     out = np.zeros((len(xis), m), dtype=complex)
     parts = out.view(float)
-
-    def block(i, j, lo, hi):
-        # rows i..j-1 of out over the union [lo, hi) of their windows
-        moll = buf[:(j - i) * (hi - lo)].reshape(j - i, hi - lo)
-        np.subtract(re[lo:hi], xis[i:j, None], out=moll)
-        np.multiply(moll, moll, out=moll)
-        moll *= -1.0 / alpha
-        for row, a, b in zip(moll, starts[i:j], stops[i:j]):
-            if a > lo:
-                row[:a - lo] = -np.inf
-            if b < hi:
-                row[b - lo:] = -np.inf
-        np.exp(moll, out=moll)
-        np.matmul(moll, folded[:, lo:hi].T, out=parts[i:j])
-
     # the broadcast subtraction of a short union takes numpy's buffered path,
     # which runs 2-4 times faster per term with a 1024-element buffer than
     # with the default; numpy < 2.0 does not scope the size with errstate, so
     # it is restored here
     old_bufsize = np.setbufsize(1024)
     try:
-        i = lo = hi = own = 0
-        for j, (a, b) in enumerate(zip(starts, stops)):
-            if i < j:
-                if a < b:
-                    union = (j + 1 - i) * (max(hi, b) - min(lo, a))
-                    if union <= _BLOCK_TERMS and 8 * union <= 9 * (own + b - a):
-                        lo, hi, own = min(lo, a), max(hi, b), own + b - a
-                        continue
-                block(i, j, lo, hi)
-            # an empty window starts no block: its column stays 0
-            i, lo, hi, own = (j, a, b, b - a) if a < b else (j + 1, 0, 0, 0)
-        if i < len(xis):
-            block(i, len(xis), lo, hi)
+        i = 0
+        while i < len(xis):
+            j = min(i + _BLOCK_ROWS, len(xis))
+            while j - i > 1 and (j - i) * (stops[j - 1] - starts[i]) > _BLOCK_TERMS:
+                j -= 1
+            lo, hi = starts[i], stops[j - 1]
+            if lo < hi:
+                moll = buf[:(j - i) * (hi - lo)].reshape(j - i, hi - lo)
+                np.subtract(re[lo:hi], xis[i:j, None], out=moll)
+                np.multiply(moll, moll, out=moll)
+                moll *= -1.0 / alpha
+                if j - i > 1:  # one row's union is its own window
+                    moll[~(moll >= -_NORMAL_EXPONENT)] = -np.inf
+                np.exp(moll, out=moll)
+                np.matmul(moll, folded[:, lo:hi].T, out=parts[i:j])
+            i = j
     finally:
         np.setbufsize(old_bufsize)
-    return out.T
+    return out[np.argsort(perm)].T
 
 
 def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,

@@ -344,12 +344,16 @@ class TestCommands:
         ("--squeeze.alpha=nan", "nan"),
         ("--squeeze.r=inf", "inf"),
         ("--squeeze.r=0.5", "0.5"),
+        # R must be positive and finite under the default weighting too
+        ("--squeeze.weighting=stft --squeeze.r=inf", "inf"),
+        ("--squeeze.weighting=stft --squeeze.r=nan", "nan"),
+        ("--squeeze.weighting=stft --squeeze.r=-1", "-1"),
         # the (0, pi) rule is arc_circle's, reported through its DomainError
         ("--reassign.arc_thetas=4.0", "4.0"),
         ("--reassign.arc_thetas=0.5,nan", "nan"),
     ])
     def test_squeeze_config_error_names_the_value(self, tmp_path, capsys, override, bad):
-        argv = ["squeeze", "--out", str(tmp_path), override]
+        argv = ["squeeze", "--out", str(tmp_path), *override.split()]
         if override.startswith("--squeeze.r="):
             argv.append("--squeeze.weighting=indicator")
         code, _, err = run(argv, capsys)

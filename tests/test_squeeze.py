@@ -41,6 +41,7 @@ from twotone.presets import PRESETS
 from twotone.reassign import eta_s_values
 from twotone.ridges import _candidate_peaks, flip_bracket
 from twotone.squeeze import (
+    _BLOCK_ROWS,
     _BLOCK_TERMS,
     _NORMAL_EXPONENT,
     _mollified_sums,
@@ -864,6 +865,7 @@ class TestMollifiedSums:
         got = _mollified_sums(hat, weights, xis, alpha)
         assert len(calls.blocks) > 1 and sum(rows for rows, _ in calls.blocks) == len(xis)
         assert all(rows * union <= _BLOCK_TERMS for rows, union in calls.blocks)
+        _assert_block_shapes(calls, hat, xis, alpha)
         _assert_matches_dense(got, hat, weights, xis, alpha)
 
     @staticmethod
@@ -883,9 +885,10 @@ class TestMollifiedSums:
         got = _mollified_sums(hat, weights, xis, alpha)
         assert np.count_nonzero(got[0] == 0.0) > 50
         assert max(rows for rows, _ in calls.blocks) > 1
+        _assert_block_shapes(calls, hat, xis, alpha)
         _assert_matches_dense(got, hat, weights, xis, alpha)
-        # -inf masks every term outside a row's own window; every other
-        # argument keeps both Gaussian factors normal
+        # -inf masks every exponent below -708.396; every other argument
+        # keeps both Gaussian factors normal
         assert -708.4 <= calls.lo and calls.hi <= 0.0
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -896,10 +899,9 @@ class TestMollifiedSums:
         perm = rng.permutation(len(xis))
         got = _mollified_sums(hat, weights, xis[perm], alpha)
         _assert_matches_dense(got, hat, weights, xis[perm], alpha)
-        # permuting xis permutes the columns
-        sorted_got = _mollified_sums(hat, weights, xis, alpha)[:, perm]
-        assert np.array_equal(got == 0, sorted_got == 0)
-        assert np.all(np.abs(got - sorted_got) <= 1e-12 * np.abs(sorted_got))
+        # the kernel sorts the xi itself, so permuting distinct xis permutes
+        # the columns bit for bit
+        assert np.array_equal(got, _mollified_sums(hat, weights, xis, alpha)[:, perm])
 
     def test_xi_past_its_reach_is_zero_beside_a_block(self):
         # the xi in the middle has its nearest nodes at exponents 710-745: the
@@ -918,6 +920,19 @@ class TestMollifiedSums:
         assert 0.0 < abs(ref[3]) < 1e-300
         assert np.all(got[:, 3] == 0.0)
         assert np.all(np.abs(np.delete(got, 3, axis=1)) > 0.1)
+
+    def test_nan_xi_reads_zero_beside_a_block(self):
+        # a nan xi sorts last and has an empty window, but it shares a block
+        # with finite xi, so its exponents are computed: they are nan, and
+        # its column reads 0.0, not nan
+        rng = np.random.default_rng(8)
+        alpha = 1e-4
+        hat = rng.uniform(1.0, 1.3, 500).astype(complex)
+        weights = _positive_weights(rng, 2, 500)
+        xis = np.array([1.1, np.nan, 1.2])
+        got = _mollified_sums(hat, weights, xis, alpha)
+        assert np.all(got[:, 1] == 0.0)
+        _assert_matches_dense(got[:, [0, 2]], hat, weights, xis[[0, 2]], alpha)
 
 
 class _KernelCalls:
@@ -945,6 +960,17 @@ class _KernelCalls:
 def _positive_weights(rng, m, n):
     # real and imaginary parts positive, so no sum cancels
     return rng.uniform(0.5, 1.5, (m, n)) + 1j * rng.uniform(0.5, 1.5, (m, n))
+
+
+def _assert_block_shapes(calls, hat, xis, alpha):
+    # a block sums at most _BLOCK_ROWS xi over at most _BLOCK_TERMS terms, or
+    # over the widest window when one row alone passes that
+    re = np.sort(hat.real)
+    reach = math.sqrt(_NORMAL_EXPONENT * alpha)
+    widest = np.max(np.searchsorted(re, xis + reach, side="right")
+                    - np.searchsorted(re, xis - reach, side="left"))
+    assert all(rows <= _BLOCK_ROWS and rows * union <= max(_BLOCK_TERMS, widest)
+               for rows, union in calls.blocks)
 
 
 def _assert_matches_dense(got, hat, weights, xis, alpha):
