@@ -408,7 +408,7 @@ def cmd_stft(config: ExperimentConfig) -> int:
 
 def cmd_ridges(config: ExperimentConfig) -> int:
     model, window, grid = config.model, config.window, config.grid
-    report = ridges.extract_ridges(grid, stft_field(model, window, grid))
+    report = ridges.extract_ridges(grid, np.abs(stft_field(model, window, grid)))
     ellipse_rows = []
     if model.a == 1.0 and window.C * model.delta ** 2 < 2.0:
         k_lo = math.floor(grid.t_min * model.delta - 0.5)
@@ -440,7 +440,7 @@ def cmd_zeros(config: ExperimentConfig) -> int:
 def cmd_reassign(config: ExperimentConfig) -> int:
     model, window, grid = config.model, config.window, config.grid
     values = reassign.reassign_field(model, window, grid)
-    values = np.where(np.isneginf(values.real), np.nan + 0j, values)
+    np.copyto(values, np.nan + 0j, where=np.isneginf(values.real))
     arc_rows = []
     for theta in config.arc_thetas:
         center, radius = reassign.arc_circle(model, theta)

@@ -71,10 +71,17 @@ def _v_terms(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
 
 
 def stft_closed_form(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
-    """Exact V(t, eta) for the two-harmonic model. Broadcasts over t and eta."""
+    """Exact V(t, eta) for the two-harmonic model. Broadcasts over t and eta.
+
+    rot0 (g0 + a rot1 g1) is built in one array of the result's size, each
+    product in its written operand order: numpy's complex multiply is not
+    commutative bit for bit."""
     rot0, rot1, g0, g1 = _v_terms(model, window, np.asarray(t, dtype=float),
                                   np.asarray(eta, dtype=float))
-    return rot0 * (g0 + model.a * rot1 * g1)
+    v = np.asarray(model.a * rot1 * g1)
+    np.add(g0, v, out=v)
+    np.multiply(rot0, v, out=v)
+    return v[()]
 
 
 def stft_field(model: TwoHarmonicModel, window: GaussianWindow, grid: TFGrid) -> np.ndarray:

@@ -55,16 +55,25 @@ def eta_s_values(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.
     pinned to xi0 at every eta but nan.
     """
     log_q, q = _log_q_and_q(model, window, t, eta)
-    denom = 1.0 + q
+    q = np.asarray(q)
+    denom = np.asarray(1.0 + q)
     # anchor to the nearer fixed point: xi0 + delta q/(1+q) avoids the
-    # delta-sized cancellation when |q| << 1, and symmetrically for large q
+    # delta-sized cancellation when |q| << 1, and symmetrically for large q;
+    # a nan q takes the second branch
+    far = ~(np.abs(q) < 1.0)
+    zero = np.abs(denom) <= 1e-14
+    # each branch in place, q's first, since both divide by denom
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(np.abs(q) < 1.0, model.xi0 + model.delta * (q / denom),
-                       model.xi1 - model.delta / denom)
-    np.copyto(out, SENTINEL, where=np.abs(denom) <= 1e-14)
-    np.copyto(out, model.xi1, where=log_q > _EXP_CLIP)
-    np.copyto(out, model.xi0, where=log_q < -_EXP_CLIP)
-    return out
+        np.divide(q, denom, out=q)
+        np.multiply(model.delta, q, out=q)
+        np.add(model.xi0, q, out=q)
+        np.divide(model.delta, denom, out=denom)
+        np.subtract(model.xi1, denom, out=denom)
+    np.copyto(q, denom, where=far)
+    np.copyto(q, SENTINEL, where=zero)
+    np.copyto(q, model.xi1, where=log_q > _EXP_CLIP)
+    np.copyto(q, model.xi0, where=log_q < -_EXP_CLIP)
+    return q
 
 
 def eta_s_derivative(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> np.ndarray:

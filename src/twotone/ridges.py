@@ -351,7 +351,8 @@ def destructive_extrema(model: TwoHarmonicModel, window: GaussianWindow, k: int
 
 def extract_ridges(grid: TFGrid, values: np.ndarray) -> RidgeReport:
     """Per-column ridge maxima of |V|^2 with three-point parabolic refinement,
-    for the STFT values over the grid.
+    for the STFT values over the grid. Only |values| is read, so a caller may
+    pass the modulus and free the complex field first.
 
     One peak search runs on the whole (n_t, n_eta) power array. A one-sample
     peak j moves by the parabola's vertex offset, clipped to half a step (0

@@ -373,10 +373,14 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     whose terms are normal doubles (_mollified_sums), so a value below ~1e-292
     may read 0.0.
 
-    Raises SolverFailureError when the rule has not met the tolerance at the
+    Raises ModelValidationError, naming the first, for a nan or infinite xi,
+    and SolverFailureError when the rule has not met the tolerance at the
     finest rule, 2^9 4096 intervals, or the base would need more than that.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    bad = ~np.isfinite(xis)
+    if np.any(bad):
+        raise ModelValidationError(f"xi must be finite, got xi = {xis[bad][0]}")
     alpha = config.alpha
 
     def sums(eta, steps):

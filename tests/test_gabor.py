@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,31 @@ from twotone import (
 from twotone import gabor
 from twotone.errors import PropagationError
 from tests.test_model import MODELS, quadratic_signal
+
+
+def traced_peak(f):
+    """(f(), the peak of the memory that tracemalloc traced while f ran)."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def bit_cases(rng, count):
+    """(model, window, t, eta) over the broadcast forms of the field kernels:
+    t (n, 1) with eta (1, m), a t array with a scalar eta and the reverse, and
+    both scalar; a runs through 0, 1 and a random amplitude. Every array has
+    at least 2 entries."""
+    forms = (((rng.integers(2, 9), 1), (1, rng.integers(2, 9))), ((rng.integers(2, 40),), ()),
+             ((), (rng.integers(2, 40),)), ((), ()))
+    for i in range(count):
+        model = TwoHarmonicModel(xi0=rng.uniform(-3.0, 3.0), delta=rng.uniform(0.01, 3.0),
+                                 a=(0.0, 1.0, rng.uniform(0.0, 3.0))[i % 3])
+        t_shape, eta_shape = forms[i % 4]
+        t, eta = rng.uniform(-20.0, 20.0, t_shape), rng.uniform(-5.0, 5.0, eta_shape)
+        yield (model, GaussianWindow(sigma=rng.uniform(0.2, 3.0)),
+               t if t_shape else float(t), eta if eta_shape else float(eta))
 
 
 class TestClosedForm:
@@ -61,6 +87,21 @@ class TestClosedForm:
         v1 = np.abs(stft_closed_form(model_a13, window, (grid_t + 1 / model_a13.delta)[:, None],
                                      grid_e[None, :]))
         assert float(np.max(np.abs(v1 - v0))) <= 1e-12
+
+    def test_in_place_kernel_keeps_the_bits(self):
+        # the one-array kernel against the expression with a temporary per
+        # operation; numpy's complex multiply is not commutative bit for bit
+        rng = np.random.default_rng(34)
+        for model, window, t, eta in bit_cases(rng, 400):
+            rot0, rot1, g0, g1 = gabor._v_terms(model, window, np.asarray(t, dtype=float),
+                                                np.asarray(eta, dtype=float))
+            expected = rot0 * (g0 + model.a * rot1 * g1)
+            got = stft_closed_form(model, window, t, eta)
+            assert type(got) is type(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_scalar_inputs_return_a_complex_scalar(self, window, model_a13):
+        assert type(stft_closed_form(model_a13, window, 0.3, 1.1)) is np.complex128
 
 
 class TestNumericQuadrature:
@@ -212,6 +253,14 @@ class TestBargmann:
 def test_field_shape_and_tag(window, model_a13):
     grid = TFGrid(0.0, 2.0, 16, 0.5, 1.8, 24)
     assert stft_field(model_a13, window, grid).shape == (16, 24)
+
+
+def test_field_peaks_at_one_array(window):
+    # criterion 3's grid: the field is built in the array it is returned in
+    model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.0)
+    grid = TFGrid(0.0, 3.5, 512, 0.5, 1.8, 600)
+    values, peak = traced_peak(lambda: stft_field(model, window, grid))
+    assert peak < 1.1 * values.nbytes
 
 
 class TestValidation:

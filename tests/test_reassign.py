@@ -21,7 +21,8 @@ from twotone import (
     stft_closed_form,
 )
 from twotone.errors import DomainError
-from twotone.reassign import eta_s_derivative, eta_s_numeric
+from twotone.reassign import _EXP_CLIP, _log_q_and_q, eta_s_derivative, eta_s_numeric
+from tests.test_gabor import bit_cases, traced_peak
 from tests.test_model import quadratic_signal
 
 
@@ -97,6 +98,40 @@ class TestEtaS:
             scalar = np.array([eta_s_values(model, window, t, etas) for t in ts])
             assert np.array_equal(column.view(float), full.view(float))
             assert np.array_equal(scalar.view(float), full.view(float))
+
+    def test_in_place_kernel_keeps_the_bits(self, window, model_a13):
+        # the one-array kernel against both branches evaluated whole and
+        # chosen by np.where
+        def expected(model, window, t, eta):
+            log_q, q = _log_q_and_q(model, window, t, eta)
+            denom = 1.0 + q
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where(np.abs(q) < 1.0, model.xi0 + model.delta * (q / denom),
+                               model.xi1 - model.delta / denom)
+            np.copyto(out, SENTINEL, where=np.abs(denom) <= 1e-14)
+            np.copyto(out, model.xi1, where=log_q > _EXP_CLIP)
+            np.copyto(out, model.xi0, where=log_q < -_EXP_CLIP)
+            return out
+
+        eta_avg = destructive_zero(model_a13, window)
+        # |ln q| > 500 at both ends, a nan eta, and eta_avg at a zero of V
+        edges = [(model_a13, window, destructive_time(model_a13, 0),
+                  np.array([-400.0, 1.1, math.nan, eta_avg, 400.0]))]
+        for case in edges + list(bit_cases(np.random.default_rng(35), 400)):
+            want, got = expected(*case), eta_s_values(*case)
+            assert type(got) is np.ndarray and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        edge = eta_s_values(*edges[0])
+        assert np.isnan(edge[2]) and edge[3] == SENTINEL
+        assert edge[0] == model_a13.xi0 and edge[4] == model_a13.xi1
+        assert eta_s_values(model_a13, window, 0.3, 1.1).shape == ()
+
+    def test_peaks_below_three_results(self, window, model_a13):
+        ts = np.linspace(0.0, 2.0 / model_a13.delta, 256)
+        etas = np.linspace(0.0, 2.3, 256)
+        vals, peak = traced_peak(lambda: eta_s_values(model_a13, window, ts[:, None],
+                                                      etas[None, :]))
+        assert peak < 3 * vals.nbytes
 
     def test_monotone_at_constructive_time(self, window, model_a13):
         etas = np.linspace(model_a13.xibar - 1.5, model_a13.xibar + 1.5, 600)

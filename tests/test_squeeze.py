@@ -492,6 +492,15 @@ class TestTransform:
         with pytest.raises(ModelValidationError, match="non-finite entries in SQUEEZE field"):
             squeeze_module.squeeze_field(model_a13, window, SqueezeConfig(alpha=ALPHA), grid)
 
+    @pytest.mark.parametrize("mode", squeeze_module.REASSIGN_MODES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_xi_raises(self, window, model_a13, mode, bad):
+        # the first non-finite xi is named
+        config = SqueezeConfig(alpha=1e-3, reassignment_mode=mode)
+        xis = np.array([1.0, bad, 1.2, -bad])
+        with pytest.raises(ModelValidationError, match=f"xi = {bad}$"):
+            squeeze_cross_section(model_a13, window, config, 0.3, xis)
+
 
 class TestBaseIntervals:
     """The base of the graded ladder: the smallest power of two n0 >= 256 with
