@@ -197,6 +197,8 @@ def amplitude_weighted_phase(v: np.ndarray) -> np.ndarray:
     the phase is undefined."""
     mag = np.abs(v)
     thresh = 1e-14 * (1.0 + float(mag.max(initial=0.0)))
-    phi = np.mod(np.angle(v), TWO_PI)
+    phi = np.angle(v)
+    np.mod(phi, TWO_PI, out=phi)
     phi[mag <= thresh] = 0.0
-    return mag * phi
+    phi *= mag
+    return phi

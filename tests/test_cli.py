@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from twotone import (
     squeeze_transform,
 )
 from twotone.cli import (
-    _shortest_decimals,
     build_config,
     main,
     make_parser,
@@ -27,6 +28,7 @@ from twotone.cli import (
 )
 from twotone import squeeze
 from twotone.errors import ConfigError, InconclusiveCountError, SolverFailureError
+from twotone.gridcsv import _GRID_BLOCK_CELLS, _cell_words, _shortest_decimals
 from twotone.presets import PRESETS
 
 
@@ -157,6 +159,48 @@ class TestWriters:
                                    rng.uniform(math.log(1e26), math.log(1e270), 10_000)]))
         assert _shortest_decimals(x)[3].all()
 
+    def test_grid_matches_repr_at_every_binary_exponent(self, tmp_path):
+        # one double of each frexp exponent, the subnormal and out-of-range
+        # ones that repr writes included
+        rng = np.random.default_rng(22)
+        values = np.ldexp(rng.uniform(0.5, 1.0, 2099), np.arange(-1074, 1025))
+        self.check_grid(tmp_path, np.concatenate([values, -values]).reshape(-1, 2))
+
+    def test_exponent_table_covers_every_certified_exponent(self):
+        # a random double of each frexp exponent whose doubles lie in
+        # [1e-280, 1e280], the two partial binades at the ends included;
+        # the decades around 1e16 go to repr by design
+        e2 = np.arange(np.frexp(1e-280)[1], np.frexp(1e280)[1] + 1)
+        lower = np.maximum(np.ldexp(1.0, e2 - 1), 1e-280)
+        upper = np.minimum(np.ldexp(1.0, e2), 1e280)
+        x = np.random.default_rng(23).uniform(lower, upper)
+        assert (np.frexp(x)[1] == e2).all() and (e2[[0, -1]] == [-930, 931]).all()
+        x = x[(x < 1e7) | (x > 1e26)]
+        c, decpt, nd, ok = _shortest_decimals(x)
+        assert ok.all()
+        for v, *got in zip(x.tolist(), c.tolist(), decpt.tolist(), nd.tolist()):
+            _, digits, exponent = Decimal(repr(v)).normalize().as_tuple()
+            shortest = int("".join(map(str, digits)))
+            assert got == [shortest * 10 ** (17 - len(digits)), len(digits) + exponent,
+                           len(digits)], v
+
+    @pytest.mark.parametrize("width", [7, 257])
+    def test_block_split_keeps_the_bytes(self, tmp_path, width):
+        # grids that end just before, on and after a block boundary; a grid
+        # has at least two rows, so one row goes through the kernel alone
+        height = _GRID_BLOCK_CELLS // (1 + width)
+        rng = np.random.default_rng(24)
+
+        def cells(rows):
+            return (rng.standard_normal((rows, width))
+                    * 10.0 ** rng.integers(-30, 30, (rows, width)))
+
+        one = cells(1)
+        assert (_cell_words(one).tobytes().translate(None, b"\0")
+                == (",".join(map(repr, one[0].tolist())) + "\r\n").encode())
+        for rows in (2, height - 1, height, height + 1, 257):
+            self.check_grid(tmp_path, cells(rows))
+
     def test_float32_grid(self, tmp_path):
         # float32 cells widen to the exact double: 0.1f is 0.10000000149011612
         values = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-45, 1e-5, 0.1, 1 / 3,
@@ -185,6 +229,19 @@ class TestWriters:
 
 
 class TestCommands:
+    def test_stft_memory_peak(self, tmp_path, capsys):
+        # each grid is written as soon as it is formed: holding all five for
+        # writing, the command peaked at 3.60 MiB of traced memory
+        argv = ["stft", "--preset", "gap-small-a13", "--out", str(tmp_path)]
+        assert run(argv, capsys)[0] == 0  # builds the kernel's tables first
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.60 * 2 ** 20
+
     def test_stft_outputs_and_determinism(self, tmp_path, capsys):
         out = tmp_path / "run"
         argv = ["stft", "--preset", "gap-small-a13", "--out", str(out),
