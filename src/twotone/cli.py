@@ -222,7 +222,7 @@ def cmd_ridges(config: ExperimentConfig) -> int:
     model, window, grid = config.model, config.window, config.grid
     report = ridges.extract_ridges(grid, np.abs(stft_field(model, window, grid)))
     ellipse_rows = []
-    if model.a == 1.0 and window.C * model.delta ** 2 < 2.0:
+    if model.a == 1.0 and ridges._arccos_argument(model, window) < 1.0:  # C delta^2 < 2
         k_lo = math.floor(grid.t_min * model.delta - 0.5)
         k_hi = math.ceil(grid.t_max * model.delta)
         for k in range(k_lo, k_hi + 1):

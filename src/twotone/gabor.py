@@ -62,11 +62,16 @@ class TFGrid:
         return (self.eta_max - self.eta_min) / (self.n_eta - 1)
 
 
+def _rotations(model: TwoHarmonicModel, t):
+    """(rot0, rot1) = (e^{2 pi i xi0 t}, e^{2 pi i delta t})."""
+    return np.exp(2j * math.pi * model.xi0 * t), np.exp(2j * math.pi * model.delta * t)
+
+
 def _v_terms(model: TwoHarmonicModel, window: GaussianWindow, t, eta):
-    """(rot0, rot1, g0, g1) with V = rot0 (g0 + a rot1 g1): rot0 = e^{2 pi i xi0 t},
-    rot1 = e^{2 pi i delta t}, g_j = e^{-C (eta - xi_j)^2}."""
+    """(rot0, rot1, g0, g1) with V = rot0 (g0 + a rot1 g1): rot0 and rot1 from
+    _rotations, g_j = e^{-C (eta - xi_j)^2}."""
     C = window.C
-    return (np.exp(2j * math.pi * model.xi0 * t), np.exp(2j * math.pi * model.delta * t),
+    return (*_rotations(model, t),
             np.exp(-C * (eta - model.xi0) ** 2), np.exp(-C * (eta - model.xi1) ** 2))
 
 

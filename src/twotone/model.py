@@ -27,7 +27,8 @@ SQRT_PI = math.sqrt(math.pi)
 @dataclass(frozen=True)
 class TwoHarmonicModel:
     """Parameters (xi0, delta, a) of f(t) = e^{2 pi i xi0 t} + a e^{2 pi i xi1 t}:
-    xi0 finite, 0 < delta < inf, 0 <= a < inf.
+    xi0 finite, 0 < delta < inf, 0 <= a < inf, and xi1 = xi0 + delta finite
+    and above xi0 (a delta below half an ulp of xi0 leaves no second tone).
 
     a = 0 degenerates to a single harmonic and is accepted; operations whose
     formulas need a > 0 (e.g. the destructive-slice zero) raise instead.
@@ -44,6 +45,9 @@ class TwoHarmonicModel:
             raise ModelValidationError(f"delta must be positive and finite, got {self.delta}")
         if not (0 <= self.a < math.inf):
             raise ModelValidationError(f"a must be nonnegative and finite, got {self.a}")
+        if not (self.xi0 < self.xi1 < math.inf):
+            raise ModelValidationError(
+                f"xi1 = xi0 + delta must be finite and above xi0, got {self.xi1}")
 
     @property
     def xi1(self) -> float:

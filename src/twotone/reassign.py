@@ -12,6 +12,7 @@ t = const, where arg q is fixed, to a circular arc through xi0 and xi1
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -38,9 +39,12 @@ def _log_q_and_q(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> tup
     if model.a == 0:  # ln a = -inf, which an overflowed exponent +inf would cancel to nan
         log_q = np.where(np.isnan(eta), math.nan, -math.inf)
     else:
-        # a log q that overflows to +-inf lies in a pinned region
+        # a log q that overflows to +-inf lies in a pinned region; a rate 2 C
+        # delta past the float range is held at its largest value, so that
+        # eta = xibar still gives ln a and not inf times 0
+        rate = min(2.0 * window.C * model.delta, sys.float_info.max)
         with np.errstate(over="ignore"):
-            log_q = math.log(model.a) + 2.0 * window.C * model.delta * (eta - model.xibar)
+            log_q = math.log(model.a) + rate * (eta - model.xibar)
     # e^{2 pi i delta t} on t's own shape: once per t, not once per node
     q = np.exp(2j * math.pi * model.delta * t) * np.exp(np.clip(log_q, -_EXP_CLIP, _EXP_CLIP))
     return log_q, q
@@ -124,9 +128,10 @@ def attraction_bound_check(model: TwoHarmonicModel, window: GaussianWindow,
     """
     t, eta = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(eta, dtype=float))
     # an x that overflows to -inf lies inside the premise, where w is 0, and
-    # one at +inf outside it
+    # one at +inf outside it; C delta is held finite as in _log_q_and_q
+    rate = min(window.C * model.delta, sys.float_info.max)
     with np.errstate(over="ignore"):
-        x = window.C * model.delta * (eta - model.xibar)
+        x = rate * (eta - model.xibar)
     x_max = min(0.0, -math.log(2.0 * model.a)) if model.a > 0 else 0.0
     w = model.a * np.exp(np.where(x <= x_max, x, np.nan))
     bound = 2.0 * model.delta * w

@@ -20,7 +20,7 @@ from .errors import (
     NoBifurcationError,
     SolverFailureError,
 )
-from .gabor import TFGrid, _v_terms, spectrogram_decomposition, stft_closed_form
+from .gabor import TFGrid, _rotations, _v_terms, spectrogram_decomposition, stft_closed_form
 from .model import GaussianWindow, TwoHarmonicModel, destructive_time, destructive_zero
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -154,28 +154,42 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
     Counts at n and 2n samples must agree (guards grid aliasing near
     bifurcations); up to four doublings are tried. Each level's grid is one
     linspace of 2n + 1 samples, whose even entries are the n + 1 samples of
-    the level below bit for bit. The first level evaluates |V| on its whole
-    grid in one call and counts n on its even entries, a strided view, so a
-    count that agrees at once costs one call of 2n + 1 samples; each further
-    doubling evaluates |V| only at its n new midpoints. Maxima within 1e-8 of
+    the level below bit for bit. The first level evaluates |V| on its grid in
+    one call and counts n on its even entries, a strided view, so a count that
+    agrees at once costs one call of at most 2n + 1 samples; each further
+    doubling evaluates |V| only at its new midpoints. Maxima within 1e-8 of
     each other count once: only the candidates whose brackets lie within 1e-8
     of a neighbouring bracket can merge, so only those are golden-refined (to
     1e-10) before counting. A non-finite t raises ModelValidationError.
+
+    Where c = a e^{2 pi i delta t} is real and not negative (t = 0), |V| = g0
+    + c g1 and both terms rise below xi0 and fall above xi1, so every maximum
+    lies in (xi0, xi1). There the first level samples only the stretch [i, j)
+    of its grid from at least two coarse steps below xi0 to two above xi1,
+    with i even, and each doubling maps it to [2i, 2j - 1). In each tail
+    neighbouring samples differ by at least C h^2 relative, far above exp's
+    rounding, so the tail samples keep their order and no run of equal ones
+    peaks there. A strict rise f[i] < f[i + 2] into the stretch and a strict
+    fall f[j - 3] > f[j - 1] out of it then keep every plateau run off its
+    ends, and the peaks, refinements and count are those of the whole band.
+    When either fails, as where a subnormal a flattens an edge, the stretch
+    is the whole band, i = 0 and j = 2n + 1, as it always is for complex c.
     """
     if not math.isfinite(t):
         raise ModelValidationError(f"t must be finite, got {t!r}")
     band = default_band(model, window)
     if n_samples < 512:
         raise ModelValidationError("n_samples must be >= 512")
+    c = model.a * _rotations(model, t)[1]
+    # a tiny a can make c.imag underflow to 0 with c.real < 0
+    real = c.imag == 0.0 and c.real >= 0.0
 
     def modulus(eta):
-        # |V| = |g0 + c g1| with c = a e^{2 pi i delta t}; where c is real and
-        # not negative (t = 0), g0 + c g1 >= 0 is its own modulus: formed in
-        # place (a scalar eta rebinds), it equals |stft_closed_form| bit for
-        # bit. A tiny a can make c.imag underflow to 0 with c.real < 0.
-        _, rot1, g0, g1 = _v_terms(model, window, t, eta)
-        c = model.a * rot1
-        if c.imag != 0.0 or c.real < 0.0:
+        # where c is real and not negative, g0 + c g1 >= 0 is its own modulus:
+        # formed in place (a scalar eta rebinds), it equals |stft_closed_form|
+        # bit for bit
+        _, _, g0, g1 = _v_terms(model, window, t, eta)
+        if not real:
             return np.abs(g0 + c * g1)
         g1 *= c.real
         g1 += g0
@@ -186,16 +200,24 @@ def count_frequency_maxima(model: TwoHarmonicModel, window: GaussianWindow, t: f
 
     n = n_samples
     grid = np.linspace(band[0], band[1], 2 * n + 1)
-    vals = modulus(grid)
-    count_n = count(grid[::2], vals[::2])
+    i, j = 0, 2 * n + 1
+    if real:
+        k0, k1 = np.searchsorted(grid[::2], (model.xi0, model.xi1)).tolist()
+        i, j = 2 * max(k0 - 3, 0), 2 * min(k1 + 2, n) + 1
+    vals = modulus(grid[i:j])
+    if real and not (vals[0] < vals[2] and vals[-3] > vals[-1]):
+        i, j = 0, 2 * n + 1
+        vals = modulus(grid)
+    count_n = count(grid[i:j:2], vals[::2])
     for level in range(4):
         if level:
+            i, j = 2 * i, 2 * j - 1
             grid = np.linspace(band[0], band[1], 2 * n + 1)
-            finer = np.empty(2 * n + 1)
+            finer = np.empty(j - i)
             finer[::2] = vals
-            finer[1::2] = modulus(grid[1::2])
+            finer[1::2] = modulus(grid[i + 1:j:2])
             vals = finer
-        count_2n = count(grid, vals)
+        count_2n = count(grid[i:j], vals)
         if count_2n == count_n:
             return count_n
         count_n, n = count_2n, 2 * n
@@ -242,7 +264,11 @@ def critical_gap_stft(a: float, window: GaussianWindow) -> tuple[float, float]:
 
 
 def _arccos_argument(model: TwoHarmonicModel, window: GaussianWindow) -> float:
-    return window.C * model.delta ** 2 - 1.0
+    """C delta^2 - 1, inf where delta ** 2 raises OverflowError."""
+    try:
+        return window.C * model.delta ** 2 - 1.0
+    except OverflowError:
+        return math.inf
 
 
 def bifurcation_times(model: TwoHarmonicModel, window: GaussianWindow, k: int) -> tuple[float, float]:

@@ -99,7 +99,10 @@ def default_indicator_radius(model: TwoHarmonicModel, window: GaussianWindow,
     xis = xis[(np.abs(xis - model.xi0) > reach) & (np.abs(xis - model.xi1) > reach)]
     floor = indicator_radius_floor(model, window)
     if xis.size:
-        c = float(np.min(np.minimum((xis - model.xi0) ** 2, (xis - model.xi1) ** 2)))
+        # the square of a distance past 1.34e154 overflows to inf without a
+        # warning as a float
+        gap = float(np.min(np.minimum(np.abs(xis - model.xi0), np.abs(xis - model.xi1))))
+        c = gap * gap
         # the outer min keeps R <= 1/alpha: exp(log(1/alpha)) can round above it
         radius = min(1.0 / alpha, math.exp(min(math.log(1.0 / alpha), c / (2.0 * alpha))))
         if radius > floor:
@@ -192,9 +195,13 @@ def _graded_nodes(model: TwoHarmonicModel, window: GaussianWindow, config: Squee
     the root and, where no arc is skipped, the x of its z below it, from where
     the steps rise; a step that lands below x = 0, or below pi - beta for a
     root past it, restarts there. It raises SolverFailureError unless every
-    residual is at most 1e-14 max(|u_k|, 1) within 16 steps.
+    residual is at most 1e-14 max(|u_k|, 1) within 16 steps, and at once
+    where C delta overflows.
     """
     delta, alpha, rate = model.delta, config.alpha, window.C * model.delta
+    if rate == math.inf:
+        raise SolverFailureError(f"squeeze nodes need a finite C delta, got inf at delta = "
+                                 f"{delta!r}, sigma = {window.sigma!r}")
     room = 1.0 + math.cos(2.0 * math.pi * delta * t)
     # float() makes a square that overflows inf without a warning
     reach = float(np.max(np.abs(xis - model.xibar), initial=0.0))
@@ -226,6 +233,7 @@ def _graded_nodes(model: TwoHarmonicModel, window: GaussianWindow, config: Squee
         th = np.minimum(np.tan(T * z) / T if T else z, 1.0 - 2.0 ** -53)
         return np.arctanh(th) / rate
 
+    @np.errstate(over="ignore")  # rate x past the float range: th reads 1 and q 0
     def u(x, far=None):
         # (u, u', z) on x >= 0; far selects the concave function past pi - beta
         z, dz = _image_arc(model, window, T, x)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import random
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -32,8 +33,23 @@ from twotone.gridcsv import _GRID_BLOCK_CELLS, _cell_words, _shortest_decimals
 from twotone.presets import PRESETS
 
 
-# xi0 = 1e300 over t in [0, 1e10]: the phase xi0 t overflows
-HUGE_PHASE = ["--model.xi0=1e300", "--grid.t_max=1e10", "--grid.n_t=3", "--grid.n_eta=3"]
+# xi0 = 10 over t in [0, 1e308]: the phase xi0 t overflows, delta t does not
+HUGE_PHASE = ["--model.xi0=10", "--model.delta=0.1", "--grid.t_max=1e308", "--grid.n_t=3",
+              "--grid.n_eta=3"]
+
+# extreme values per configuration key for the exit-code sweep; t spans stay
+# short, since zeros and ridges visit every destructive time in the span
+SWEEP_VALUES = {
+    "model.xi0": [-1e300, -1e200, -1e10, -5.0, 0.0, 1.0, 1e10, 1e200, 1e300],
+    "model.delta": [1e-300, 1e-12, 1e-6, 0.01, 0.3, 3.0, 1e6, 1e150, 1e300],
+    "model.a": [0.0, 5e-324, 1e-310, 1e-12, 0.5, 1.0, 1.3, 1e12, 1e300],
+    "model.sigma": [1e-150, 1e-6, 0.3, math.sqrt(2.0), 10.0, 1e6, 1e150],
+    "squeeze.alpha": [1e-12, 1e-6, 1e-3, 0.1, 1.0, 1e6],
+    "squeeze.weighting": ["stft", "indicator"],
+    "squeeze.reassignment_mode": ["sync", "phase"],
+    "grid.t_min": [-3.0, 0.0, 1.0],
+    "grid.t_max": [0.5, 7.0, 20.0],
+}
 
 
 def _inconclusive_count(*args):
@@ -415,6 +431,71 @@ class TestCommands:
             argv.append("--squeeze.weighting=indicator")
         code, _, err = run(argv, capsys)
         assert code == 2 and bad in err
+
+    @pytest.mark.parametrize("command", ["stft", "ridges", "zeros", "reassign", "squeeze"])
+    def test_zero_width_band_exits_2(self, tmp_path, capsys, command):
+        # xi0 + delta rounds to xi0 = 1e300: the model has no second tone, and
+        # squeeze with indicator weighting divided by the band's zero width
+        code, _, err = run([command, "--out", str(tmp_path), "--model.xi0=1e300",
+                            "--squeeze.weighting=indicator", "--grid.n_t=5", "--grid.n_eta=9"],
+                           capsys)
+        assert code == 2
+        assert err.startswith("configuration error: xi1 = xi0 + delta must be finite")
+        assert not any(tmp_path.iterdir())
+
+    def test_huge_gap_ridges_exits_0(self, tmp_path, capsys):
+        # the ellipse test's C delta^2 overflows at delta = 1e300; it reads
+        # inf, so the balanced model writes no bubble rows
+        code, _, err = run(["ridges", "--out", str(tmp_path), "--model.delta=1e300",
+                            "--grid.n_t=5", "--grid.n_eta=9"], capsys)
+        assert code == 0 and err == ""
+        assert (tmp_path / "ellipses.csv").read_bytes() == (
+            b"k,center_t,center_eta,semi_axis_t,semi_axis_eta\r\n")
+
+    @pytest.mark.parametrize("command, overrides, expected", [
+        # the default indicator radius squared distances near 1e200
+        ("stft", ["--model.xi0=1e200", "--model.delta=1e190",
+                  "--squeeze.weighting=indicator"], 0),
+        # C delta x overflows in the squeeze nodes before the ladder gives up
+        ("squeeze", ["--model.delta=1e300"], 3),
+        # C delta itself overflows: the squeeze nodes refuse it
+        ("squeeze", ["--model.delta=1e300", "--model.sigma=1e6"], 3),
+        # C delta overflows and eta = xibar is on the attraction audit grid
+        ("reassign", ["--model.delta=1e150", "--model.sigma=1e150"], 0),
+    ])
+    def test_overflow_runs_without_warnings(self, tmp_path, capsys, command, overrides,
+                                            expected):
+        # a RuntimeWarning is an error in this suite
+        code, _, err = run([command, "--out", str(tmp_path), "--grid.n_t=5", "--grid.n_eta=9",
+                            *overrides], capsys)
+        assert code == expected, err
+
+    def test_extreme_configuration_sweep(self, tmp_path, capsys):
+        # seeded configurations of the five field commands, each with one to
+        # four keys at extreme values: the exit code is one the README
+        # documents, no exception or warning leaves main, and a configuration
+        # error writes nothing
+        rng = random.Random(27)
+        codes = set()
+        for case in range(400):
+            command = rng.choice(["stft", "ridges", "zeros", "reassign", "squeeze"])
+            keys = rng.sample(sorted(SWEEP_VALUES), rng.randint(1, 4))
+            out = tmp_path / str(case)
+            argv = [command, "--grid.n_t=5", "--grid.n_eta=9", "--out", str(out)]
+            argv += [f"--{key}={rng.choice(SWEEP_VALUES[key])}" for key in keys]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except Exception as exc:  # any escape fails the sweep, naming its argv
+                    pytest.fail(f"{argv} raised {exc!r}")
+            capsys.readouterr()
+            assert code in (0, 2, 3), argv
+            assert not caught, (argv, [str(w.message) for w in caught])
+            if code == 2:
+                assert not out.exists(), argv
+            codes.add(code)
+        assert codes == {0, 2, 3}
 
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         code, _, err = run(["stft", "--preset", "nope", "--out", str(tmp_path)], capsys)

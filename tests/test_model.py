@@ -87,6 +87,17 @@ class TestEvaluate:
         assert abs(lift_two_harmonic(model).evaluate(t)) == pytest.approx(1.0 + model.a, rel=1e-9)
 
 
+class TestTwoHarmonicModelValidation:
+    @pytest.mark.parametrize("xi0, delta", [(1e300, 0.3), (1.0, 1e-17), (1e308, 1e308)])
+    def test_rejects_xi1_not_finite_or_not_above_xi0(self, xi0, delta):
+        with pytest.raises(ModelValidationError, match="xi1"):
+            TwoHarmonicModel(xi0=xi0, delta=delta, a=1.0)
+
+    def test_accepts_smallest_gap_that_moves_xi0(self):
+        model = TwoHarmonicModel(xi0=1.0, delta=2.0 ** -52, a=1.0)
+        assert model.xi1 > model.xi0
+
+
 class TestGaussianWindow:
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 5e153, 1e200,
                                        1e-160, 1e-300])

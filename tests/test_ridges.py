@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -54,50 +55,65 @@ class TestCounting:
 
     def test_each_resolution_counted_once(self, window, model_balanced, monkeypatch):
         # a count that grows with the grid never stabilizes; each of n, 2n,
-        # ..., 16n is sampled and counted exactly once before the error
-        sizes = []
+        # ..., 16n is sampled and counted exactly once before the error, on
+        # the stretch at t = 0 and on the whole band at complex c (t = 0.4)
+        band = default_band(model_balanced, window)
+        grids = []
 
         def fake_refined_maxima(f, grid, values):
-            sizes.append(len(grid))
-            return [0.0] * (len(grid) // 512)
+            grids.append(grid)
+            return [0.0] * len(grids)
 
         monkeypatch.setattr(ridges, "_refined_maxima", fake_refined_maxima)
-        with pytest.raises(InconclusiveCountError, match="up to n = 8192 samples"):
-            count_frequency_maxima(model_balanced, window, 0.0)
-        assert sizes == [513, 1025, 2049, 4097, 8193]
+        for t in (0.0, 0.4):
+            grids.clear()
+            with pytest.raises(InconclusiveCountError, match="up to n = 8192 samples"):
+                count_frequency_maxima(model_balanced, window, t)
+            levels = _level_ranges(grids, band)
+            assert [m for m, _, _ in levels] == [512, 1024, 2048, 4096, 8192]
+            if t:
+                assert [len(grid) for grid in grids] == [513, 1025, 2049, 4097, 8193]
+            else:
+                _assert_stretch_chain(model_balanced, band, levels)
 
     @pytest.mark.parametrize("stable, evaluated", [
-        (True, [1025]),
-        (False, [1025, 1024, 2048, 4096]),
+        (True, {0.0: [197], 0.4: [1025]}),
+        (False, {0.0: [197, 196, 392, 784], 0.4: [1025, 1024, 2048, 4096]}),
     ])
     def test_doublings_evaluate_only_new_midpoints(self, window, model_balanced, monkeypatch,
                                                    stable, evaluated):
-        # |V| is evaluated once on the first level's whole grid of 2n + 1
+        # |V| is evaluated once on the first level's stretch of 2n + 1 or fewer
         # samples, the base level counting on its even entries; each further
         # doubling keeps the samples it has and evaluates only its new
-        # midpoints, and every level still counts on the whole linspace grid
+        # midpoints, and every level counts on one stretch of its linspace
+        # grid: 197 of 1025 samples at t = 0, the whole band at complex c
         band = default_band(model_balanced, window)
-        sizes, grids = [], []
+        etas, grids = [], []
         v_terms = ridges._v_terms
 
         def spy_v_terms(model, window, t, eta):
-            sizes.append(np.size(eta))
+            etas.append(eta)
             return v_terms(model, window, t, eta)
 
         def fake_refined_maxima(f, grid, values):
             grids.append(grid)
-            return [0.0] * (1 if stable else len(grid) // 512)
+            return [0.0] * (1 if stable else len(grids))
 
         monkeypatch.setattr(ridges, "_v_terms", spy_v_terms)
         monkeypatch.setattr(ridges, "_refined_maxima", fake_refined_maxima)
-        if stable:
-            assert count_frequency_maxima(model_balanced, window, 0.0) == 1
-        else:
-            with pytest.raises(InconclusiveCountError):
-                count_frequency_maxima(model_balanced, window, 0.0)
-        assert sizes == evaluated
-        for grid in grids:
-            assert np.array_equal(grid, np.linspace(band[0], band[1], len(grid)))
+        for t, sizes in evaluated.items():
+            etas.clear()
+            grids.clear()
+            if stable:
+                assert count_frequency_maxima(model_balanced, window, t) == 1
+            else:
+                with pytest.raises(InconclusiveCountError):
+                    count_frequency_maxima(model_balanced, window, t)
+            assert [np.size(eta) for eta in etas] == sizes
+            assert etas[0].tobytes() == grids[1].tobytes()
+            for eta, grid in zip(etas[1:], grids[2:]):
+                assert eta.tobytes() == grid[1::2].tobytes()
+            _level_ranges(grids, band)
 
     @pytest.mark.parametrize("sigma", [0.7, math.sqrt(2.0), 2.5])
     @pytest.mark.parametrize("a", [1e-3, 0.5, 1.0, 1.3, 40.0])
@@ -106,18 +122,24 @@ class TestCounting:
         # constructive slice t = 0, and within 4 ulp elsewhere
         window = GaussianWindow(sigma=sigma)
         model = TwoHarmonicModel(xi0=1.0, delta=critical_gap_stft(a, window)[0], a=a)
+        band = default_band(model, window)
         levels = []
 
         def fake_refined_maxima(f, grid, values):
             levels.append((grid, values))
-            return [0.0] * (len(grid) // 512)
+            return [0.0] * len(levels)
 
         monkeypatch.setattr(ridges, "_refined_maxima", fake_refined_maxima)
         for t in (0.0, 0.4, 5.0 / 3.0):
             levels.clear()
             with pytest.raises(InconclusiveCountError):
                 count_frequency_maxima(model, window, t)
-            assert [len(grid) for grid, _ in levels] == [513, 1025, 2049, 4097, 8193]
+            ranges = _level_ranges([grid for grid, _ in levels], band)
+            assert [m for m, _, _ in ranges] == [512, 1024, 2048, 4096, 8192]
+            if t == 0.0:
+                _assert_stretch_chain(model, band, ranges)
+            else:
+                assert [len(grid) for grid, _ in levels] == [513, 1025, 2049, 4097, 8193]
             for grid, values in levels:
                 ref = np.abs(stft_closed_form(model, window, t, grid))
                 if t == 0.0:
@@ -143,13 +165,19 @@ class TestCounting:
         levels, count = _one_call_levels(monkeypatch, model, window, t, 512)
         assert golden_calls
         assert count == ref_count == 1
-        _assert_same_levels(levels, ref_levels)
+        ranges = _assert_same_levels(levels, ref_levels)
+        if t == 0.0:
+            _assert_stretch_chain(model, default_band(model, window), ranges)
+        else:
+            _assert_whole_band(ranges)
 
     @pytest.mark.parametrize("sigma", [0.7, math.sqrt(2.0), 2.5])
     @pytest.mark.parametrize("a", [1e-3, 0.5, 1.0, 1.3, 40.0])
     def test_matches_two_call_count(self, monkeypatch, a, sigma):
-        # one call on the first level's whole grid gives the samples, maxima
-        # and count of the even samples and midpoints evaluated apart
+        # one call on the first level's stretch gives the samples, maxima and
+        # count of the even samples and midpoints evaluated apart on the whole
+        # band: the stretch is a strict part of it at t = 0, the whole at
+        # complex c
         window = GaussianWindow(sigma=sigma)
         delta_crit = critical_gap_stft(a, window)[0]
         for scale in (0.9, 1.0, 1.1):
@@ -158,7 +186,11 @@ class TestCounting:
                 ref_levels, ref_count = _two_call_levels(model, window, t, 512)
                 levels, count = _one_call_levels(monkeypatch, model, window, t, 512)
                 assert count == ref_count
-                _assert_same_levels(levels, ref_levels)
+                ranges = _assert_same_levels(levels, ref_levels)
+                if t == 0.0:
+                    _assert_stretch_chain(model, default_band(model, window), ranges)
+                else:
+                    _assert_whole_band(ranges)
 
     @pytest.mark.parametrize("a", [0.5, 1.0])
     def test_matches_two_call_count_past_first_doubling(self, window, monkeypatch, a):
@@ -167,9 +199,10 @@ class TestCounting:
         model = TwoHarmonicModel(xi0=1.0, delta=1.00001 * critical_gap_stft(a, window)[0], a=a)
         ref_levels, ref_count = _two_call_levels(model, window, 0.0, 512)
         levels, count = _one_call_levels(monkeypatch, model, window, 0.0, 512)
-        assert [len(grid) for grid, _, _ in levels] == [513, 1025, 2049]
         assert count == ref_count == 2
-        _assert_same_levels(levels, ref_levels)
+        ranges = _assert_same_levels(levels, ref_levels)
+        assert [m for m, _, _ in ranges] == [512, 1024, 2048]
+        _assert_stretch_chain(model, default_band(model, window), ranges)
 
     def test_underflowing_imaginary_part_matches_two_call_count(self, window, monkeypatch):
         # at a = 1e-310 and half a period, c = a e^{2 pi i delta t} reads
@@ -180,7 +213,42 @@ class TestCounting:
         ref_levels, ref_count = _two_call_levels(model, window, t, 512)
         levels, count = _one_call_levels(monkeypatch, model, window, t, 512)
         assert count == ref_count == 2
-        _assert_same_levels(levels, ref_levels)
+        _assert_whole_band(_assert_same_levels(levels, ref_levels))
+
+    def test_subnormal_amplitude_counts_whole_band(self, monkeypatch):
+        # at a = 5e-324 the constructive slice's right edge is flat, a g1
+        # rounding to the same subnormal on both sides of the stretch's end,
+        # so the count falls back to the whole band
+        window = GaussianWindow(sigma=math.sqrt(2.0))
+        model = TwoHarmonicModel(xi0=1.0, delta=30.0, a=5e-324)
+        ref_levels, ref_count = _two_call_levels(model, window, 0.0, 512)
+        levels, count = _one_call_levels(monkeypatch, model, window, 0.0, 512)
+        assert count == ref_count == 2
+        _assert_whole_band(_assert_same_levels(levels, ref_levels))
+
+    def test_stretch_sweep_matches_whole_band(self):
+        # seeded sweep of the constructive slice around the critical gap and
+        # far past it, with zero and subnormal amplitudes: the count on the
+        # stretch and the whole-band reference agree, InconclusiveCountError
+        # included
+        rng = random.Random(36)
+        outcomes = set()
+        for _ in range(1000):
+            window = GaussianWindow(sigma=rng.uniform(0.3, 5.0))
+            a = rng.choice([10.0 ** rng.uniform(-8.0, 8.0)] * 5 + [0.0, 1e-310, 1e-320])
+            scale = rng.choice([1.0 + e for e in (1e-6, 1e-4, 1e-2, 0.3)]
+                               + [1.0 - e for e in (1e-6, 1e-4, 1e-2, 0.3)] + [3.0, 20.0])
+            delta = scale * critical_gap_stft(a or 1.0, window)[0]
+            model = TwoHarmonicModel(xi0=rng.uniform(-5.0, 5.0), delta=delta, a=a)
+            n = rng.choice([512, 1024, 4096])
+            ref_count = _two_call_levels(model, window, 0.0, n)[1]
+            try:
+                count = count_frequency_maxima(model, window, 0.0, n_samples=n)
+            except InconclusiveCountError:
+                count = None
+            assert count == ref_count, (model, window, n)
+            outcomes.add(count)
+        assert {1, 2, None} <= outcomes
 
     def test_period_sweep_above_critical(self, window):
         model = TwoHarmonicModel(xi0=1.0, delta=0.5, a=1.0)
@@ -258,11 +326,49 @@ def _one_call_levels(monkeypatch, model, window, t, n_samples):
 
 
 def _assert_same_levels(levels, ref_levels):
+    """Each counted level is one index range of the whole-band reference
+    level: its grid and values bit for bit, and the reference's maxima.
+    Returns the ranges as (m, start, stop), m + 1 the reference's size."""
     assert len(levels) == len(ref_levels)
+    ranges = []
     for (grid, values, maxima), (ref_grid, ref_values, ref_maxima) in zip(levels, ref_levels):
-        assert grid.tobytes() == ref_grid.tobytes()
-        assert values.tobytes() == ref_values.tobytes()
+        start = int(np.searchsorted(ref_grid, grid[0]))
+        stop = start + len(grid)
+        assert grid.tobytes() == ref_grid[start:stop].tobytes()
+        assert values.tobytes() == ref_values[start:stop].tobytes()
         assert maxima == ref_maxima
+        ranges.append((len(ref_grid) - 1, start, stop))
+    return ranges
+
+
+def _level_ranges(grids, band):
+    """Each counted grid as one index range of its level's whole-band
+    linspace, bit for bit: (m, start, stop) with m + 1 samples in the band."""
+    ranges = []
+    for grid in grids:
+        m = round((band[1] - band[0]) / (grid[1] - grid[0]))
+        whole = np.linspace(band[0], band[1], m + 1)
+        start = int(np.searchsorted(whole, grid[0]))
+        stop = start + len(grid)
+        assert grid.tobytes() == whole[start:stop].tobytes()
+        ranges.append((m, start, stop))
+    return ranges
+
+
+def _assert_stretch_chain(model, band, ranges):
+    """The first counted level's range is a strict part of the band that
+    runs from at least two coarse steps below xi0 to two above xi1, and each
+    doubling maps [i, j) to [2i, 2j - 1)."""
+    m, start, stop = ranges[0]
+    grid = np.linspace(band[0], band[1], m + 1)
+    assert 0 < start and stop < m + 1
+    assert grid[start + 2] < model.xi0 and grid[stop - 3] >= model.xi1
+    for (m, i, j), (m2, i2, j2) in zip(ranges, ranges[1:]):
+        assert (m2, i2, j2) == (2 * m, 2 * i, 2 * j - 1)
+
+
+def _assert_whole_band(ranges):
+    assert all((start, stop) == (0, m + 1) for m, start, stop in ranges)
 
 
 def _loop_candidate_peaks(v):
