@@ -6,9 +6,10 @@ any key can be overridden on the command line as --section.key=value. Outputs
 are CSV plus a JSON metadata sidecar; reruns with identical configuration are
 byte-identical. Every CSV is UTF-8 with \\r\\n line ends and no quoting, floats
 in repr's shortest round-trip decimals and integers and flags as integers.
-Grid cells are formatted a block at a time by the numpy kernel in gridcsv,
-which certifies each cell's shortest decimal or hands the cell to repr, so
-the bytes are repr's either way.
+The cells of a grid, and of a table held as one float array, are formatted
+a block at a time by the numpy kernel in gridcsv, which certifies each
+cell's shortest decimal or hands the cell to repr, so the bytes are repr's
+either way.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure.
@@ -141,19 +142,17 @@ def build_config(args, extra: list[str]) -> ExperimentConfig:
     )
 
 
-def _write_lines(path: Path, header: list[str], lines) -> None:
-    """Stream a header and pre-joined rows: UTF-8, \\r\\n line ends, no quoting."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for line in lines:
-            fh.write(line + "\r\n")
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """Stream a header and then chunks of encoded lines, each line ended by
+    \\r\\n: UTF-8, no quoting."""
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        fh.writelines(lines)
 
 
 def write_grid_csv(path: Path, grid: TFGrid, values: np.ndarray, quantity: str) -> None:
     header = [f"t\\eta ({quantity})"] + list(map(repr, grid.eta_values().tolist()))
-    with path.open("wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        fh.writelines(grid_lines(grid.t_values(), values))
+    _write_csv(path, header, grid_lines(grid.t_values(), values))
 
 
 def _cell(v) -> str:
@@ -165,7 +164,13 @@ def _cell(v) -> str:
 
 
 def write_table_csv(path: Path, header: list[str], rows) -> None:
-    _write_lines(path, header, (",".join(map(_cell, row)) for row in rows))
+    """A table of rows, each cell as _cell writes it. A 2-D float64 array of
+    rows goes through the grid kernel, whose lines are those bytes."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        lines = grid_lines(rows[:, 0], rows[:, 1:])
+    else:
+        lines = ((",".join(map(_cell, row)) + "\r\n").encode() for row in rows)
+    _write_csv(path, header, lines)
 
 
 def write_metadata(outdir: Path, command: str, config: ExperimentConfig, files: list[str]) -> None:
@@ -277,32 +282,32 @@ def cmd_reassign(config: ExperimentConfig) -> int:
 def cmd_squeeze(config: ExperimentConfig) -> int:
     model, window, grid = config.model, config.window, config.grid
     sq_config = config.squeeze
-    outputs = {"abs_s.csv": np.abs(squeeze.squeeze_field(model, window, sq_config, grid))}
     standoff = 2e-3 * model.delta
     xis = grid.eta_values()
     xis = xis[(np.abs(xis - model.xi0) > standoff) & (np.abs(xis - model.xi1) > standoff)]
-    for label, t in (("constructive", constructive_time(model, 0)),
-                     ("destructive", destructive_time(model, 0))):
+    tables = []
+    # the destructive section needs the most nodes of any section, so a rule
+    # that its budget cannot meet fails there, before the field
+    for label, t in (("destructive", destructive_time(model, 0)),
+                     ("constructive", constructive_time(model, 0))):
         quads = (np.abs(squeeze.squeeze_cross_section(model, window, sq_config, t, xis))
                  if xis.size else xis)
-        # a limit that does not apply at a xi reads nan
+        # a limit or erf form that does not apply at a xi reads nan
         if sq_config.weighting == "indicator":
             limits = squeeze.asym_indicator(model, window, sq_config.alpha, sq_config.R, t, xis)
         elif model.a > 0:
             limits = squeeze.asym_sst(model, window, t, xis)
         else:  # the STFT-weighted limit needs a > 0
             limits = np.full(xis.shape, np.nan)
-        erf_vals = []
-        for xi in xis:
-            try:
-                erf_vals.append(squeeze.erf_closed_form(model, window, sq_config.alpha, t,
-                                                        float(xi)))
-            except TwoToneError:
-                erf_vals.append(float("nan"))
-        rows = zip(xis, quads, np.abs(limits), erf_vals)
-        outputs[f"cross_section_{label}.csv"] = (
-            ["xi", "abs_quadrature", "abs_density_limit", "abs_erf_form"], rows)
-    _write_outputs(config, "squeeze", outputs.items())
+        try:
+            erf_vals = squeeze.erf_closed_form(model, window, sq_config.alpha, t, xis)
+        except TwoToneError:  # a check of the time or the model: no xi has the form
+            erf_vals = np.full(xis.shape, np.nan)
+        tables.append((f"cross_section_{label}.csv",
+                       (["xi", "abs_quadrature", "abs_density_limit", "abs_erf_form"],
+                        np.column_stack([xis, quads, np.abs(limits), erf_vals]))))
+    field = np.abs(squeeze.squeeze_field(model, window, sq_config, grid))
+    _write_outputs(config, "squeeze", [("abs_s.csv", field), *tables])
     return 0
 
 

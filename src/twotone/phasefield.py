@@ -200,5 +200,6 @@ def amplitude_weighted_phase(v: np.ndarray) -> np.ndarray:
     phi = np.angle(v)
     np.mod(phi, TWO_PI, out=phi)
     phi[mag <= thresh] = 0.0
-    phi *= mag
+    with np.errstate(over="ignore"):  # |V| near the float range times 2 pi reads inf
+        phi *= mag
     return phi

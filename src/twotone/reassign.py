@@ -45,8 +45,11 @@ def _log_q_and_q(model: TwoHarmonicModel, window: GaussianWindow, t, eta) -> tup
         rate = min(2.0 * window.C * model.delta, sys.float_info.max)
         with np.errstate(over="ignore"):
             log_q = math.log(model.a) + rate * (eta - model.xibar)
-    # e^{2 pi i delta t} on t's own shape: once per t, not once per node
-    q = np.exp(2j * math.pi * model.delta * t) * np.exp(np.clip(log_q, -_EXP_CLIP, _EXP_CLIP))
+    # e^{2 pi i delta t} on t's own shape: once per t, not once per node; a
+    # phase 2 pi delta t past the float range reads nan, quietly
+    with np.errstate(invalid="ignore"):
+        rot = np.exp(2j * math.pi * model.delta * t)
+    q = rot * np.exp(np.clip(log_q, -_EXP_CLIP, _EXP_CLIP))
     return log_q, q
 
 
@@ -134,7 +137,8 @@ def attraction_bound_check(model: TwoHarmonicModel, window: GaussianWindow,
         x = rate * (eta - model.xibar)
     x_max = min(0.0, -math.log(2.0 * model.a)) if model.a > 0 else 0.0
     w = model.a * np.exp(np.where(x <= x_max, x, np.nan))
-    bound = 2.0 * model.delta * w
+    with np.errstate(invalid="ignore"):  # 2 delta overflows to inf, and inf 0 reads nan
+        bound = 2.0 * model.delta * w
     d = eta_s_values(model, window, t, eta) - model.xi0
     actual = np.where(np.isnan(w), np.nan, np.hypot(d.real, d.imag))
     atol = 1e-13 * (1.0 + abs(model.xi0) + abs(model.xi1))

@@ -406,7 +406,10 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
             with np.errstate(over="ignore", invalid="ignore"):
                 w *= stft_closed_form(model, window, t, eta)
         w[:, sent] = 0.0
-        return _mollified_sums(hat, w, xis, alpha) / math.sqrt(math.pi * alpha)
+        # a sum past the float range reads inf, and a term whose exponent
+        # overflows, at a node far off every xi, reads 0, quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _mollified_sums(hat, w, xis, alpha) / math.sqrt(math.pi * alpha)
 
     (lo, hi), *far = _integration_pieces(model, window, config)
     u_lo, u_hi, place = _graded_nodes(model, window, config, t, xis, lo, hi)
@@ -434,12 +437,14 @@ def squeeze_cross_section(model: TwoHarmonicModel, window: GaussianWindow,
     scale_floor = 1e-13 / math.sqrt(alpha)
     done = 0
     while True:
-        total = fine + outside
-        scale = max(float(np.max(np.abs(total))), scale_floor)
-        change = float(np.max(np.abs(fine - coarse)))
+        # inf sums differ by nan, quietly; no rule after a nan change converges
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = fine + outside
+            scale = max(float(np.max(np.abs(total))), scale_floor)
+            change = float(np.max(np.abs(fine - coarse)))
         if change <= _RTOL * scale:
             return total
-        if n >= finest:
+        if n >= finest or math.isnan(change):
             raise SolverFailureError(
                 f"squeeze quadrature at t = {t} did not converge in {done} "
                 f"doublings ({n} intervals): last change {change:.3e} > "
@@ -622,10 +627,80 @@ class PreimageIntervals:
     c_right: float | None = None
 
 
-def _segment_label(model: TwoHarmonicModel, cs: float, xi: float) -> str:
-    bounds = [model.xi0 - cs, model.xi0 + cs, model.xibar - cs,
-              model.xibar + cs, model.xi1 - cs, model.xi1 + cs]
-    return f"I{int(np.searchsorted(np.asarray(bounds), xi, side='right')) + 1}"
+# the segments I1 to I7 whose preimage is empty at each kind of distinguished
+# time, as a mask indexed by segment number
+_EMPTY_SEGMENTS = {kind: np.isin(np.arange(8), empty) for kind, empty in (
+    ("constructive", (1, 7)), ("destructive", (3, 4, 5)), ("intermediate", (1, 3, 4, 5, 7)))}
+
+
+def _split_scale(model: TwoHarmonicModel, alpha: float, C: float, t: float) -> tuple:
+    """(kind, C sqrt(alpha)): the kind of the time t and the half-width of the
+    xi window of the preimage case split, after its checks. The split needs
+    a > 0, and C <= delta/(4 sqrt alpha) at t_k^+/- and C <= delta/(2 sqrt
+    alpha) at quarter-period times, so that the seven segments stay disjoint."""
+    if model.a <= 0:
+        raise DegenerateAmplitudeError("preimage case split requires a > 0")
+    kind = classify_time(model, t)
+    sa = math.sqrt(alpha)
+    cap = model.delta / (2.0 * sa) if kind == "intermediate" else model.delta / (4.0 * sa)
+    if not (0.0 < C <= cap * (1 + 1e-12)):
+        raise PreconditionError(f"C = {C} outside (0, {cap:.6f}] for a {kind} time")
+    return kind, C * sa
+
+
+def _segments(model: TwoHarmonicModel, cs: float, xi):
+    """The segment number of xi, 1 to 7 for I1 to I7, over a scalar or an
+    array: the bounds xi0 -+ cs, xibar -+ cs and xi1 -+ cs each open the
+    segment above them, and a nan xi lies on I7.
+
+    From cs = delta/4 on, xi0 + cs passes xibar - cs and xibar + cs passes
+    xi1 - cs; at the cap of C rounding alone can do it. searchsorted needs
+    sorted bounds to take many xi at once, and over their running maximum
+    each xi gets the segment that a binary search of the bounds as they
+    stand gives one xi: I2 between xibar - cs and xi0 + cs, and I4 between
+    xi1 - cs and xibar + cs.
+    """
+    bounds = np.array([model.xi0 - cs, model.xi0 + cs, model.xibar - cs,
+                       model.xibar + cs, model.xi1 - cs, model.xi1 + cs])
+    return np.searchsorted(np.maximum.accumulate(bounds), xi, side="right") + 1
+
+
+@np.errstate(all="ignore")  # y and c may overflow to inf, or read nan from inf/inf, quietly
+def _preimage_ends(model: TwoHarmonicModel, window: GaussianWindow, kind: str, cs: float,
+                   xi: np.ndarray) -> tuple:
+    """The preimage case split at t_k^+ or t_k^- over an array of xi: (seg, y,
+    c, missing), with seg the segment numbers (_segments).
+
+    Off the empty segments the preimage of (xi - cs, xi + cs) is one interval
+    (eta_avg + c_left, eta_avg + c_right), unbounded below on I2, which has no
+    c_left, and above on I6, which has no c_right. The rows of c are c_left
+    and c_right, the offsets (_preimage_offset) of the preimages of the rows
+    of y: of xi - cs and xi + cs at constructive times, where the map rises,
+    of xi + cs and xi - cs at destructive times, where it falls. An end that
+    the interval lacks reads nan, and so does one whose y has no preimage, as
+    where xi on a segment boundary puts y on xi0 or xi1; missing flags those.
+    """
+    sign = -1.0 if kind == "constructive" else 1.0
+    seg = _segments(model, cs, xi)
+    y = xi + np.array([[sign * cs], [-sign * cs]])
+    need = (seg != np.array([[2], [6]])) & ~_EMPTY_SEGMENTS[kind][seg]
+    if kind == "constructive":
+        found = (model.xi0 < y) & (y < model.xi1)
+    else:
+        found = (y < model.xi0) | (y > model.xi1)
+    found &= need
+    c = np.full(y.shape, math.nan)
+    c[found] = _preimage_offset(model, window, kind, y[found])
+    return seg, y, c, need & ~found
+
+
+def _require_preimages(kind: str, y: np.ndarray, missing: np.ndarray) -> None:
+    """Raise OutOfBranchError, naming c_left before c_right, where an end of
+    the interval of the first xi of _preimage_ends has no preimage."""
+    for gamma, y_end, lacks in zip(("c_left", "c_right"), y[:, 0].tolist(), missing[:, 0]):
+        if lacks:
+            raise OutOfBranchError(f"{gamma}: {y_end!r} has no preimage at a {kind} time",
+                                   gamma=gamma)
 
 
 def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,
@@ -635,49 +710,26 @@ def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: f
     Needs C <= delta/(4 sqrt alpha) at t_k^+/- and C <= delta/(2 sqrt alpha) at
     quarter-period times, so the seven segments stay disjoint.
     """
-    if model.a <= 0:
-        raise DegenerateAmplitudeError("preimage case split requires a > 0")
-    kind = classify_time(model, t)
-    sa = math.sqrt(alpha)
-    cap = model.delta / (2.0 * sa) if kind == "intermediate" else model.delta / (4.0 * sa)
-    if not (0.0 < C <= cap * (1 + 1e-12)):
-        raise PreconditionError(f"C = {C} outside (0, {cap:.6f}] for a {kind} time")
-    cs = C * sa
+    kind, cs = _split_scale(model, alpha, C, t)
     eta_avg = destructive_zero(model, window)
-    label = _segment_label(model, cs, xi)
-    seg = int(label[1])
+    seg = int(_segments(model, cs, xi))
+    label = f"I{seg}"
+    if _EMPTY_SEGMENTS[kind][seg]:
+        return PreimageIntervals(label, ())
 
     if kind != "intermediate":
-        # c_left and c_right are the preimages of xi - cs and xi + cs at
-        # constructive times, where the map rises, and of xi + cs and xi - cs
-        # at destructive times, where it falls; the empty segments move
-        sign = -1.0 if kind == "constructive" else 1.0
-        if seg in ((1, 7) if kind == "constructive" else (3, 4, 5)):
-            return PreimageIntervals(label, ())
-
-        def offset(y, gamma):
-            # xi on a segment boundary puts y = xi +- cs on xi0 or xi1, which
-            # has no preimage
-            if not (model.xi0 < y < model.xi1 if kind == "constructive"
-                    else y < model.xi0 or y > model.xi1):
-                raise OutOfBranchError(f"{gamma}: {y!r} has no preimage at a {kind} time",
-                                       gamma=gamma)
-            return float(_preimage_offset(model, window, kind, y))
-
-        c_l = c_r = None
-        if seg != 2:
-            c_l = offset(xi + sign * cs, "c_left")
-        if seg != 6:
-            c_r = offset(xi - sign * cs, "c_right")
+        _, y, (c_l, c_r), missing = _preimage_ends(model, window, kind, cs,
+                                                   np.array([xi], dtype=float))
+        _require_preimages(kind, y, missing)
+        c_l = None if seg == 2 else float(c_l[0])
+        c_r = None if seg == 6 else float(c_r[0])
         lo = -math.inf if c_l is None else eta_avg + c_l
         hi = math.inf if c_r is None else eta_avg + c_r
         return PreimageIntervals(label, ((lo, hi),), c_left=c_l, c_right=c_r)
 
     # intermediate time: only the one-sided segments survive
-    if seg not in (2, 6):
-        return PreimageIntervals(label, ())
-    num = (xi - model.xi0) ** 2 - (C * sa) ** 2
-    den = (C * sa) ** 2 - (xi - model.xi1) ** 2
+    num = (xi - model.xi0) ** 2 - cs ** 2
+    den = cs ** 2 - (xi - model.xi1) ** 2
     end = "c_right" if seg == 2 else "c_left"  # the one finite endpoint
     if den == 0 or num / den <= 0:
         raise OutOfBranchError(f"square-root argument {num:.6e} / {den:.6e} "
@@ -688,13 +740,15 @@ def preimage_intervals(model: TwoHarmonicModel, window: GaussianWindow, alpha: f
 
 
 def erf_closed_form(model: TwoHarmonicModel, window: GaussianWindow, alpha: float,
-                    t: float, xi: float, C: float | None = None) -> float:
+                    t: float, xi, C: float | None = None):
     """Piecewise erf approximation of |S_V| at t_k^+/- (all four branches),
-    with the alpha^{-1/2} and 1/(2 pi sigma) normalization of the derivation.
+    with the alpha^{-1/2} and 1/(2 pi sigma) normalization of the derivation,
+    as a float for one xi and as an array for an array of xi.
 
     Integrates both Gaussian components of V over the preimage intervals of
-    preimage_intervals (default C = delta/(4 sqrt alpha)); an endpoint
-    without a preimage raises, naming it, c_left or c_right.
+    preimage_intervals (default C = delta/(4 sqrt alpha)). An endpoint
+    without a preimage raises for one xi, naming it, c_left or c_right, and
+    reads nan in an array.
     """
     if classify_time(model, t) == "intermediate":
         raise PreconditionError("closed forms stated at t_k^+ / t_k^- only")
@@ -703,13 +757,26 @@ def erf_closed_form(model: TwoHarmonicModel, window: GaussianWindow, alpha: floa
         C = model.delta / (4.0 * sa)
     ps = math.pi * window.sigma
     norm = 1.0 / (2.0 * math.pi * window.sigma * sa)
-
-    def pair(g: float) -> float:
-        # erf(+-inf) = +-1, so a half-infinite interval ends at pair = +-(1 + a)
-        return math.erf(ps * (g - model.xi0)) + model.a * math.erf(ps * (g - model.xi1))
-
-    intervals = preimage_intervals(model, window, alpha, C, t, xi).intervals
-    return norm * abs(sum(pair(r) - pair(l) for l, r in intervals))
+    kind, cs = _split_scale(model, alpha, C, t)
+    eta_avg = destructive_zero(model, window)
+    xi = np.asarray(xi, dtype=float)
+    seg, y, c, missing = _preimage_ends(model, window, kind, cs, xi.reshape(-1))
+    if xi.ndim == 0:
+        _require_preimages(kind, y, missing)
+    with np.errstate(all="ignore"):
+        ends = eta_avg + c
+        ends[0, seg == 2] = -math.inf
+        ends[1, seg == 6] = math.inf
+        # the erf pair at each end; erf(+-inf) = +-1, so an unbounded interval
+        # ends at pair = +-(1 + a)
+        args = ps * (ends[..., None] - np.array([model.xi0, model.xi1]))
+        erfs = np.fromiter(map(math.erf, args.ravel().tolist()), float,
+                           args.size).reshape(args.shape)
+        pair = erfs[..., 0] + model.a * erfs[..., 1]
+    span = pair[1] - pair[0]
+    span[_EMPTY_SEGMENTS[kind][seg]] = 0.0
+    value = norm * np.abs(span)
+    return float(value[0]) if xi.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------

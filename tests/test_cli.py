@@ -27,9 +27,9 @@ from twotone.cli import (
     write_grid_csv,
     write_table_csv,
 )
-from twotone import squeeze
+from twotone import cli, squeeze
 from twotone.errors import ConfigError, InconclusiveCountError, SolverFailureError
-from twotone.gridcsv import _GRID_BLOCK_CELLS, _cell_words, _shortest_decimals
+from twotone.gridcsv import _GRID_BLOCK_CELLS, _cell_words, _shortest_decimals, grid_lines
 from twotone.presets import PRESETS
 
 
@@ -237,6 +237,25 @@ class TestWriters:
         assert (tmp_path / "new.csv").read_bytes() == reference_csv(tmp_path / "old.csv",
                                                                     expected)
 
+    @pytest.mark.parametrize("shape", [(8, 3), (0, 4), (5, 1), (1, 2)])
+    def test_float_array_table_writes_the_row_bytes(self, tmp_path, monkeypatch, shape):
+        # a 2-D float64 array of rows goes through the grid kernel and writes
+        # what the same rows as tuples of floats write cell by cell
+        cells = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 1 / 3, 0.0, -2.5]
+        rows = np.resize(np.array(cells), shape[0] * shape[1]).reshape(shape)
+        header = [f"c{k}" for k in range(shape[1])]
+        blocks = []
+        monkeypatch.setattr(cli, "grid_lines", lambda t, values: blocks.append(t.size)
+                            or grid_lines(t, values))
+        write_table_csv(tmp_path / "array.csv", header, rows)
+        assert blocks == [shape[0]]
+        write_table_csv(tmp_path / "rows.csv", header, [tuple(row) for row in rows.tolist()])
+        expected = (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "array.csv").read_bytes() == expected
+        assert expected == reference_csv(tmp_path / "old.csv",
+                                         [header] + [[repr(v) for v in row]
+                                                     for row in rows.tolist()])
+
     def test_header_only_table(self, tmp_path):
         write_table_csv(tmp_path / "new.csv", ["t_detected"], [])
         assert (tmp_path / "new.csv").read_bytes() == b"t_detected\r\n"
@@ -377,8 +396,8 @@ class TestCommands:
 
     def test_numerical_failure_exits_3_and_writes_nothing(self, tmp_path, capsys,
                                                           monkeypatch):
-        # the field and the constructive cross section succeed; the
-        # destructive cross section fails
+        # the destructive cross section, the first thing the command
+        # computes, fails
         original = squeeze.squeeze_cross_section
 
         def fail_at_destructive_time(model, window, config, t, xis):
@@ -393,6 +412,81 @@ class TestCommands:
         assert code == 3
         assert err.startswith("numerical failure:")
         assert not out.exists()
+
+    def test_node_budget_failure_exits_3_before_the_field(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # at alpha = 1e-12 the destructive section needs more intervals than
+        # the finest rule has; it is computed first, so no field row starts
+        # (each took about 1 s when the field came first)
+        sections = []
+        original = squeeze.squeeze_cross_section
+
+        def spy(model, window, config, t, xis):
+            sections.append(t)
+            return original(model, window, config, t, xis)
+
+        monkeypatch.setattr(squeeze, "squeeze_cross_section", spy)
+        out = tmp_path / "out"
+        code, _, err = run(["squeeze", "--squeeze.alpha=1e-12", "--model.xi0=-5.0",
+                            "--grid.t_max=0.5", "--grid.n_t=5", "--grid.n_eta=9",
+                            "--out", str(out)], capsys)
+        assert code == 3 and "needs more than the finest rule" in err
+        assert sections == [destructive_time(TwoHarmonicModel(xi0=-5.0, delta=0.3, a=1.0), 0)]
+        assert not out.exists()
+
+    def test_nan_rule_exits_3_at_the_base_pass(self, tmp_path, capsys):
+        # at a = 1.7e308 the sums overflow and the first change between two
+        # rules reads nan, which no finer rule mends: the ladder stops there
+        # instead of doubling 13 times, and no RuntimeWarning, an error in
+        # this suite, leaves it
+        out = tmp_path / "out"
+        code, _, err = run(["squeeze", "--model.a=1.7e+308", "--grid.n_t=5", "--grid.n_eta=9",
+                            "--out", str(out)], capsys)
+        assert code == 3
+        assert "did not converge in 0 doublings" in err and "last change nan" in err
+        assert not out.exists()
+
+    def test_huge_gap_reassign_exits_0_without_warnings(self, tmp_path, capsys):
+        # 2 pi delta t and 2 delta overflow at delta = 1.7e308: the phase of q
+        # and the attraction bound read nan, quietly
+        code, _, err = run(["reassign", "--model.delta=1.7e+308", "--grid.n_t=5",
+                            "--grid.n_eta=9", "--out", str(tmp_path)], capsys)
+        assert code == 0 and err == ""
+
+    def test_huge_amplitude_stft_exits_0_without_warnings(self, tmp_path, capsys):
+        # |V| near 1.7e308 times a phase above 1 reads inf, quietly
+        code, _, err = run(["stft", "--model.a=1.7e+308", "--model.delta=0.01", "--grid.n_t=5",
+                            "--grid.n_eta=9", "--out", str(tmp_path)], capsys)
+        assert code == 0 and err == ""
+        assert b"inf" in (tmp_path / "amp_weighted_phase.csv").read_bytes()
+
+    def test_far_grid_squeeze_exits_3_without_warnings(self, tmp_path, capsys):
+        # xi = -1e300 squares past the float range in the kernel's exponent,
+        # where the term reads 0; the destructive section then needs more
+        # intervals than the finest rule has
+        out = tmp_path / "out"
+        code, _, err = run(["squeeze", "--grid.eta_min=-1e+300", "--grid.n_t=5",
+                            "--grid.n_eta=9", "--out", str(out)], capsys)
+        assert code == 3 and err.startswith("numerical failure:")
+        assert not out.exists()
+
+    def test_squeeze_takes_one_erf_call_per_time(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = squeeze.erf_closed_form
+
+        def spy(model, window, alpha, t, xi):
+            calls.append((t, np.shape(xi)))
+            return original(model, window, alpha, t, xi)
+
+        monkeypatch.setattr(squeeze, "erf_closed_form", spy)
+        code, _, err = run(["squeeze", "--preset", "gap-small-a13", "--grid.n_t=3",
+                            "--grid.n_eta=17", "--out", str(tmp_path)], capsys)
+        assert code == 0, err
+        model = TwoHarmonicModel(xi0=1.0, delta=0.3, a=1.3)
+        assert sorted(t for t, _ in calls) == [constructive_time(model, 0),
+                                               destructive_time(model, 0)]
+        rows = len((tmp_path / "cross_section_constructive.csv").read_bytes().splitlines()) - 1
+        assert rows == 16 and all(shape == (rows,) for _, shape in calls)
 
     @pytest.mark.parametrize("command", ["stft", "ridges"])
     def test_overflowing_phase_exits_3_without_warnings(self, tmp_path, capsys, command):

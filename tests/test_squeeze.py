@@ -1288,6 +1288,68 @@ class TestErfClosedForm:
                             0.25 / model_balanced.delta, model_balanced.xibar)
 
 
+def _erf_array_cases():
+    """(model, window, alpha, t, xis) at t_0^+ and t_0^-: the presets, the
+    delta = 0.5 model with xi1 - C sqrt(alpha) = 1.375 exactly, and 30
+    seeded random models, each over a grid across the band, every segment
+    bound with its neighbouring doubles, xi0, xi1 and nan. In the delta =
+    0.15 preset xi0 + C sqrt(alpha) rounds one double above xibar - C
+    sqrt(alpha), and xibar + C sqrt(alpha) one above xi1 - C sqrt(alpha)."""
+    rng = np.random.default_rng(37)
+    params = [(cfg["model.xi0"], cfg["model.delta"], cfg["model.a"], cfg["model.sigma"],
+               cfg["squeeze.alpha"]) for _, cfg in sorted(PRESETS.items())]
+    params.append((1.0, 0.5, 1.0, math.sqrt(2.0), ALPHA))
+    params += [(rng.uniform(-5, 5), 10 ** rng.uniform(-2, 0.5), 10 ** rng.uniform(-3, 3),
+                10 ** rng.uniform(-0.5, 0.7), 10 ** rng.uniform(-6, -2)) for _ in range(30)]
+    for xi0, delta, a, sigma, alpha in params:
+        model = TwoHarmonicModel(xi0=float(xi0), delta=float(delta), a=float(a))
+        cs = model.delta / (4.0 * math.sqrt(alpha)) * math.sqrt(alpha)
+        bounds = np.array([model.xi0 - cs, model.xi0 + cs, model.xibar - cs, model.xibar + cs,
+                           model.xi1 - cs, model.xi1 + cs, model.xi0, model.xi1])
+        xis = np.concatenate([np.linspace(model.xi0 - 2 * delta, model.xi1 + 2 * delta, 301),
+                              bounds, np.nextafter(bounds, math.inf),
+                              np.nextafter(bounds, -math.inf), [math.nan]])
+        for t in (constructive_time(model, 0), destructive_time(model, 0)):
+            yield model, GaussianWindow(sigma=float(sigma)), float(alpha), t, xis
+
+
+def test_erf_closed_form_array_matches_scalar_calls():
+    # the array form is the scalar form bit for bit, with nan exactly where
+    # the scalar call raises, in any order of the xi
+    rng = np.random.default_rng(38)
+    raised = 0
+    for model, window, alpha, t, xis in _erf_array_cases():
+        expected = []
+        for xi in xis.tolist():
+            try:
+                expected.append(erf_closed_form(model, window, alpha, t, xi))
+            except OutOfBranchError:
+                expected.append(math.nan)
+                raised += 1
+        expected = np.array(expected)
+        order = rng.permutation(xis.size)
+        for got in (erf_closed_form(model, window, alpha, t, xis),
+                    erf_closed_form(model, window, alpha, t, xis[order])[np.argsort(order)]):
+            assert got.dtype == np.float64 and got.shape == xis.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (model, t)
+    assert raised > 300
+    # the segment boundary of test_segment_boundary_zero_divisor
+    model = TwoHarmonicModel(xi0=1.0, delta=0.5, a=1.0)
+    window = GaussianWindow(sigma=math.sqrt(2.0))
+    got = erf_closed_form(model, window, ALPHA, destructive_time(model, 0),
+                          np.array([1.125, 1.375]))
+    assert math.isnan(got[1]) and not math.isnan(got[0])
+
+
+def test_erf_closed_form_array_keeps_the_checks_of_the_call(window, model_balanced):
+    xis = np.array([1.0, 1.1])
+    with pytest.raises(PreconditionError):
+        erf_closed_form(model_balanced, window, ALPHA, 0.25 / model_balanced.delta, xis)
+    with pytest.raises(DegenerateAmplitudeError):
+        erf_closed_form(TwoHarmonicModel(1.0, 0.3, 0.0), window, ALPHA, 0.0, xis)
+    assert erf_closed_form(model_balanced, window, ALPHA, 0.0, np.array([])).shape == (0,)
+
+
 def _erf_form_maxima(a, window, delta):
     """Interior maxima of the constructive erf form over xi - xi0 in
     (0.2501, 0.7499) delta."""
